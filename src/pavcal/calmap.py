@@ -35,9 +35,13 @@ in llr mode only.
 from __future__ import annotations
 
 import math
+import operator
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Sequence
+
+import numpy as np
 
 from .llr import logit
 from .pav import _pool_counts
@@ -119,6 +123,28 @@ class CalibrationMap:
             return cls.from_text(fh.read())
 
 
+def _tie_pool(trials: Sequence[Trial]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sort trials by score and pool exact score ties into items.
+
+    Returns each item's score and its target / non-target counts, in
+    ascending score order.  Runs are split where sorted scores differ by
+    !=, so -0.0 and 0.0 pool together; the stable sort makes the item's
+    score the first of its trials in input order.
+    """
+    size = len(trials)
+    scores = np.fromiter(map(operator.attrgetter("score"), trials), float, size)
+    labels = map(operator.attrgetter("label"), trials)
+    flags = np.fromiter(map(operator.is_, labels, repeat(Label.TARGET)), bool, size)
+    order = np.argsort(scores, kind="stable")
+    scores = scores[order]
+    flags = flags[order]
+    heads = np.flatnonzero(np.concatenate(([True], scores[1:] != scores[:-1])))
+    ms = np.add.reduceat(flags, heads, dtype=np.int64)
+    ns = np.diff(heads, append=size)
+    ns -= ms
+    return scores[heads], ms, ns
+
+
 def build_map(
     trials: Sequence[Trial],
     weights: WeightPair | tuple[float, float],
@@ -140,24 +166,10 @@ def build_map(
         raise ValueError("build_map needs at least one trial")
     w = as_weights(weights)
 
-    ordered = sorted(trials, key=lambda t: t.score)
-    scores: list[float] = []
-    ms: list[int] = []
-    ns: list[int] = []
-    for t in ordered:
-        if scores and t.score == scores[-1]:
-            if t.label is Label.TARGET:
-                ms[-1] += 1
-            else:
-                ns[-1] += 1
-        else:
-            scores.append(t.score)
-            ms.append(1 if t.label is Label.TARGET else 0)
-            ns.append(0 if t.label is Label.TARGET else 1)
-
+    scores, ms, ns = _tie_pool(trials)
     if mode == "llr":
-        t1 = sum(ms)
-        t2 = sum(ns)
+        t1 = int(ms.sum())
+        t2 = len(trials) - t1
         if t1 < 1 or t2 < 1:
             raise ValueError(
                 f"llr mode needs both classes (got {t1} targets, {t2} non-targets)"
@@ -170,9 +182,9 @@ def build_map(
 
     knots: list[tuple[float, float]] = []
     for s, e, v in zip(starts, ends, vals):
-        knots.append((scores[s], v))
+        knots.append((float(scores[s]), v))
         if e > s:
-            knots.append((scores[e], v))
+            knots.append((float(scores[e]), v))
     return CalibrationMap(knots=tuple(knots), mode=mode, policy=policy)
 
 

@@ -18,9 +18,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain, repeat
 from typing import Sequence
 
-from .pav import pav_posteriors
+from . import pav
 from .types import Label, WeightPair
 
 
@@ -87,15 +88,21 @@ def llr_calibrate(labels: Sequence[Label]) -> LlrCalibration:
     Requires at least one trial of each class.  Values may include -inf
     and +inf at the ends of the sequence.
     """
-    t1 = sum(1 for lab in labels if lab is Label.TARGET)
-    t2 = len(labels) - t1
+    # Called through the module, so that a wrapper installed on
+    # pav.pav_fit (the benchmark's tracer) sees this call too.
+    solution = pav.pav_fit(labels, WeightPair(1.0, 1.0))
+    t1 = sum(blk.m for blk in solution.blocks)
+    t2 = solution.total - t1
     if t1 < 1 or t2 < 1:
         raise ValueError(
             f"llr calibration needs both classes (got {t1} targets, {t2} non-targets)"
         )
     offset = logit(t1 / (t1 + t2))
-    p = pav_posteriors(labels, WeightPair(1.0, 1.0))
-    w = tuple(logit(pt) - offset for pt in p)
+    w = tuple(
+        chain.from_iterable(
+            repeat(logit(blk.value) - offset, blk.size) for blk in solution.blocks
+        )
+    )
     return LlrCalibration(w=w, prior_logodds=offset, t1=t1, t2=t2)
 
 

@@ -1,4 +1,4 @@
-"""Independent reference solutions used to cross-check the stack fit.
+"""Independent reference solutions used to cross-check the PAV fit.
 
 maxmin_oracle evaluates the classic closed form of the monotone solution:
 

@@ -6,63 +6,118 @@ minimizing every weighted proper-scoring-rule objective simultaneously.
 The solution is a partition into maximal blocks; each block's value is the
 weighted proportion of its target count, m*v1 / (m*v1 + n*v2).
 
-The algorithm is a single left-to-right pass keeping a stack of finished
-blocks.  Each trial starts as its own block (value 1.0 for a target, 0.0
-for a non-target); while the top of the stack has a value greater than or
-equal to the new block's, the two merge: integer counts add exactly and
-the value is recomputed from the merged counts.  Merging on equality, not
-just on strict violation, is what makes the final block values strictly
-increasing.  Values are compared as computed, with no epsilon: a spurious
-merge of two pools with equal values is harmless, and near-ties land
-within one rounding step of the exact solution either way.  Each trial is
-pushed once and each merge pops one block, so the pass is O(T).
+Geometrically (Barlow et al. 1972), walk the items in order and plot the
+cumulative (total weight, target weight) diagram: the fitted values are
+the slopes of its greatest convex minorant, and the blocks are the
+stretches between the minorant's vertices.  Every pass in this module
+deletes vertices of the diagram that cannot be vertices of the minorant,
+by pooling the two segments that meet there; what is left when no vertex
+can be deleted any more is the solution.
+
+The work is done by _pool_counts in two stages: a few vectorised prune
+passes that delete many vertices at once, then the classic stack pass
+over whatever segments survive.  Both compare pooled values as computed,
+with no epsilon, and both merge on equality; see _pool_counts for why the
+result is exact up to rounding and why the whole pass is O(T).
 """
 
 from __future__ import annotations
 
+import itertools
+import operator
 from typing import Sequence
+
+import numpy as np
 
 from .types import Block, BlockSolution, Label, WeightPair, as_weights, expand, pooled_value
 
+# Vectorised prune passes run before the stack pass.  Each pass costs a
+# few array sweeps over the surviving segments; on score-sorted data the
+# first passes remove nearly every vertex and later ones find little.
+_PRUNE_PASSES = 4
+
 
 def _pool_counts(
-    ms: Sequence[int],
-    ns: Sequence[int],
+    ms: Sequence[int] | np.ndarray,
+    ns: Sequence[int] | np.ndarray,
     v1: float,
     v2: float,
 ) -> tuple[list[int], list[int], list[int], list[int], list[float]]:
-    """Stack pass over pre-counted items.
+    """Pool pre-counted items into the monotone block solution.
 
     ms[k] / ns[k] are the target / non-target counts of item k (an item is
     a single trial, or a group of trials pooled beforehand, e.g. score
-    ties).  Returns parallel block arrays (start item, end item, m, n,
-    value) with strictly increasing values.
+    ties); there is at least one item, and every item holds at least one
+    trial.  Returns parallel block lists (start item, end item, m, n,
+    value) with strictly increasing values, each value being pooled_value
+    of the block's counts.
+
+    Prune passes.  Between two adjacent segments sits one vertex of the
+    cumulative diagram.  If the left segment's value is >= the right
+    one's, the diagram bends down (or runs straight) there, so the vertex
+    lies on or above the chord joining its neighbours; the minorant lies
+    on or below that chord, so it cannot have a corner at this vertex.
+    Deleting every such vertex at once therefore leaves the minorant
+    unchanged, and one pass is a handful of O(segments) array operations:
+    one comparison of neighbouring values, and np.add.reduceat to add up
+    the counts of each run of merged segments.  At most _PRUNE_PASSES
+    passes run; a pass that deletes nothing ends them early, since then
+    every value already rises strictly.
+
+    Stack pass.  The survivors are then pooled left to right on a stack of
+    finished blocks: while the top block's value is >= the new block's,
+    the two merge, counts add exactly, and the value is recomputed from
+    the merged counts.  Merging on equality, not only on strict
+    violation, is what leaves the final values strictly increasing, as
+    BlockSolution requires.  Each survivor is pushed once and each merge
+    pops one block, so the stack is O(survivors); with the prune passes,
+    which only ever shrink the arrays, the whole call is O(T) however
+    little the passes delete.
+
+    Values are compared as computed, with no epsilon.  A spurious merge of
+    two pools whose values tie only after rounding is harmless, and near
+    ties land within one rounding step of the exact solution whichever
+    order the merges happen in.
     """
+    m = np.asarray(ms)
+    n = np.asarray(ns)
+    size = m.shape[0]
+    seg_start = np.arange(size)
+    vals = pooled_value(m, n, v1, v2)
+    for _ in range(_PRUNE_PASSES):
+        rises = np.flatnonzero(vals[:-1] < vals[1:])
+        if rises.size + 1 == vals.size:
+            break
+        heads = np.concatenate(([0], rises + 1))
+        seg_start = seg_start[heads]
+        m = np.add.reduceat(m, heads, dtype=np.int64)
+        n = np.add.reduceat(n, heads, dtype=np.int64)
+        vals = pooled_value(m, n, v1, v2)
+
     starts: list[int] = []
-    ends: list[int] = []
     bm: list[int] = []
     bn: list[int] = []
-    vals: list[float] = []
-    for k in range(len(ms)):
-        m = ms[k]
-        n = ns[k]
-        a = m * v1
-        val = a / (a + n * v2)
-        start = k
-        while vals and vals[-1] >= val:
-            vals.pop()
-            ends.pop()
-            m += bm.pop()
-            n += bn.pop()
+    bvals: list[float] = []
+    survivors = zip(
+        seg_start.tolist(),
+        m.astype(np.int64, copy=False).tolist(),
+        n.astype(np.int64, copy=False).tolist(),
+    )
+    for start, mk, nk in survivors:
+        val = pooled_value(mk, nk, v1, v2)
+        while bvals and bvals[-1] >= val:
+            bvals.pop()
+            mk += bm.pop()
+            nk += bn.pop()
             start = starts.pop()
-            a = m * v1
-            val = a / (a + n * v2)
+            val = pooled_value(mk, nk, v1, v2)
         starts.append(start)
-        ends.append(k)
-        bm.append(m)
-        bn.append(n)
-        vals.append(val)
-    return starts, ends, bm, bn, vals
+        bm.append(mk)
+        bn.append(nk)
+        bvals.append(val)
+    ends = [s - 1 for s in starts[1:]]
+    ends.append(size - 1)
+    return starts, ends, bm, bn, bvals
 
 
 def pav_fit(labels: Sequence[Label], weights: WeightPair | tuple[float, float]) -> BlockSolution:
@@ -77,16 +132,18 @@ def pav_fit(labels: Sequence[Label], weights: WeightPair | tuple[float, float]) 
         sequence under every rule of the proper-scoring family at once.
     """
     w = as_weights(weights)
-    flags = [lab is Label.TARGET for lab in labels]
-    if not flags:
+    total = len(labels)
+    if not total:
         raise ValueError("pav_fit needs at least one trial")
-    ones = [not f for f in flags]
-    starts, ends, bm, bn, vals = _pool_counts(flags, ones, w.v1, w.v2)
+    flags = np.fromiter(
+        map(operator.is_, labels, itertools.repeat(Label.TARGET)), bool, total
+    )
+    starts, ends, bm, bn, vals = _pool_counts(flags, ~flags, w.v1, w.v2)
     blocks = tuple(
-        Block(start=s, end=e, m=int(m), n=int(n), value=v)
+        Block(start=s, end=e, m=m, n=n, value=v)
         for s, e, m, n, v in zip(starts, ends, bm, bn, vals)
     )
-    return BlockSolution(blocks=blocks, weights=w, total=len(flags))
+    return BlockSolution(blocks=blocks, weights=w, total=total)
 
 
 def pav_posteriors(
@@ -96,4 +153,4 @@ def pav_posteriors(
     return expand(pav_fit(labels, weights))
 
 
-__all__ = ["pav_fit", "pav_posteriors", "pooled_value"]
+__all__ = ["pav_fit", "pav_posteriors"]

@@ -32,8 +32,6 @@ import re
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from scipy import integrate
-
 from .types import Label, WeightPair, as_weights
 
 _INF = math.inf
@@ -180,9 +178,11 @@ class CustomDensity(ScoringRule):
     eta -> 1.  A cost whose declared end diverges is reported as +inf.
 
     The density itself is validated lazily on first use: it must be
-    nonnegative on a sampled grid and integrate to 1 within 1e-6.
-    Quadrature targets 1e-10 absolute error and keeps a 1e-12 margin from
-    a singular endpoint; failure to converge raises ValueError.
+    nonnegative on a grid sampled inside the open interval (0, 1), where a
+    density singular at an end is still finite, and integrate to 1 within
+    1e-6.  Quadrature targets 1e-10 absolute error and keeps a 1e-12
+    margin from a singular endpoint; failure to converge, or an
+    arithmetic error raised by the density, raises ValueError.
     """
 
     def __init__(
@@ -200,9 +200,14 @@ class CustomDensity(ScoringRule):
         if self._validated:
             return
         rho = self.density
-        for k in range(101):
+        # Probe the open interval: a valid density may be singular at 0 or 1.
+        for k in range(1, 100):
             eta = k / 100
-            if rho(eta) < 0.0:
+            try:
+                value = rho(eta)
+            except ArithmeticError as exc:
+                raise ValueError(f"density could not be evaluated at eta={eta}: {exc!r}") from exc
+            if value < 0.0:
                 raise ValueError(f"density is negative at eta={eta}")
         total = self._quad(rho, 0.0, 1.0)
         if abs(total - 1.0) > _NORMALIZATION_TOL:
@@ -213,7 +218,16 @@ class CustomDensity(ScoringRule):
     def _quad(f: Callable[[float], float], lo: float, hi: float) -> float:
         if hi <= lo:
             return 0.0
-        val, err = integrate.quad(f, lo, hi, epsabs=_QUAD_ABS_TOL, epsrel=_QUAD_ABS_TOL, limit=200)
+        # SciPy is imported here, on first use, so that importing pavcal
+        # does not pay for it unless a CustomDensity is evaluated.
+        from scipy import integrate
+
+        try:
+            val, err = integrate.quad(
+                f, lo, hi, epsabs=_QUAD_ABS_TOL, epsrel=_QUAD_ABS_TOL, limit=200
+            )
+        except ArithmeticError as exc:
+            raise ValueError(f"density could not be evaluated: {exc!r}") from exc
         if not math.isfinite(val) or err > 1e-6:
             raise ValueError("cost quadrature did not converge")
         return val if val > 0.0 else 0.0

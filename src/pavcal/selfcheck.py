@@ -46,7 +46,7 @@ def _random_labels(rng: random.Random, size: int, require_both: bool = False) ->
 def check_oracle_equivalence(
     max_len: int, weight_pairs: Sequence[tuple[float, float]]
 ) -> tuple[bool, str]:
-    """Exhaustive: stack fit equals the closed form for every sequence."""
+    """Exhaustive: the PAV fit equals the closed form for every sequence."""
     cases = 0
     worst = 0.0
     for v1, v2 in weight_pairs:

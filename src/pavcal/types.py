@@ -5,7 +5,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 
 class Label(enum.Enum):
@@ -70,6 +69,8 @@ def pooled_value(m: int, n: int, v1: float, v2: float) -> float:
 
     Every routine in this package that needs a pool's fitted value goes
     through this single expression, so equal pools compare bit-identical.
+    It works elementwise on numpy arrays of counts as well, with the same
+    IEEE operations, so array and scalar callers agree bit for bit.
     """
     a = m * v1
     return a / (a + n * v2)
@@ -148,7 +149,3 @@ def expand(solution: BlockSolution) -> list[float]:
     for blk in solution.blocks:
         out.extend([blk.value] * blk.size)
     return out
-
-
-def labels_of(trials: Sequence[Trial]) -> list[Label]:
-    return [t.label for t in trials]

@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 
 import pytest
 
@@ -234,3 +236,11 @@ def test_selfcheck_single_weight_pair(capsys):
     )
     assert code == 0
     assert "oracle-equivalence" in out
+
+
+def test_cli_import_does_not_load_scipy():
+    # SciPy is only needed to evaluate a CustomDensity, and importing it
+    # costs most of the start-up time of every command.
+    code = "import pavcal.cli, sys; assert 'scipy' not in sys.modules"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr

@@ -1,0 +1,162 @@
+"""Property tests of the array pooling core and of build_map's tie pooling.
+
+The core prunes vertices of the cumulative diagram with vectorised passes
+and finishes with a stack pass, so these tests aim at the cases where
+either stage could go wrong: weights far from 1 or within one ulp of each
+other, label patterns that the prune passes barely shrink, and inputs
+where the passes have nothing to delete.  The reference is always
+something computed another way: the max-min closed form, or a plain
+sorted-and-loop tie pool.
+"""
+
+import math
+
+from hypothesis import given, settings, strategies as st
+
+from pavcal import Label, Trial, build_map, maxmin_oracle, pav_fit, pav_posteriors, pooled_value
+from pavcal.calmap import _tie_pool
+from pavcal.pav import _pool_counts
+
+T = Label.TARGET
+N = Label.NONTARGET
+
+NEAR_EQUAL = (3.0, math.nextafter(3.0, math.inf))
+
+weight_pairs = st.one_of(
+    st.tuples(st.floats(-6.0, 6.0), st.floats(-6.0, 6.0)).map(
+        lambda e: (10.0 ** e[0], 10.0 ** e[1])
+    ),
+    st.sampled_from([NEAR_EQUAL, NEAR_EQUAL[::-1], (1e-6, 1e6), (1e6, 1e-6)]),
+)
+
+
+def _assert_matches_oracle(labels, weights):
+    got = pav_posteriors(labels, weights)
+    want = maxmin_oracle(labels, weights)
+    assert len(got) == len(want)
+    for t, (a, b) in enumerate(zip(got, want)):
+        assert abs(a - b) <= 1e-12 * max(abs(b), 1e-300), (t, a, b, weights)
+
+
+@given(labels=st.lists(st.sampled_from([T, N]), min_size=1, max_size=80), weights=weight_pairs)
+def test_extreme_and_near_equal_weights_match_oracle(labels, weights):
+    _assert_matches_oracle(labels, weights)
+
+
+@settings(max_examples=25)
+@given(
+    head=st.integers(0, 5),
+    first_gap=st.integers(1, 40),
+    step=st.integers(1, 3),
+    tail=st.integers(0, 600),
+    weights=st.one_of(st.just((1.0, 1.0)), weight_pairs),
+)
+def test_slowly_rising_targets_then_long_nontarget_run(head, first_gap, step, tail, weights):
+    # Targets separated by shrinking gaps rise slowly in value, so the
+    # prune passes keep almost every segment; the non-target run at the
+    # end then has to pool backwards through them in the stack pass.
+    labels = [N] * head
+    for gap in range(first_gap, 0, -step):
+        labels += [T] + [N] * gap
+    labels += [T] + [N] * tail
+    assert len(labels) <= 1500
+    _assert_matches_oracle(labels, weights)
+
+
+def test_stack_pass_merges_on_an_exact_tie():
+    # Targets at gaps 12..1 rise in value as 1/(g+1); the closing run of
+    # 21 non-targets pools back through the gaps 1..6, one vertex per
+    # prune pass and the rest in the stack, to 6/48 = 1/8, exactly the
+    # value of the gap-7 segment, which must then merge as well.
+    labels = []
+    for gap in range(12, 0, -1):
+        labels += [T] + [N] * gap
+    labels += [N] * 21
+    sol = pav_fit(labels, (1.0, 1.0))
+    assert [(b.m, b.n) for b in sol.blocks] == [(1, g) for g in range(12, 7, -1)] + [(7, 49)]
+    assert sol.blocks[-1].value == 0.125
+    _assert_matches_oracle(labels, (1.0, 1.0))
+
+
+@given(
+    items=st.lists(
+        st.tuples(st.integers(0, 50), st.integers(0, 50)).filter(lambda c: c != (0, 0)),
+        min_size=1,
+        max_size=60,
+    ),
+    weights=weight_pairs,
+)
+def test_strictly_increasing_items_come_back_unpooled(items, weights):
+    # When item values already rise strictly, no vertex can be pruned and
+    # the stack merges nothing: every item is its own block.
+    v1, v2 = weights
+    by_value = {pooled_value(m, n, v1, v2): (m, n) for m, n in items}
+    ms = [by_value[v][0] for v in sorted(by_value)]
+    ns = [by_value[v][1] for v in sorted(by_value)]
+    starts, ends, bm, bn, vals = _pool_counts(ms, ns, v1, v2)
+    k = len(ms)
+    assert starts == list(range(k))
+    assert ends == list(range(k))
+    assert bm == ms and bn == ns
+    assert vals == sorted(by_value)
+
+
+@given(labels=st.lists(st.sampled_from([T, N]), min_size=1, max_size=200), weights=weight_pairs)
+def test_blocks_carry_exact_counts_and_values(labels, weights):
+    sol = pav_fit(labels, weights)
+    v1, v2 = sol.weights.v1, sol.weights.v2
+    for blk in sol.blocks:
+        span = labels[blk.start : blk.end + 1]
+        assert blk.m == sum(1 for lab in span if lab is T)
+        assert type(blk.m) is int and type(blk.n) is int
+        assert blk.value == pooled_value(blk.m, blk.n, v1, v2)
+
+
+def _reference_tie_pool(trials):
+    """Score-sorted items of the trials, pooling equal scores, in plain Python."""
+    scores, ms, ns = [], [], []
+    for t in sorted(trials, key=lambda t: t.score):
+        if scores and t.score == scores[-1]:
+            if t.label is T:
+                ms[-1] += 1
+            else:
+                ns[-1] += 1
+        else:
+            scores.append(t.score)
+            ms.append(1 if t.label is T else 0)
+            ns.append(0 if t.label is T else 1)
+    return scores, ms, ns
+
+
+tied_trials = st.lists(
+    st.builds(
+        Trial,
+        st.sampled_from([-0.0, 0.0, -1.5, 1.5, 2.0, -1e-300, 1e-300, 7.25]),
+        st.sampled_from([T, N]),
+    ),
+    min_size=1,
+    max_size=60,
+)
+
+
+@given(trials=tied_trials)
+def test_tie_pool_matches_sorted_reference(trials):
+    scores, ms, ns = _tie_pool(trials)
+    want_scores, want_ms, want_ns = _reference_tie_pool(trials)
+    # repr tells -0.0 from 0.0: the item keeps the first such score in input order.
+    assert [repr(s) for s in scores.tolist()] == [repr(s) for s in want_scores]
+    assert ms.tolist() == want_ms
+    assert ns.tolist() == want_ns
+
+
+@given(trials=tied_trials, weights=weight_pairs, policy=st.sampled_from(["step", "linear"]))
+def test_build_map_knots_match_sorted_reference(trials, weights, policy):
+    scores, ms, ns = _reference_tie_pool(trials)
+    starts, ends, _, _, vals = _pool_counts(ms, ns, *weights)
+    want = []
+    for s, e, v in zip(starts, ends, vals):
+        want.append((scores[s], v))
+        if e > s:
+            want.append((scores[e], v))
+    cmap = build_map(trials, weights, policy=policy)
+    assert repr(cmap.knots) == repr(tuple(want))

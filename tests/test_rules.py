@@ -120,6 +120,28 @@ class TestCustomDensity:
         with pytest.raises(ValueError):
             rule_cost(rule, N, 0.5)
 
+    def test_density_singular_at_both_ends_is_accepted(self):
+        # The arcsine density is infinite at 0 and 1 but integrates to 1;
+        # rho/eta diverges at 0 and rho/(1-eta) at 1.
+        rule = CustomDensity(
+            lambda e: 1.0 / (math.pi * math.sqrt(e * (1.0 - e))),
+            integrable_at_zero=False,
+            integrable_at_one=False,
+        )
+        for lab in (T, N):
+            cost = rule_cost(rule, lab, 0.3)
+            assert math.isfinite(cost) and cost > 0.0
+        assert rule_cost(rule, T, 0.0) == math.inf
+        assert rule_cost(rule, N, 1.0) == math.inf
+
+    def test_density_arithmetic_errors_become_value_errors(self):
+        # Positive wherever it is defined, but 1/0 at the probe eta = 0.5.
+        rule = CustomDensity(
+            lambda e: 1.0 / (e - 0.5) ** 2, integrable_at_zero=True, integrable_at_one=True
+        )
+        with pytest.raises(ValueError):
+            rule_cost(rule, T, 0.5)
+
 
 class TestExpectedCost:
     def test_point_values(self):
