@@ -38,14 +38,13 @@ import math
 import operator
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Sequence
 
 import numpy as np
 
-from .llr import logit
-from .pav import _pool_counts
-from .types import Trial, WeightPair, Label, as_weights
+from .llr import _class_log_odds, logit
+from .pav import _pool_counts, _target_flags
+from .types import Trial, WeightPair, as_weights
 
 MODES = ("posterior", "llr")
 POLICIES = ("step", "linear")
@@ -123,26 +122,54 @@ class CalibrationMap:
             return cls.from_text(fh.read())
 
 
-def _tie_pool(trials: Sequence[Trial]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sort trials by score and pool exact score ties into items.
+class _TiePool:
+    """Trials sorted stably by score, with exact score ties pooled into items.
 
-    Returns each item's score and its target / non-target counts, in
-    ascending score order.  Runs are split where sorted scores differ by
-    !=, so -0.0 and 0.0 pool together; the stable sort makes the item's
-    score the first of its trials in input order.
+    order: the trial indices by ascending score; scores, ms, ns: each
+    item's score and target / non-target counts; t1, t2: the class counts.
+    Sorted scores split where they differ by !=, so -0.0 and 0.0 pool; an
+    item's score is that of its first trial in input order.
     """
-    size = len(trials)
-    scores = np.fromiter(map(operator.attrgetter("score"), trials), float, size)
-    labels = map(operator.attrgetter("label"), trials)
-    flags = np.fromiter(map(operator.is_, labels, repeat(Label.TARGET)), bool, size)
-    order = np.argsort(scores, kind="stable")
-    scores = scores[order]
-    flags = flags[order]
-    heads = np.flatnonzero(np.concatenate(([True], scores[1:] != scores[:-1])))
-    ms = np.add.reduceat(flags, heads, dtype=np.int64)
-    ns = np.diff(heads, append=size)
-    ns -= ms
-    return scores[heads], ms, ns
+
+    def __init__(self, trials: Sequence[Trial]) -> None:
+        size = len(trials)
+        scores = np.fromiter(map(operator.attrgetter("score"), trials), float, size)
+        flags = _target_flags(map(operator.attrgetter("label"), trials), size)
+        self.order = np.argsort(scores, kind="stable")
+        scores = scores[self.order]
+        heads = np.flatnonzero(np.concatenate(([True], scores[1:] != scores[:-1])))
+        self.scores = scores[heads]
+        self.ms = np.add.reduceat(flags[self.order], heads, dtype=np.int64)
+        self.ns = np.diff(heads, append=size)
+        self.ns -= self.ms
+        self.t1 = int(self.ms.sum())
+        self.t2 = size - self.t1
+
+    def fit(
+        self, weights: WeightPair, mode: str, policy: str
+    ) -> tuple[CalibrationMap, np.ndarray, int]:
+        """The fitted map (llr mode ignores weights), each trial's map value
+        in input order, and the number of fitted blocks."""
+        v1, v2 = (1.0, 1.0) if mode == "llr" else (weights.v1, weights.v2)
+        starts, ends, bm, bn, vals = _pool_counts(self.ms, self.ns, v1, v2)
+        if mode == "llr":
+            offset = _class_log_odds(self.t1, self.t2)
+            vals = [logit(v) - offset for v in vals]
+        knots: list[tuple[float, float]] = []
+        for s, e, v in zip(starts, ends, vals):
+            knots.append((float(self.scores[s]), v))
+            if e > s:
+                knots.append((float(self.scores[e]), v))
+        values = np.empty(self.order.size)
+        values[self.order] = np.repeat(vals, np.add(bm, bn))
+        cmap = CalibrationMap(knots=tuple(knots), mode=mode, policy=policy)
+        return cmap, values, len(vals)
+
+
+def _tie_pool(trials: Sequence[Trial]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Item scores and target / non-target counts of _TiePool(trials)."""
+    pool = _TiePool(trials)
+    return pool.scores, pool.ms, pool.ns
 
 
 def build_map(
@@ -158,34 +185,9 @@ def build_map(
     does not depend on them), fits with unit weights, and stores
     logit(fit) - logit(t1 / T); it needs both classes present.
     """
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    if policy not in POLICIES:
-        raise ValueError(f"policy must be one of {POLICIES}, got {policy!r}")
     if not trials:
         raise ValueError("build_map needs at least one trial")
-    w = as_weights(weights)
-
-    scores, ms, ns = _tie_pool(trials)
-    if mode == "llr":
-        t1 = int(ms.sum())
-        t2 = len(trials) - t1
-        if t1 < 1 or t2 < 1:
-            raise ValueError(
-                f"llr mode needs both classes (got {t1} targets, {t2} non-targets)"
-            )
-        offset = logit(t1 / (t1 + t2))
-        starts, ends, _, _, vals = _pool_counts(ms, ns, 1.0, 1.0)
-        vals = [logit(v) - offset for v in vals]
-    else:
-        starts, ends, _, _, vals = _pool_counts(ms, ns, w.v1, w.v2)
-
-    knots: list[tuple[float, float]] = []
-    for s, e, v in zip(starts, ends, vals):
-        knots.append((float(scores[s]), v))
-        if e > s:
-            knots.append((float(scores[e]), v))
-    return CalibrationMap(knots=tuple(knots), mode=mode, policy=policy)
+    return _TiePool(trials).fit(as_weights(weights), mode, policy)[0]
 
 
 def apply_map(cmap: CalibrationMap, score: float) -> float:

@@ -14,8 +14,8 @@ import math
 import sys
 from typing import Sequence, TextIO
 
-from .calmap import CalibrationMap, apply_map, build_map
-from .llr import logit, posterior_from_llr, weights_from_prior
+from .calmap import CalibrationMap, _TiePool, apply_map
+from .llr import _class_log_odds, posterior_from_llr, weights_from_prior
 from .rules import Logarithmic, ScoringRule, objective, parse_rule
 from .selfcheck import DEFAULT_WEIGHT_PAIRS, run_selfcheck
 from .types import Label, Trial, WeightPair
@@ -36,6 +36,13 @@ def _parse_weight_pair(text: str) -> tuple[float, float]:
     v1, v2 = float(parts[0]), float(parts[1])
     WeightPair(v1, v2)  # reject nonpositive values here, not mid-command
     return v1, v2
+
+
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
 
 
 def _float_field(
@@ -68,7 +75,7 @@ def _read_csv(path: str) -> tuple[dict[str, int] | None, list[tuple[int, list[st
     rows carry their 1-based file line numbers.
     """
     try:
-        fh = open(path, "r", encoding="utf-8", newline="")
+        fh = open(path, "r", encoding="utf-8-sig", newline="")
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}")
     with fh:
@@ -154,16 +161,9 @@ def _rules_of(args: argparse.Namespace) -> list[ScoringRule]:
     return list(args.rule) if args.rule else [Logarithmic()]
 
 
-def _class_counts(trials: Sequence[Trial]) -> tuple[int, int]:
-    t1 = sum(1 for t in trials if t.label is Label.TARGET)
-    return t1, len(trials) - t1
-
-
-def _fit_weights(args: argparse.Namespace, t1: int, t2: int) -> WeightPair:
+def _fit_weights(args: argparse.Namespace, pool: _TiePool) -> WeightPair:
     if args.prior_logodds is not None:
-        if t1 == 0 or t2 == 0:
-            raise DataError("--prior-logodds needs both classes in the data")
-        return weights_from_prior(args.prior_logodds, t1, t2)
+        return weights_from_prior(args.prior_logodds, pool.t1, pool.t2)
     if args.weights is not None:
         return WeightPair(*args.weights)
     return WeightPair(1.0, 1.0)
@@ -171,31 +171,25 @@ def _fit_weights(args: argparse.Namespace, t1: int, t2: int) -> WeightPair:
 
 def cmd_fit(args: argparse.Namespace) -> int:
     trials, _, _ = _read_trials(args.input)
-    t1, t2 = _class_counts(trials)
+    pool = _TiePool(trials)
     if args.mode == "llr":
         if args.weights is not None:
             raise UsageError("--weights has no effect in llr mode")
-        cmap = build_map(trials, (1.0, 1.0), mode="llr", policy=args.policy)
-        report_weights = WeightPair(1.0, 1.0)
+        weights = WeightPair(1.0, 1.0)
     else:
-        report_weights = _fit_weights(args, t1, t2)
-        cmap = build_map(trials, report_weights, mode="posterior", policy=args.policy)
+        weights = _fit_weights(args, pool)
+    cmap, values, blocks = pool.fit(weights, args.mode, args.policy)
     cmap.save(args.out)
+    print(f"T={len(trials)} T1={pool.t1} T2={pool.t2} blocks={blocks}")
 
-    values = [v for _, v in cmap.knots]
-    blocks = 1 + sum(1 for a, b in zip(values, values[1:]) if a != b)
-    print(f"T={len(trials)} T1={t1} T2={t2} blocks={blocks}")
-
-    ordered = sorted(trials, key=lambda t: t.score)
-    labels = [t.label for t in ordered]
-    raw = [apply_map(cmap, t.score) for t in ordered]
+    # The objectives are summed in score order, as the fit sees the trials.
+    labels = [trials[i].label for i in pool.order.tolist()]
+    fitted = values[pool.order].tolist()
     if args.mode == "llr":
-        offset = logit(t1 / (t1 + t2))
-        fitted = [posterior_from_llr(w, offset) for w in raw]
-    else:
-        fitted = raw
+        offset = _class_log_odds(pool.t1, pool.t2)
+        fitted = [posterior_from_llr(w, offset) for w in fitted]
     for rule in _rules_of(args):
-        print(f"objective[{rule}]={objective(rule, labels, report_weights, fitted)!r}")
+        print(f"objective[{rule}]={objective(rule, labels, weights, fitted)!r}")
     return 0
 
 
@@ -241,18 +235,18 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     trials, values, linenos = _read_trials(
         args.input, calibrated=args.calibrated, infinite_ok=args.mode == "llr"
     )
-    t1, t2 = _class_counts(trials)
+    pool = _TiePool(trials)
     labels = [t.label for t in trials]
 
     if args.mode == "llr":
-        if t1 == 0 or t2 == 0:
-            raise DataError("llr mode needs both classes in the data")
-        pi = args.prior_logodds if args.prior_logodds is not None else logit(t1 / (t1 + t2))
-        weights = weights_from_prior(pi, t1, t2)
+        pi = args.prior_logodds
+        if pi is None:
+            pi = _class_log_odds(pool.t1, pool.t2)
+        weights = weights_from_prior(pi, pool.t1, pool.t2)
         if values is not None:
             values = [posterior_from_llr(w, pi) for w in values]
     else:
-        weights = _fit_weights(args, t1, t2)
+        weights = _fit_weights(args, pool)
         if values is not None:
             for v, lineno in zip(values, linenos):
                 if not 0.0 <= v <= 1.0:
@@ -260,8 +254,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
                         f"line {lineno}: calibrated value {v!r} outside [0, 1]"
                     )
 
-    ref_map = build_map(trials, weights, mode="posterior", policy="step")
-    ref_vals = [apply_map(ref_map, t.score) for t in trials]
+    ref_vals = pool.fit(weights, "posterior", "step")[1].tolist()
     for rule in _rules_of(args):
         ref_obj = objective(rule, labels, weights, ref_vals)
         line = f"rule={rule} reference={ref_obj!r}"
@@ -303,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--policy", choices=("step", "linear"), default="step")
     wgroup = fit.add_mutually_exclusive_group()
     wgroup.add_argument("--weights", type=_parse_weight_pair, metavar="V1,V2")
-    wgroup.add_argument("--prior-logodds", type=float, metavar="PI")
+    wgroup.add_argument("--prior-logodds", type=_finite_float, metavar="PI")
     fit.add_argument(
         "--rule", action="append", type=parse_rule, metavar="RULE",
         help="objective to report: log, brier, cost@T, mix(A@T,...); repeatable",
@@ -314,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     apply_p.add_argument("map", help="map file written by fit")
     apply_p.add_argument("input", help="CSV with a score column")
     apply_p.add_argument("--out", help="output CSV (default stdout)")
-    apply_p.add_argument("--prior-logodds", type=float, metavar="PI",
+    apply_p.add_argument("--prior-logodds", type=_finite_float, metavar="PI",
                          help="llr maps: also emit posteriors under this prior")
     apply_p.add_argument("--clamp-llr", type=float, metavar="L",
                          help="llr maps: clip calibrated values to [-L, L]")
@@ -327,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--mode", choices=("posterior", "llr"), default="posterior")
     evw = ev.add_mutually_exclusive_group()
     evw.add_argument("--weights", type=_parse_weight_pair, metavar="V1,V2")
-    evw.add_argument("--prior-logodds", type=float, metavar="PI")
+    evw.add_argument("--prior-logodds", type=_finite_float, metavar="PI")
     ev.add_argument("--rule", action="append", type=parse_rule, metavar="RULE")
     ev.set_defaults(func=cmd_evaluate)
 

@@ -44,6 +44,13 @@ def sigmoid(w: float) -> float:
     return e / (1.0 + e)
 
 
+def _class_log_odds(t1: int, t2: int) -> float:
+    """Empirical log-odds logit(t1 / (t1 + t2)); ValueError unless t1, t2 >= 1."""
+    if t1 < 1 or t2 < 1:
+        raise ValueError(f"both classes are needed, got {t1} targets and {t2} non-targets")
+    return logit(t1 / (t1 + t2))
+
+
 def weights_from_prior(prior_logodds: float, t1: int, t2: int) -> WeightPair:
     """Per-trial weights that make a fit behave as if the prior were pi.
 
@@ -53,8 +60,7 @@ def weights_from_prior(prior_logodds: float, t1: int, t2: int) -> WeightPair:
     """
     if not math.isfinite(prior_logodds):
         raise ValueError(f"prior log-odds must be finite, got {prior_logodds!r}")
-    if t1 < 1 or t2 < 1:
-        raise ValueError(f"both class counts must be >= 1, got t1={t1}, t2={t2}")
+    _class_log_odds(t1, t2)  # rejects a missing class
     pi = sigmoid(prior_logodds)
     return WeightPair(pi / t1, (1.0 - pi) / t2)
 
@@ -73,8 +79,7 @@ class LlrCalibration:
     t2: int
 
     def __post_init__(self) -> None:
-        if self.t1 < 1 or self.t2 < 1:
-            raise ValueError("calibration needs at least one trial of each class")
+        _class_log_odds(self.t1, self.t2)  # rejects a missing class
         prev = -math.inf
         for x in self.w:
             if math.isnan(x) or x < prev:
@@ -93,11 +98,7 @@ def llr_calibrate(labels: Sequence[Label]) -> LlrCalibration:
     solution = pav.pav_fit(labels, WeightPair(1.0, 1.0))
     t1 = sum(blk.m for blk in solution.blocks)
     t2 = solution.total - t1
-    if t1 < 1 or t2 < 1:
-        raise ValueError(
-            f"llr calibration needs both classes (got {t1} targets, {t2} non-targets)"
-        )
-    offset = logit(t1 / (t1 + t2))
+    offset = _class_log_odds(t1, t2)
     w = tuple(
         chain.from_iterable(
             repeat(logit(blk.value) - offset, blk.size) for blk in solution.blocks

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import itertools
 import operator
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -120,6 +120,11 @@ def _pool_counts(
     return starts, ends, bm, bn, bvals
 
 
+def _target_flags(labels: Iterable[Label], size: int) -> np.ndarray:
+    """Bool array of size entries, True where the label is Label.TARGET."""
+    return np.fromiter(map(operator.is_, labels, itertools.repeat(Label.TARGET)), bool, size)
+
+
 def pav_fit(labels: Sequence[Label], weights: WeightPair | tuple[float, float]) -> BlockSolution:
     """Fit the monotone solution for a label sequence in score order.
 
@@ -135,9 +140,7 @@ def pav_fit(labels: Sequence[Label], weights: WeightPair | tuple[float, float]) 
     total = len(labels)
     if not total:
         raise ValueError("pav_fit needs at least one trial")
-    flags = np.fromiter(
-        map(operator.is_, labels, itertools.repeat(Label.TARGET)), bool, total
-    )
+    flags = _target_flags(labels, total)
     starts, ends, bm, bn, vals = _pool_counts(flags, ~flags, w.v1, w.v2)
     blocks = tuple(
         Block(start=s, end=e, m=m, n=n, value=v)

@@ -16,10 +16,10 @@ class Label(enum.Enum):
     @classmethod
     def parse(cls, text: str) -> "Label":
         """Case-insensitive parse of 'target' / 'nontarget'."""
-        key = text.strip().lower()
-        for member in cls:
-            if member.value == key:
-                return member
+        try:
+            return cls(text.strip().lower())
+        except ValueError:
+            pass
         raise ValueError(f"unknown label {text!r}, expected 'target' or 'nontarget'")
 
 

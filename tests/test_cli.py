@@ -1,10 +1,23 @@
 import math
+import random
 import subprocess
 import sys
 
 import pytest
 
-from pavcal import CalibrationMap, Label, llr_calibrate, pav_posteriors
+from pavcal import (
+    CalibrationMap,
+    Label,
+    Trial,
+    apply_map,
+    build_map,
+    llr_calibrate,
+    objective,
+    parse_rule,
+    pav_posteriors,
+    posterior_from_llr,
+    weights_from_prior,
+)
 from pavcal.cli import main
 
 T = Label.TARGET
@@ -244,3 +257,132 @@ def test_cli_import_does_not_load_scipy():
     code = "import pavcal.cli, sys; assert 'scipy' not in sys.modules"
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
+
+
+# --- one fit per command: printed numbers match the library path bit for bit
+
+RULE_NAMES = ("log", "brier", "cost@0.3", "mix(0.5@0.21,0.5@0.68)")
+
+
+def _labeled_rows(scores, seed):
+    rng = random.Random(seed)
+    rows = [(s, T if rng.random() < 0.4 + 0.2 * (s > 0) else N) for s in scores]
+    rng.shuffle(rows)
+    return rows
+
+
+def _write_rows(path, rows):
+    text = "score,label\n" + "".join(
+        f"{s!r},{'target' if lab is T else 'nontarget'}\n" for s, lab in rows
+    )
+    return write(path, text)
+
+
+def _rule_args():
+    return [a for name in RULE_NAMES for a in ("--rule", name)]
+
+
+def _weights_for(flags, labels):
+    """The weights the CLI fits with for these flags."""
+    if "--weights" in flags:
+        return (2.5, 0.7)
+    if "--prior-logodds" in flags:
+        t1 = labels.count(T)
+        return weights_from_prior(-1.2, t1, len(labels) - t1)
+    return (1.0, 1.0)
+
+
+@pytest.mark.parametrize(
+    "flags", [[], ["--weights", "2.5,0.7"], ["--prior-logodds", "-1.2"], ["--mode", "llr"]]
+)
+def test_fit_objectives_equal_the_library_path(tmp_path, capsys, flags):
+    rng = random.Random(5)
+    rows = _labeled_rows([rng.uniform(-3.0, 3.0) for _ in range(400)], seed=6)
+    src = _write_rows(tmp_path / "train.csv", rows)
+    code, out, _ = run(capsys, "fit", src, "--out", str(tmp_path / "m.map"), *flags, *_rule_args())
+    assert code == 0
+    labels = [lab for _, lab in sorted(rows, key=lambda r: r[0])]
+    weights = _weights_for(flags, labels)
+    if "--mode" in flags:
+        cal = llr_calibrate(labels)
+        fitted = [posterior_from_llr(w, cal.prior_logodds) for w in cal.w]
+    else:
+        fitted = pav_posteriors(labels, weights)
+    lines = out.splitlines()[1:]
+    want = [f"objective[{name}]={objective(parse_rule(name), labels, weights, fitted)!r}"
+            for name in RULE_NAMES]
+    assert lines == want
+
+
+@pytest.mark.parametrize("flags", [[], ["--weights", "2.5,0.7"], ["--prior-logodds", "-1.2"]])
+def test_evaluate_reference_equals_the_step_map_on_each_row(tmp_path, capsys, flags):
+    rng = random.Random(8)
+    pool = [-0.0, 0.0, -1.5, 1.5, 0.25, 2.0, -3.0, 1e-300]
+    rows = _labeled_rows([rng.choice(pool) for _ in range(300)], seed=9)
+    src = _write_rows(tmp_path / "ev.csv", rows)
+    code, out, _ = run(capsys, "evaluate", src, *flags, *_rule_args())
+    assert code == 0
+    trials = [Trial(s, lab) for s, lab in rows]
+    labels = [lab for _, lab in rows]
+    weights = _weights_for(flags, labels)
+    cmap = build_map(trials, weights, "posterior", "step")
+    ref = [apply_map(cmap, t.score) for t in trials]
+    want = [f"rule={name} reference={objective(parse_rule(name), labels, weights, ref)!r}"
+            for name in RULE_NAMES]
+    assert out.splitlines() == want
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["evaluate", "--mode", "llr"],
+        ["fit", "--prior-logodds", "0.5"],
+        ["evaluate", "--prior-logodds", "0.5"],
+    ],
+)
+def test_one_class_data_exits_1_without_traceback(tmp_path, capsys, argv):
+    src = write(tmp_path / "one.csv", "score,label\n0,target\n1,target\n2,target\n")
+    command, *flags = argv
+    if command == "fit":
+        flags += ["--out", str(tmp_path / "m.map")]
+    code, _, err = run(capsys, command, src, *flags)
+    assert code == 1
+    assert err.startswith("error: ") and "both classes" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["fit", "apply", "evaluate"])
+@pytest.mark.parametrize("prior", ["nan", "inf", "-inf"])
+def test_non_finite_prior_logodds_exits_2(tmp_path, capsys, command, prior):
+    train = write(tmp_path / "t.csv", "score,label\n1,target\n2,nontarget\n3,nontarget\n4,target\n")
+    out = tmp_path / "out"
+    if command == "apply":
+        map_path = str(tmp_path / "llr.map")
+        assert run(capsys, "fit", train, "--mode", "llr", "--out", map_path)[0] == 0
+        scores = write(tmp_path / "s.csv", "score\n1\n4\n")
+        argv = ["apply", map_path, scores, "--out", str(out)]
+    elif command == "fit":
+        argv = ["fit", train, "--out", str(out)]
+    else:
+        argv = ["evaluate", train]
+    # The = form, because argparse reads a separate "-inf" as an option.
+    code, stdout, err = run(capsys, *argv, f"--prior-logodds={prior}")
+    assert code == 2
+    assert "--prior-logodds" in err
+    assert stdout == ""
+    assert not out.exists()
+
+
+def test_utf8_bom_files_fit_like_plain_files(tmp_path, capsys):
+    body = "0.5,target\n-1,nontarget\n2,target\n0.5,nontarget\n"
+    maps = []
+    for name, text in [("plain", "score,label\n" + body),
+                       ("bom-header", "\ufeffscore,label\n" + body),
+                       ("bom-headerless", "\ufeff" + body)]:
+        src = write(tmp_path / f"{name}.csv", text)
+        out = tmp_path / f"{name}.map"
+        code, _, err = run(capsys, "fit", src, "--out", str(out))
+        assert code == 0, err
+        maps.append(out.read_bytes())
+    assert maps[1] == maps[0]
+    assert maps[2] == maps[0]
