@@ -36,8 +36,7 @@ from __future__ import annotations
 
 import math
 import operator
-from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -60,6 +59,8 @@ class CalibrationMap:
     knots: tuple[tuple[float, float], ...]
     mode: str
     policy: str
+    # Row 0 the knot scores, row 1 the knot values, as float64 for _apply.
+    _knots: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.mode not in MODES:
@@ -80,6 +81,7 @@ class CalibrationMap:
             if self.mode == "posterior" and not 0.0 <= v <= 1.0:
                 raise ValueError(f"posterior knot value {v!r} outside [0, 1]")
             prev_s, prev_v = s, v
+        object.__setattr__(self, "_knots", np.array(self.knots, float).T.copy())
 
     def __call__(self, score: float) -> float:
         return apply_map(self, score)
@@ -131,19 +133,16 @@ class _TiePool:
     item's score is that of its first trial in input order.
     """
 
-    def __init__(self, trials: Sequence[Trial]) -> None:
-        size = len(trials)
-        scores = np.fromiter(map(operator.attrgetter("score"), trials), float, size)
-        flags = _target_flags(map(operator.attrgetter("label"), trials), size)
+    def __init__(self, scores: np.ndarray, flags: np.ndarray) -> None:
         self.order = np.argsort(scores, kind="stable")
         scores = scores[self.order]
         heads = np.flatnonzero(np.concatenate(([True], scores[1:] != scores[:-1])))
         self.scores = scores[heads]
         self.ms = np.add.reduceat(flags[self.order], heads, dtype=np.int64)
-        self.ns = np.diff(heads, append=size)
+        self.ns = np.diff(heads, append=scores.size)
         self.ns -= self.ms
         self.t1 = int(self.ms.sum())
-        self.t2 = size - self.t1
+        self.t2 = scores.size - self.t1
 
     def fit(
         self, weights: WeightPair, mode: str, policy: str
@@ -166,9 +165,16 @@ class _TiePool:
         return cmap, values, len(vals)
 
 
+def _pool_trials(trials: Sequence[Trial]) -> _TiePool:
+    """The _TiePool of the trials' scores and target flags."""
+    size = len(trials)
+    scores = np.fromiter(map(operator.attrgetter("score"), trials), float, size)
+    return _TiePool(scores, _target_flags(map(operator.attrgetter("label"), trials), size))
+
+
 def _tie_pool(trials: Sequence[Trial]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Item scores and target / non-target counts of _TiePool(trials)."""
-    pool = _TiePool(trials)
+    """Item scores and target / non-target counts of the trials' _TiePool."""
+    pool = _pool_trials(trials)
     return pool.scores, pool.ms, pool.ns
 
 
@@ -187,31 +193,33 @@ def build_map(
     """
     if not trials:
         raise ValueError("build_map needs at least one trial")
-    return _TiePool(trials).fit(as_weights(weights), mode, policy)[0]
+    return _pool_trials(trials).fit(as_weights(weights), mode, policy)[0]
+
+
+def _apply(cmap: CalibrationMap, scores: np.ndarray) -> np.ndarray:
+    """Calibrated values for an array of finite scores, by elementwise IEEE
+    operations only, so each one equals the scalar formula's bit for bit."""
+    xs, vs = cmap._knots
+    i = np.searchsorted(xs, scores, side="right") - 1
+    out = vs[np.maximum(i, 0)]
+    if cmap.policy == "step" or xs.size == 1:
+        return out
+    j = np.clip(i, 0, xs.size - 2)
+    x0, v0, x1, v1 = xs[j], vs[j], xs[j + 1], vs[j + 1]
+    ramp = (i == j) & (scores != x0) & (v0 != v1) & np.isfinite(v0) & np.isfinite(v1)
+    with np.errstate(all="ignore"):
+        v = v0 + (scores - x0) / (x1 - x0) * (v1 - v0)
+    # min(max(v, v0), v1): rounding in the interpolation must not poke
+    # outside [v0, v1], or monotonicity across probes could break by an ulp.
+    v = np.where(v0 > v, v0, v)
+    return np.where(ramp, np.where(v1 < v, v1, v), out)
 
 
 def apply_map(cmap: CalibrationMap, score: float) -> float:
     """Calibrated value for one score (which must be finite)."""
     if not math.isfinite(score):
         raise ValueError(f"score must be finite, got {score!r}")
-    knots = cmap.knots
-    i = bisect_right(knots, (score, math.inf)) - 1
-    if i < 0:
-        return knots[0][1]
-    if cmap.policy == "step" or i == len(knots) - 1:
-        return knots[i][1]
-    x0, v0 = knots[i]
-    x1, v1 = knots[i + 1]
-    if score == x0 or v0 == v1:
-        return v0
-    if math.isinf(v0) or math.isinf(v1):
-        return v0
-    t = (score - x0) / (x1 - x0)
-    v = v0 + t * (v1 - v0)
-    # Rounding in the interpolation must not poke above the right knot
-    # (or below the left one), or monotonicity across probes could break
-    # by an ulp.
-    return min(max(v, v0), v1)
+    return _apply(cmap, np.array([score], float))[0].item()
 
 
 __all__ = ["CalibrationMap", "build_map", "apply_map", "MODES", "POLICIES"]

@@ -11,14 +11,19 @@ from __future__ import annotations
 import argparse
 import csv
 import math
+import re
 import sys
+from dataclasses import dataclass
 from typing import Sequence, TextIO
 
-from .calmap import CalibrationMap, _TiePool, apply_map
+import numpy as np
+
+from .calmap import CalibrationMap, _apply, _TiePool
 from .llr import _class_log_odds, posterior_from_llr, weights_from_prior
+from .pav import _target_flags
 from .rules import Logarithmic, ScoringRule, objective, parse_rule
 from .selfcheck import DEFAULT_WEIGHT_PAIRS, run_selfcheck
-from .types import Label, Trial, WeightPair
+from .types import Label, WeightPair
 
 
 class DataError(Exception):
@@ -45,20 +50,6 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def _float_field(
-    text: str, what: str, lineno: int, infinite_ok: bool = False
-) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise DataError(f"line {lineno}: {what} {text!r} is not a number")
-    if math.isnan(value):
-        raise DataError(f"line {lineno}: {what} must not be NaN")
-    if not infinite_ok and math.isinf(value):
-        raise DataError(f"line {lineno}: {what} must be finite, got {text!r}")
-    return value
-
-
 def _is_number(text: str) -> bool:
     try:
         float(text)
@@ -67,85 +58,89 @@ def _is_number(text: str) -> bool:
         return False
 
 
-def _read_csv(path: str) -> tuple[dict[str, int] | None, list[tuple[int, list[str]]]]:
-    """Rows of a CSV file with an optional header.
+@dataclass(frozen=True)
+class _Rows:
+    """A CSV file's data rows by column; labels and values only if asked for."""
 
-    The first row is a header when its first field is not numeric; header
-    names are matched case-insensitively.  Returns (columns, rows) where
-    rows carry their 1-based file line numbers.
-    """
+    linenos: list[int]
+    scores: np.ndarray
+    labels: list[Label] | None
+    values: np.ndarray | None
+
+    def __len__(self) -> int:
+        return len(self.linenos)
+
+
+def _floats(texts: list[str], linenos: list[int], what: str, infinite_ok=False) -> np.ndarray:
+    """The texts as float64; NaN is an error, and so is inf unless infinite_ok."""
     try:
-        fh = open(path, "r", encoding="utf-8-sig", newline="")
+        values = np.fromiter(map(float, texts), float, len(texts))
+    except ValueError:
+        i = next(i for i, text in enumerate(texts) if not _is_number(text))
+        raise DataError(f"line {linenos[i]}: {what} {texts[i].strip()!r} is not a number")
+    i = int(np.argmax(np.isnan(values) if infinite_ok else ~np.isfinite(values)))  # first bad
+    if math.isnan(values[i]):
+        raise DataError(f"line {linenos[i]}: {what} must not be NaN")
+    if math.isinf(values[i]) and not infinite_ok:
+        raise DataError(f"line {linenos[i]}: {what} must be finite, got {texts[i].strip()!r}")
+    return values
+
+
+def _labels(texts: list[str], linenos: list[int]) -> list[Label]:
+    try:
+        return list(map(Label.parse, texts))
+    except ValueError:
+        for lineno, text in zip(linenos, texts):
+            try:
+                Label.parse(text.strip())
+            except ValueError as exc:
+                raise DataError(f"line {lineno}: {exc}")
+        raise
+
+
+def _read_csv(
+    path: str, labeled: bool = False, calibrated: str | None = None, infinite_ok: bool = False
+) -> tuple[dict[str, int] | None, _Rows]:
+    """The header and the data rows of a CSV file.  The first row is a header
+    when its first field is not numeric; names match case-insensitively.
+    Without one, the columns are score, label, calibrated.  infinite_ok
+    allows +/-inf in the calibrated column only."""
+    header, rows, linenos = None, [], []
+    try:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+            reader = csv.reader(fh)
+            for row in reader:
+                if not any(map(str.strip, row)):
+                    continue
+                if not rows and header is None and not _is_number(row[0].strip()):
+                    header = {name.strip().lower(): i for i, name in enumerate(row)}
+                    continue
+                rows.append(row)
+                linenos.append(reader.line_num)
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}")
-    with fh:
-        reader = csv.reader(fh)
-        header: dict[str, int] | None = None
-        rows: list[tuple[int, list[str]]] = []
-        for row in reader:
-            if not row or all(not f.strip() for f in row):
-                continue
-            if not rows and header is None and not _is_number(row[0].strip()):
-                header = {name.strip().lower(): i for i, name in enumerate(row)}
-                continue
-            rows.append((reader.line_num, [f.strip() for f in row]))
+    except csv.Error as exc:
+        raise DataError(f"line {reader.line_num}: {exc}")
     if not rows:
         raise DataError(f"{path}: no data rows")
-    return header, rows
 
-
-def _column(
-    header: dict[str, int] | None, name: str, default_pos: int, path: str
-) -> int:
-    if header is None:
-        return default_pos
-    if name not in header:
-        raise DataError(f"{path}: missing column {name!r}")
-    return header[name]
-
-
-def _read_trials(
-    path: str, calibrated: str | None = None, infinite_ok: bool = False
-) -> tuple[list[Trial], list[float] | None, list[int]]:
-    """Labeled trials, optionally with a calibrated-value column.
-
-    infinite_ok loosens the calibrated column only: llr values may be
-    +/-inf while scores always have to be finite.
-    """
-    header, rows = _read_csv(path)
-    s_col = _column(header, "score", 0, path)
-    l_col = _column(header, "label", 1, path)
-    c_col = _column(header, calibrated.lower(), 2, path) if calibrated else None
-    trials: list[Trial] = []
-    values: list[float] | None = [] if c_col is not None else None
-    linenos: list[int] = []
-    for lineno, row in rows:
-        needed = max(s_col, l_col, c_col if c_col is not None else 0)
-        if len(row) <= needed:
-            raise DataError(f"line {lineno}: expected at least {needed + 1} fields")
-        score = _float_field(row[s_col], "score", lineno)
-        try:
-            label = Label.parse(row[l_col])
-        except ValueError as exc:
-            raise DataError(f"line {lineno}: {exc}")
-        trials.append(Trial(score, label))
-        if values is not None:
-            values.append(
-                _float_field(row[c_col], "calibrated value", lineno, infinite_ok)
-            )
-        linenos.append(lineno)
-    return trials, values, linenos
-
-
-def _read_scores(path: str) -> list[float]:
-    header, rows = _read_csv(path)
-    s_col = _column(header, "score", 0, path)
-    out = []
-    for lineno, row in rows:
-        if len(row) <= s_col:
-            raise DataError(f"line {lineno}: missing score field")
-        out.append(_float_field(row[s_col], "score", lineno))
-    return out
+    names = ["score", "label"] if labeled else ["score"]
+    if calibrated:
+        names.append(calibrated.lower())
+    cols = list(range(len(names))) if header is None else [header.get(n, -1) for n in names]
+    if -1 in cols:
+        raise DataError(f"{path}: missing column {names[cols.index(-1)]!r}")
+    need = max(cols)
+    if min(map(len, rows)) <= need:
+        i = next(i for i, row in enumerate(rows) if len(row) <= need)
+        what = f"expected at least {need + 1} fields" if labeled else "missing score field"
+        raise DataError(f"line {linenos[i]}: {what}")
+    texts = [[row[col] for row in rows] for col in cols]
+    del rows
+    scores = _floats(texts[0], linenos, "score")
+    labels = _labels(texts[1], linenos) if labeled else None
+    values = _floats(texts[2], linenos, "calibrated value", infinite_ok) if calibrated else None
+    return header, _Rows(linenos, scores, labels, values)
 
 
 def _open_out(path: str | None) -> TextIO:
@@ -170,8 +165,8 @@ def _fit_weights(args: argparse.Namespace, pool: _TiePool) -> WeightPair:
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
-    trials, _, _ = _read_trials(args.input)
-    pool = _TiePool(trials)
+    _, rows = _read_csv(args.input, labeled=True)
+    pool = _TiePool(rows.scores, _target_flags(rows.labels, len(rows)))
     if args.mode == "llr":
         if args.weights is not None:
             raise UsageError("--weights has no effect in llr mode")
@@ -180,16 +175,14 @@ def cmd_fit(args: argparse.Namespace) -> int:
         weights = _fit_weights(args, pool)
     cmap, values, blocks = pool.fit(weights, args.mode, args.policy)
     cmap.save(args.out)
-    print(f"T={len(trials)} T1={pool.t1} T2={pool.t2} blocks={blocks}")
+    print(f"T={len(rows)} T1={pool.t1} T2={pool.t2} blocks={blocks}")
 
-    # The objectives are summed in score order, as the fit sees the trials.
-    labels = [trials[i].label for i in pool.order.tolist()]
-    fitted = values[pool.order].tolist()
+    fitted = values.tolist()
     if args.mode == "llr":
         offset = _class_log_odds(pool.t1, pool.t2)
         fitted = [posterior_from_llr(w, offset) for w in fitted]
     for rule in _rules_of(args):
-        print(f"objective[{rule}]={objective(rule, labels, weights, fitted)!r}")
+        print(f"objective[{rule}]={objective(rule, rows.labels, weights, fitted)!r}")
     return 0
 
 
@@ -205,26 +198,23 @@ def cmd_apply(args: argparse.Namespace) -> int:
             raise UsageError("--clamp-llr only applies to llr maps")
     if args.clamp_llr is not None and not args.clamp_llr > 0.0:
         raise UsageError("--clamp-llr must be positive")
-    scores = _read_scores(args.input)
-    calibrated = [apply_map(cmap, s) for s in scores]
-
+    scores = _read_csv(args.input)[1].scores
+    calibrated = _apply(cmap, scores)
     posteriors: list[float] | None = None
     if cmap.mode == "llr" and args.prior_logodds is not None:
-        posteriors = [posterior_from_llr(w, args.prior_logodds) for w in calibrated]
+        posteriors = [posterior_from_llr(w, args.prior_logodds) for w in calibrated.tolist()]
     if args.clamp_llr is not None:
-        lim = args.clamp_llr
-        calibrated = [min(max(w, -lim), lim) for w in calibrated]
+        calibrated = np.clip(calibrated, -args.clamp_llr, args.clamp_llr)
 
     out = _open_out(args.out)
     try:
         if posteriors is None:
             out.write("score,calibrated\n")
-            for s, c in zip(scores, calibrated):
-                out.write(f"{s!r},{c!r}\n")
+            out.writelines(f"{s!r},{c!r}\n" for s, c in zip(scores.tolist(), calibrated.tolist()))
         else:
             out.write("score,calibrated,posterior\n")
-            for s, c, p in zip(scores, calibrated, posteriors):
-                out.write(f"{s!r},{c!r},{p!r}\n")
+            rows = zip(scores.tolist(), calibrated.tolist(), posteriors)
+            out.writelines(f"{s!r},{c!r},{p!r}\n" for s, c, p in rows)
     finally:
         if out is not sys.stdout:
             out.close()
@@ -232,11 +222,11 @@ def cmd_apply(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    trials, values, linenos = _read_trials(
-        args.input, calibrated=args.calibrated, infinite_ok=args.mode == "llr"
+    _, rows = _read_csv(
+        args.input, labeled=True, calibrated=args.calibrated, infinite_ok=args.mode == "llr"
     )
-    pool = _TiePool(trials)
-    labels = [t.label for t in trials]
+    pool = _TiePool(rows.scores, _target_flags(rows.labels, len(rows)))
+    values = rows.values
 
     if args.mode == "llr":
         pi = args.prior_logodds
@@ -244,22 +234,23 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             pi = _class_log_odds(pool.t1, pool.t2)
         weights = weights_from_prior(pi, pool.t1, pool.t2)
         if values is not None:
-            values = [posterior_from_llr(w, pi) for w in values]
+            values = [posterior_from_llr(w, pi) for w in values.tolist()]
     else:
         weights = _fit_weights(args, pool)
         if values is not None:
-            for v, lineno in zip(values, linenos):
-                if not 0.0 <= v <= 1.0:
-                    raise DataError(
-                        f"line {lineno}: calibrated value {v!r} outside [0, 1]"
-                    )
+            i = int(np.argmax((values < 0.0) | (values > 1.0)))  # first outside, if any
+            if not 0.0 <= values[i] <= 1.0:
+                raise DataError(
+                    f"line {rows.linenos[i]}: calibrated value {values[i].item()!r} outside [0, 1]"
+                )
+            values = values.tolist()
 
     ref_vals = pool.fit(weights, "posterior", "step")[1].tolist()
     for rule in _rules_of(args):
-        ref_obj = objective(rule, labels, weights, ref_vals)
+        ref_obj = objective(rule, rows.labels, weights, ref_vals)
         line = f"rule={rule} reference={ref_obj!r}"
         if values is not None:
-            cal_obj = objective(rule, labels, weights, values)
+            cal_obj = objective(rule, rows.labels, weights, values)
             if ref_obj == 0.0:
                 ratio = 1.0 if cal_obj == 0.0 else math.inf
             else:
@@ -335,6 +326,9 @@ def build_parser() -> argparse.ArgumentParser:
     sc.add_argument("--perf", action="store_true", help="also time large fits")
     sc.set_defaults(func=cmd_selfcheck)
 
+    # Read a token such as -1e-3 as a negative number, not as an option.
+    for p in (fit, apply_p, ev):
+        p._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
     return parser
 
 
@@ -346,15 +340,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         return args.func(args)
-    except DataError as exc:
+    except (DataError, UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, UsageError) else 1
 
 
 if __name__ == "__main__":

@@ -278,19 +278,20 @@ def objective(
 ) -> float:
     """Weighted total cost of value assignment p for the labeled trials.
 
-    Saturates at +inf as soon as any term is infinite.  Does not require
-    p to be monotone; callers score arbitrary candidate assignments.
+    Summed exactly rounded (math.fsum), so trial order does not matter;
+    +inf when any term is infinite or the total overflows.  Does not
+    require p to be monotone; callers score arbitrary candidate assignments.
     """
     if len(labels) != len(p):
         raise ValueError(f"got {len(labels)} labels but {len(p)} values")
     w = as_weights(weights)
-    total = 0.0
-    for lab, pt in zip(labels, p):
-        c = rule.cost(lab, pt)
-        if c == _INF:
-            return _INF
-        total += (w.v1 if lab is Label.TARGET else w.v2) * c
-    return total
+    terms = [
+        (w.v1 if lab is Label.TARGET else w.v2) * rule.cost(lab, pt) for lab, pt in zip(labels, p)
+    ]
+    try:
+        return math.fsum(terms)
+    except OverflowError:
+        return _INF
 
 
 _COST_RE = re.compile(r"^cost@(?P<t>[^@,()]+)$")

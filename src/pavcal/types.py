@@ -15,12 +15,14 @@ class Label(enum.Enum):
 
     @classmethod
     def parse(cls, text: str) -> "Label":
-        """Case-insensitive parse of 'target' / 'nontarget'."""
-        try:
-            return cls(text.strip().lower())
-        except ValueError:
-            pass
-        raise ValueError(f"unknown label {text!r}, expected 'target' or 'nontarget'")
+        """The label whose value is text, ignoring case and surrounding blanks."""
+        label = _LABELS.get(text.strip().lower())
+        if label is None:
+            raise ValueError(f"unknown label {text!r}, expected {' or '.join(map(repr, _LABELS))}")
+        return label
+
+
+_LABELS = {label.value: label for label in Label}
 
 
 @dataclass(frozen=True, slots=True)

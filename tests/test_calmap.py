@@ -1,6 +1,8 @@
 import math
 import random
+from bisect import bisect_right
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -13,6 +15,7 @@ from pavcal import (
     llr_calibrate,
     pav_posteriors,
 )
+from pavcal.calmap import _apply
 
 T = Label.TARGET
 N = Label.NONTARGET
@@ -181,3 +184,71 @@ class TestSerialization:
         path = tmp_path / "cal.map"
         cmap.save(str(path))
         assert CalibrationMap.load(str(path)) == cmap
+
+
+def _reference_apply(cmap, score):
+    """The scalar bisect-based apply that the array path replaced."""
+    if not math.isfinite(score):
+        raise ValueError(f"score must be finite, got {score!r}")
+    knots = cmap.knots
+    i = bisect_right(knots, (score, math.inf)) - 1
+    if i < 0:
+        return knots[0][1]
+    if cmap.policy == "step" or i == len(knots) - 1:
+        return knots[i][1]
+    x0, v0 = knots[i]
+    x1, v1 = knots[i + 1]
+    if score == x0 or v0 == v1:
+        return v0
+    if math.isinf(v0) or math.isinf(v1):
+        return v0
+    t = (score - x0) / (x1 - x0)
+    v = v0 + t * (v1 - v0)
+    return min(max(v, v0), v1)
+
+
+_SPECIAL = [-0.0, 0.0, 1e-300, -1e-300, 5e-324, 1.0, -1.0]
+_knot_scores = st.one_of(
+    st.sampled_from(_SPECIAL),
+    st.floats(-1e6, 1e6),
+    st.floats(-1e308, 1e308),
+)
+
+
+@st.composite
+def calibration_maps(draw):
+    mode = draw(st.sampled_from(["posterior", "llr"]))
+    policy = draw(st.sampled_from(["step", "linear"]))
+    scores = sorted(draw(st.lists(_knot_scores, min_size=1, max_size=8, unique_by=float)))
+    n = len(scores)
+    if mode == "posterior":
+        value = st.one_of(st.sampled_from([-0.0, 0.0, 0.25, 0.5, 1.0]), st.floats(0.0, 1.0))
+    else:
+        value = st.one_of(st.sampled_from([-0.0, 0.0, -2.0, 3.5]), st.floats(-50.0, 50.0))
+    values = sorted(draw(st.lists(value, min_size=n, max_size=n)))
+    if mode == "llr":
+        low = draw(st.integers(0, n))
+        high = draw(st.integers(low, n))
+        values = [-math.inf] * low + values[low:high] + [math.inf] * (n - high)
+    return CalibrationMap(knots=tuple(zip(scores, values)), mode=mode, policy=policy)
+
+
+def _probes(cmap, extra):
+    xs = [s for s, _ in cmap.knots]
+    probes = list(_SPECIAL) + [-1e308, 1e308] + extra
+    for a, b in zip(xs, xs[1:]):
+        probes.append(a + (b - a) / 2 if math.isfinite(b - a) else a / 2 + b / 2)
+    for x in xs:
+        probes += [x, math.nextafter(x, -math.inf), math.nextafter(x, math.inf), x - 1.0, x + 1.0]
+    return [p for p in probes if math.isfinite(p)]
+
+
+finite_floats = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@given(cmap=calibration_maps(), extra=st.lists(finite_floats, max_size=10))
+def test_array_and_scalar_apply_match_the_bisect_reference(cmap, extra):
+    probes = _probes(cmap, extra)
+    want = [repr(_reference_apply(cmap, s)) for s in probes]
+    assert [repr(apply_map(cmap, s)) for s in probes] == want
+    assert [repr(v) for v in _apply(cmap, np.array(probes)).tolist()] == want

@@ -386,3 +386,98 @@ def test_utf8_bom_files_fit_like_plain_files(tmp_path, capsys):
         maps.append(out.read_bytes())
     assert maps[1] == maps[0]
     assert maps[2] == maps[0]
+
+
+# --- exactly rounded objectives: one value for a file, in any row order
+
+
+def _tied_rows(size, seed):
+    """Rows with scores rounded to 2 decimals (many ties, never -0.0) and a
+    logistic calibrated column, in random order."""
+    rng = random.Random(seed)
+    rows = []
+    for _ in range(size):
+        target = rng.random() < 0.3
+        s = round(rng.gauss(1.0 if target else -1.0, 1.2), 2) or 0.0
+        rows.append((s, T if target else N, 1.0 / (1.0 + math.exp(-1.6 * s + 0.9))))
+    return rows
+
+
+def _write_tied(path, rows):
+    text = "score,label,calibrated\n" + "".join(
+        f"{s!r},{'target' if lab is T else 'nontarget'},{c!r}\n" for s, lab, c in rows
+    )
+    return write(path, text)
+
+
+def test_fit_objective_equals_evaluate_reference(tmp_path, capsys):
+    src = _write_tied(tmp_path / "ev.csv", _tied_rows(3000, seed=12))
+    code, fit_out, _ = run(capsys, "fit", src, "--out", str(tmp_path / "m.map"), *_rule_args())
+    assert code == 0
+    code, ev_out, _ = run(capsys, "evaluate", src, *_rule_args())
+    assert code == 0
+    fitted = [line.partition("=")[2] for line in fit_out.splitlines()[1:]]
+    reference = [line.partition("reference=")[2] for line in ev_out.splitlines()]
+    assert fitted == reference
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fit", "--out", "{map}"],
+        ["fit", "--out", "{map}", "--mode", "llr", "--policy", "linear"],
+        ["fit", "--out", "{map}", "--weights", "2.5,0.7"],
+        ["evaluate", "--calibrated"],
+        ["evaluate", "--calibrated", "--mode", "llr", "--prior-logodds", "-1.2"],
+    ],
+)
+def test_shuffled_rows_give_identical_output(tmp_path, capsys, argv):
+    rows = _tied_rows(2000, seed=13)
+    outputs = []
+    for name in ("a", "b"):
+        src = _write_tied(tmp_path / f"{name}.csv", rows)
+        map_path = tmp_path / f"{name}.map"
+        args = [a.replace("{map}", str(map_path)) for a in argv]
+        code, out, err = run(capsys, args[0], src, *args[1:], *_rule_args())
+        assert code == 0, err
+        outputs.append((out, map_path.read_bytes() if map_path.exists() else None))
+        random.Random(14).shuffle(rows)
+    assert outputs[0] == outputs[1]
+
+
+def _command_argv(tmp_path, command, src):
+    if command == "fit":
+        return ["fit", src, "--out", str(tmp_path / "m.map")]
+    if command == "apply":
+        map_path = write(tmp_path / "m.map", "pavcal-map v1 posterior step\n0.0\t0.5\n")
+        return ["apply", map_path, src]
+    return ["evaluate", src]
+
+
+@pytest.mark.parametrize("command", ["fit", "apply", "evaluate"])
+def test_oversized_field_exits_1_naming_the_line(tmp_path, capsys, command):
+    src = write(tmp_path / "big.csv", "score,label\n0,target\n1," + "x" * 200_000 + "\n")
+    code, out, err = run(capsys, *_command_argv(tmp_path, command, src))
+    assert code == 1
+    assert err.startswith("error: line 3:")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["fit", "apply", "evaluate"])
+@pytest.mark.parametrize("prior", ["-1e-3", "-2.5E+1"])
+def test_exponent_form_negative_prior_logodds(tmp_path, capsys, command, prior):
+    train = write(tmp_path / "t.csv", "score,label\n1,target\n2,nontarget\n3,nontarget\n4,target\n")
+    if command == "apply":
+        map_path = str(tmp_path / "llr.map")
+        assert run(capsys, "fit", train, "--mode", "llr", "--out", map_path)[0] == 0
+        argv = ["apply", map_path, write(tmp_path / "s.csv", "score\n1\n2.5\n4\n")]
+    else:
+        argv = _command_argv(tmp_path, command, train)
+    spaced = run(capsys, *argv, "--prior-logodds", prior)
+    joined = run(capsys, *argv, f"--prior-logodds={prior}")
+    assert spaced[0] == 0, spaced[2]
+    assert spaced == joined
+    # A token that is not a number is still read as an option.
+    code, _, err = run(capsys, *argv, "--prior-logodds", "-e3")
+    assert code == 2
+    assert "expected one argument" in err

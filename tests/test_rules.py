@@ -209,6 +209,20 @@ class TestObjective:
     def test_saturates_at_infinity(self):
         assert objective(Logarithmic(), [T, N], (1.0, 1.0), [0.0, 0.5]) == math.inf
 
+    def test_overflowing_total_saturates_at_infinity(self):
+        # Each term is finite; only their sum overflows.
+        assert objective(Logarithmic(), [T, N], (1.7e308, 1.7e308), [0.5, 0.5]) == math.inf
+
+    def test_total_does_not_depend_on_trial_order(self):
+        rng = random.Random(4)
+        rows = [(T if rng.random() < 0.3 else N, rng.uniform(0.01, 0.99)) for _ in range(2000)]
+        totals = set()
+        for _ in range(5):
+            rng.shuffle(rows)
+            labels, p = zip(*rows)
+            totals.add(objective(Logarithmic(), labels, (2.5, 0.7), p))
+        assert len(totals) == 1
+
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             objective(Brier(), [T, N], (1.0, 1.0), [0.5])
