@@ -27,7 +27,6 @@ from .rules import (
     expected_cost,
     objective,
     parse_rule,
-    rule_cost,
 )
 from .types import (
     Block,
@@ -69,7 +68,6 @@ __all__ = [
     "pav_posteriors",
     "pooled_value",
     "posterior_from_llr",
-    "rule_cost",
     "sigmoid",
     "weights_from_prior",
 ]

@@ -169,7 +169,7 @@ def _pool_trials(trials: Sequence[Trial]) -> _TiePool:
     """The _TiePool of the trials' scores and target flags."""
     size = len(trials)
     scores = np.fromiter(map(operator.attrgetter("score"), trials), float, size)
-    return _TiePool(scores, _target_flags(map(operator.attrgetter("label"), trials), size))
+    return _TiePool(scores, _target_flags(list(map(operator.attrgetter("label"), trials))))
 
 
 def _tie_pool(trials: Sequence[Trial]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -121,6 +121,14 @@ def _read_csv(
         raise DataError(f"cannot read {path}: {exc}")
     except csv.Error as exc:
         raise DataError(f"line {reader.line_num}: {exc}")
+    except UnicodeDecodeError:  # name the first line that is not UTF-8
+        with open(path, "rb") as fh:  # splitlines ends lines where csv does
+            for lineno, line in enumerate(fh.read().splitlines(), 1):
+                try:
+                    line.decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    raise DataError(f"line {lineno}: {exc}")
+        raise
     if not rows:
         raise DataError(f"{path}: no data rows")
 
@@ -166,7 +174,7 @@ def _fit_weights(args: argparse.Namespace, pool: _TiePool) -> WeightPair:
 
 def cmd_fit(args: argparse.Namespace) -> int:
     _, rows = _read_csv(args.input, labeled=True)
-    pool = _TiePool(rows.scores, _target_flags(rows.labels, len(rows)))
+    pool = _TiePool(rows.scores, _target_flags(rows.labels))
     if args.mode == "llr":
         if args.weights is not None:
             raise UsageError("--weights has no effect in llr mode")
@@ -177,12 +185,11 @@ def cmd_fit(args: argparse.Namespace) -> int:
     cmap.save(args.out)
     print(f"T={len(rows)} T1={pool.t1} T2={pool.t2} blocks={blocks}")
 
-    fitted = values.tolist()
     if args.mode == "llr":
         offset = _class_log_odds(pool.t1, pool.t2)
-        fitted = [posterior_from_llr(w, offset) for w in fitted]
+        values = np.fromiter((posterior_from_llr(w, offset) for w in values.tolist()), float)
     for rule in _rules_of(args):
-        print(f"objective[{rule}]={objective(rule, rows.labels, weights, fitted)!r}")
+        print(f"objective[{rule}]={objective(rule, rows.labels, weights, values)!r}")
     return 0
 
 
@@ -225,7 +232,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     _, rows = _read_csv(
         args.input, labeled=True, calibrated=args.calibrated, infinite_ok=args.mode == "llr"
     )
-    pool = _TiePool(rows.scores, _target_flags(rows.labels, len(rows)))
+    pool = _TiePool(rows.scores, _target_flags(rows.labels))
     values = rows.values
 
     if args.mode == "llr":
@@ -234,7 +241,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             pi = _class_log_odds(pool.t1, pool.t2)
         weights = weights_from_prior(pi, pool.t1, pool.t2)
         if values is not None:
-            values = [posterior_from_llr(w, pi) for w in values.tolist()]
+            values = np.fromiter((posterior_from_llr(w, pi) for w in values.tolist()), float)
     else:
         weights = _fit_weights(args, pool)
         if values is not None:
@@ -243,9 +250,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
                 raise DataError(
                     f"line {rows.linenos[i]}: calibrated value {values[i].item()!r} outside [0, 1]"
                 )
-            values = values.tolist()
 
-    ref_vals = pool.fit(weights, "posterior", "step")[1].tolist()
+    ref_vals = pool.fit(weights, "posterior", "step")[1]
     for rule in _rules_of(args):
         ref_obj = objective(rule, rows.labels, weights, ref_vals)
         line = f"rule={rule} reference={ref_obj!r}"

@@ -21,6 +21,8 @@ from dataclasses import dataclass
 from itertools import chain, repeat
 from typing import Sequence
 
+import numpy as np
+
 from . import pav
 from .types import Label, WeightPair
 
@@ -80,11 +82,9 @@ class LlrCalibration:
 
     def __post_init__(self) -> None:
         _class_log_odds(self.t1, self.t2)  # rejects a missing class
-        prev = -math.inf
-        for x in self.w:
-            if math.isnan(x) or x < prev:
-                raise ValueError("llr values must be nondecreasing")
-            prev = x
+        w = np.fromiter(self.w, float, len(self.w))
+        if np.isnan(w).any() or (w[1:] < w[:-1]).any():
+            raise ValueError("llr values must be nondecreasing")
 
 
 def llr_calibrate(labels: Sequence[Label]) -> LlrCalibration:

@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .rules import ScoringRule, rule_cost
+from .rules import ScoringRule
 from .types import Label, WeightPair, as_weights
 
 _AGREE_TOL = 1e-12
@@ -90,10 +90,7 @@ def grid_minimizer(
     grid = [k / (grid_size - 1) for k in range(grid_size)]
     # Per-trial weighted cost of placing that trial at each grid value.
     table = [
-        [
-            (w.v1 if lab is Label.TARGET else w.v2) * rule_cost(rule, lab, g)
-            for g in grid
-        ]
+        [(w.v1 if lab is Label.TARGET else w.v2) * rule.cost(lab, g) for g in grid]
         for lab in labels
     ]
     best: tuple[int, ...] | None = None

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import itertools
 import operator
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -120,9 +120,14 @@ def _pool_counts(
     return starts, ends, bm, bn, bvals
 
 
-def _target_flags(labels: Iterable[Label], size: int) -> np.ndarray:
-    """Bool array of size entries, True where the label is Label.TARGET."""
-    return np.fromiter(map(operator.is_, labels, itertools.repeat(Label.TARGET)), bool, size)
+def _target_flags(labels: Sequence[Label]) -> np.ndarray:
+    """Bool array, True where the label is Label.TARGET; TypeError on a non-Label."""
+    size = len(labels)
+    flags = np.fromiter(map(operator.is_, labels, itertools.repeat(Label.TARGET)), bool, size)
+    if operator.countOf(labels, Label.NONTARGET) != size - np.count_nonzero(flags):
+        bad = next(lab for lab in labels if not isinstance(lab, Label))
+        raise TypeError(f"label must be a Label, got {bad!r}")
+    return flags
 
 
 def pav_fit(labels: Sequence[Label], weights: WeightPair | tuple[float, float]) -> BlockSolution:
@@ -140,7 +145,7 @@ def pav_fit(labels: Sequence[Label], weights: WeightPair | tuple[float, float]) 
     total = len(labels)
     if not total:
         raise ValueError("pav_fit needs at least one trial")
-    flags = _target_flags(labels, total)
+    flags = _target_flags(labels)
     starts, ends, bm, bn, vals = _pool_counts(flags, ~flags, w.v1, w.v2)
     blocks = tuple(
         Block(start=s, end=e, m=m, n=n, value=v)

@@ -27,11 +27,15 @@ CostAt rule charges the non-target side at q == t and not the target side.
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
+import numpy as np
+
+from .pav import _target_flags
 from .types import Label, WeightPair, as_weights
 
 _INF = math.inf
@@ -43,28 +47,19 @@ _ENDPOINT_MARGIN = 1e-12
 _NORMALIZATION_TOL = 1e-6
 
 
-def _check_q(q: float) -> float:
-    if not 0.0 <= q <= 1.0:
-        raise ValueError(f"probability {q!r} outside [0, 1]")
-    return q
-
-
 class ScoringRule:
-    """Base class; subclasses implement the two one-sided costs."""
+    """Base class; subclasses implement _costs, one side's costs elementwise."""
 
     def cost(self, label: Label, q: float) -> float:
         """Cost of reporting probability q for a trial with this label."""
-        _check_q(q)
-        if label is Label.TARGET:
-            return self._target_cost(q)
-        if label is Label.NONTARGET:
-            return self._nontarget_cost(q)
-        raise TypeError(f"label must be a Label, got {label!r}")
+        if not 0.0 <= q <= 1.0:
+            raise ValueError(f"probability {q!r} outside [0, 1]")
+        if not isinstance(label, Label):
+            raise TypeError(f"label must be a Label, got {label!r}")
+        return self._costs(np.array([q], float), label is Label.TARGET)[0].item()
 
-    def _target_cost(self, q: float) -> float:
-        raise NotImplementedError
-
-    def _nontarget_cost(self, q: float) -> float:
+    def _costs(self, q: np.ndarray, target: bool) -> np.ndarray:
+        """Target (or non-target) cost of each probability in q, all in [0, 1]."""
         raise NotImplementedError
 
 
@@ -72,11 +67,14 @@ class ScoringRule:
 class Logarithmic(ScoringRule):
     """rho = 1: cost is the negative log of the probability given to the truth."""
 
-    def _target_cost(self, q: float) -> float:
-        return _INF if q == 0.0 else -math.log(q)
-
-    def _nontarget_cost(self, q: float) -> float:
-        return _INF if q == 1.0 else -math.log(1.0 - q)
+    def _costs(self, q: np.ndarray, target: bool) -> np.ndarray:
+        # math.log, not np.log: the two differ in the last bit on some inputs.
+        x = q.copy() if target else 1.0 - q
+        zero = x == 0.0
+        x[zero] = 1.0  # any value math.log accepts; these costs are +inf
+        out = np.fromiter(map(math.log, x), float, x.size)
+        out[zero] = -_INF
+        return np.negative(out, out=out)
 
     def __str__(self) -> str:
         return "log"
@@ -86,12 +84,9 @@ class Logarithmic(ScoringRule):
 class Brier(ScoringRule):
     """rho = 6 eta(1-eta): the squared-error rule, scaled so rho integrates to 1."""
 
-    def _target_cost(self, q: float) -> float:
-        d = 1.0 - q
+    def _costs(self, q: np.ndarray, target: bool) -> np.ndarray:
+        d = 1.0 - q if target else q
         return 3.0 * d * d
-
-    def _nontarget_cost(self, q: float) -> float:
-        return 3.0 * q * q
 
     def __str__(self) -> str:
         return "brier"
@@ -112,11 +107,8 @@ class CostAt(ScoringRule):
         if not (isinstance(t, (int, float)) and 0.0 < t < 1.0):
             raise ValueError(f"threshold must lie strictly inside (0, 1), got {t!r}")
 
-    def _target_cost(self, q: float) -> float:
-        return 1.0 / self.threshold if q < self.threshold else 0.0
-
-    def _nontarget_cost(self, q: float) -> float:
-        return 1.0 / (1.0 - self.threshold) if q >= self.threshold else 0.0
+    def _costs(self, q: np.ndarray, target: bool) -> np.ndarray:
+        return DiracMixture(((1.0, self.threshold),))._costs(q, target)  # a single spike
 
     def __str__(self) -> str:
         return f"cost@{self.threshold!r}"
@@ -149,18 +141,13 @@ class DiracMixture(ScoringRule):
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"mixture weights sum to {total!r}, expected 1")
 
-    def _target_cost(self, q: float) -> float:
-        s = 0.0
+    def _costs(self, q: np.ndarray, target: bool) -> np.ndarray:
+        s = np.zeros(q.shape)  # the charged spikes, added left to right from 0.0
         for a, t in self.components:
-            if q < t:
-                s += a * (1.0 / t)
-        return s
-
-    def _nontarget_cost(self, q: float) -> float:
-        s = 0.0
-        for a, t in self.components:
-            if q >= t:
-                s += a * (1.0 / (1.0 - t))
+            if target:
+                s[q < t] += a * (1.0 / t)
+            else:
+                s[q >= t] += a * (1.0 / (1.0 - t))
         return s
 
     def __str__(self) -> str:
@@ -232,15 +219,18 @@ class CustomDensity(ScoringRule):
             raise ValueError("cost quadrature did not converge")
         return val if val > 0.0 else 0.0
 
-    def _target_cost(self, q: float) -> float:
+    def _costs(self, q: np.ndarray, target: bool) -> np.ndarray:
         self._ensure_valid()
+        one = self._target_cost if target else self._nontarget_cost
+        return np.fromiter(map(one, q.tolist()), float, q.size)
+
+    def _target_cost(self, q: float) -> float:
         if q == 0.0 and not self.integrable_at_zero:
             return _INF
         rho = self.density
         return self._quad(lambda e: rho(e) / e, max(q, _ENDPOINT_MARGIN), 1.0)
 
     def _nontarget_cost(self, q: float) -> float:
-        self._ensure_valid()
         if q == 1.0 and not self.integrable_at_one:
             return _INF
         rho = self.density
@@ -248,11 +238,6 @@ class CustomDensity(ScoringRule):
 
     def __str__(self) -> str:
         return "custom"
-
-
-def rule_cost(rule: ScoringRule, label: Label, q: float) -> float:
-    """Cost of reporting probability q for a trial with the given label."""
-    return rule.cost(label, q)
 
 
 def expected_cost(rule: ScoringRule, r: float, q: float) -> float:
@@ -274,7 +259,7 @@ def objective(
     rule: ScoringRule,
     labels: Sequence[Label],
     weights: WeightPair | tuple[float, float],
-    p: Sequence[float],
+    p: Sequence[float] | np.ndarray,
 ) -> float:
     """Weighted total cost of value assignment p for the labeled trials.
 
@@ -285,11 +270,19 @@ def objective(
     if len(labels) != len(p):
         raise ValueError(f"got {len(labels)} labels but {len(p)} values")
     w = as_weights(weights)
-    terms = [
-        (w.v1 if lab is Label.TARGET else w.v2) * rule.cost(lab, pt) for lab, pt in zip(labels, p)
-    ]
+    q = np.asarray(p, dtype=float)
+    inside = (q >= 0.0) & (q <= 1.0)
+    if not inside.all():  # name the first value outside [0, 1], or NaN
+        raise ValueError(f"probability {q[np.argmin(inside)].item()!r} outside [0, 1]")
+    flags = _target_flags(labels)
+    parts = []
+    for target, weight in ((True, w.v1), (False, w.v2)):
+        rows = q[flags] if target else q[~flags]
+        if rows.size:  # a class with no rows evaluates no cost
+            with np.errstate(over="ignore"):  # a term that overflows is +inf
+                parts.append(weight * rule._costs(rows, target))
     try:
-        return math.fsum(terms)
+        return math.fsum(itertools.chain(*parts))
     except OverflowError:
         return _INF
 
@@ -342,7 +335,6 @@ __all__ = [
     "CostAt",
     "DiracMixture",
     "CustomDensity",
-    "rule_cost",
     "expected_cost",
     "objective",
     "parse_rule",

@@ -36,7 +36,6 @@ from pavcal import (
     objective,
     pav_fit,
     pav_posteriors,
-    rule_cost,
     weights_from_prior,
 )
 
@@ -231,10 +230,10 @@ def test_criterion_5_closed_forms_match_quadrature():
     for _ in range(100):
         lab = T if rng.random() < 0.5 else N
         q = rng.random()
-        worst = max(worst, abs(rule_cost(Brier(), lab, q) - rule_cost(quad_brier, lab, q)))
+        worst = max(worst, abs(Brier().cost(lab, q) - quad_brier.cost(lab, q)))
         q_safe = rng.uniform(1e-3, 1.0 - 1e-3)
         worst = max(
-            worst, abs(rule_cost(Logarithmic(), lab, q_safe) - rule_cost(quad_log, lab, q_safe))
+            worst, abs(Logarithmic().cost(lab, q_safe) - quad_log.cost(lab, q_safe))
         )
     ok = worst <= 1e-9
     report(5, "quadrature-agreement", ok, f"100 points per rule, max dev {worst:.2e}")

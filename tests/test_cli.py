@@ -125,6 +125,21 @@ def test_data_errors_exit_1_and_name_the_line(tmp_path, capsys):
     assert run(capsys, "fit", one_class, "--mode", "llr", "--out", str(tmp_path / "m.map"))[0] == 1
 
 
+def test_bytes_that_are_not_utf8_name_their_line(tmp_path, capsys, train_csv):
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(b"score,label,calibrated\r\n0,target,0.5\r\n\xff\xfe1,nontarget,0.5\r\n")
+    map_path = str(tmp_path / "m.map")
+    assert run(capsys, "fit", train_csv, "--out", map_path)[0] == 0
+    for argv in (
+        ["fit", str(bad), "--out", str(tmp_path / "m2.map")],
+        ["apply", map_path, str(bad)],
+        ["evaluate", str(bad), "--calibrated"],
+    ):
+        code, _, err = run(capsys, *argv)
+        assert code == 1
+        assert err.startswith("error: line 3: 'utf-8' codec can't decode byte 0xff"), err
+
+
 def test_apply_posterior_map(tmp_path, capsys, train_csv):
     map_path = str(tmp_path / "m.map")
     run(capsys, "fit", train_csv, "--out", map_path)

@@ -85,6 +85,11 @@ def test_llr_calibrate_needs_both_classes():
         llr_calibrate([N])
 
 
+def test_llr_calibrate_rejects_labels_that_are_not_labels():
+    with pytest.raises(TypeError, match="label must be a Label, got 'target'"):
+        llr_calibrate(["target", "nontarget", "x"])
+
+
 def test_posterior_from_llr():
     assert posterior_from_llr(math.log(3), -math.log(3)) == pytest.approx(0.5, abs=1e-15)
     assert posterior_from_llr(-math.inf, 2.0) == 0.0

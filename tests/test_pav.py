@@ -56,6 +56,13 @@ def test_empty_input_rejected():
         pav_fit([], (1.0, 1.0))
 
 
+def test_labels_that_are_not_labels_rejected():
+    with pytest.raises(TypeError, match="label must be a Label, got 'target'"):
+        pav_fit(["target", "nontarget"], (1.0, 1.0))
+    with pytest.raises(TypeError, match="got 'x'"):
+        pav_fit([T, N, "x"], (1.0, 1.0))
+
+
 def test_equal_values_merge_into_one_block():
     # (T, N, T, N): every pooling step hits an exact tie at 0.5; merging
     # on equality must collapse the whole thing into a single block.

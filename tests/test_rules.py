@@ -1,7 +1,9 @@
 import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from pavcal import (
     Brier,
@@ -10,10 +12,10 @@ from pavcal import (
     DiracMixture,
     Label,
     Logarithmic,
+    ScoringRule,
     expected_cost,
     objective,
     parse_rule,
-    rule_cost,
 )
 
 T = Label.TARGET
@@ -30,29 +32,29 @@ STANDARD = [
 class TestClosedForms:
     def test_logarithmic(self):
         rule = Logarithmic()
-        assert rule_cost(rule, T, 0.25) == pytest.approx(math.log(4), abs=1e-15)
-        assert rule_cost(rule, T, 1.0) == 0.0
-        assert rule_cost(rule, T, 0.0) == math.inf
-        assert rule_cost(rule, N, 0.0) == 0.0
-        assert rule_cost(rule, N, 1.0) == math.inf
+        assert rule.cost(T, 0.25) == pytest.approx(math.log(4), abs=1e-15)
+        assert rule.cost(T, 1.0) == 0.0
+        assert rule.cost(T, 0.0) == math.inf
+        assert rule.cost(N, 0.0) == 0.0
+        assert rule.cost(N, 1.0) == math.inf
 
     def test_brier(self):
         rule = Brier()
-        assert rule_cost(rule, T, 0.25) == 1.6875  # 3 * 0.75**2
-        assert rule_cost(rule, N, 0.3) == pytest.approx(0.27, abs=1e-15)
-        assert rule_cost(rule, T, 1.0) == 0.0
-        assert rule_cost(rule, T, 0.0) == 3.0
-        assert rule_cost(rule, N, 1.0) == 3.0
+        assert rule.cost(T, 0.25) == 1.6875  # 3 * 0.75**2
+        assert rule.cost(N, 0.3) == pytest.approx(0.27, abs=1e-15)
+        assert rule.cost(T, 1.0) == 0.0
+        assert rule.cost(T, 0.0) == 3.0
+        assert rule.cost(N, 1.0) == 3.0
 
     def test_cost_at(self):
         rule = CostAt(0.5)
-        assert rule_cost(rule, T, 0.3) == 2.0
-        assert rule_cost(rule, N, 0.3) == 0.0
-        assert rule_cost(rule, T, 0.7) == 0.0
-        assert rule_cost(rule, N, 0.7) == 2.0
+        assert rule.cost(T, 0.3) == 2.0
+        assert rule.cost(N, 0.3) == 0.0
+        assert rule.cost(T, 0.7) == 0.0
+        assert rule.cost(N, 0.7) == 2.0
         # A point mass sitting exactly at q charges the non-target side.
-        assert rule_cost(rule, T, 0.5) == 0.0
-        assert rule_cost(rule, N, 0.5) == 2.0
+        assert rule.cost(T, 0.5) == 0.0
+        assert rule.cost(N, 0.5) == 2.0
 
     def test_cost_at_threshold_must_be_interior(self):
         for bad in (0.0, 1.0, -0.2, 1.5, math.nan):
@@ -63,7 +65,7 @@ class TestClosedForms:
         for rule in STANDARD:
             for bad in (-0.1, 1.1, math.nan, math.inf):
                 with pytest.raises(ValueError):
-                    rule_cost(rule, T, bad)
+                    rule.cost(T, bad)
 
 
 class TestDiracMixture:
@@ -74,8 +76,8 @@ class TestDiracMixture:
             for lab in (T, N):
                 want = 0.0
                 for a, t in comps:
-                    want += a * rule_cost(CostAt(t), lab, q)
-                assert rule_cost(mix, lab, q) == want
+                    want += a * CostAt(t).cost(lab, q)
+                assert mix.cost(lab, q) == want
 
     def test_component_validation(self):
         with pytest.raises(ValueError):
@@ -95,10 +97,10 @@ class TestCustomDensity:
         rng = random.Random(7)
         for _ in range(25):
             q = rng.uniform(1e-3, 1 - 1e-3)
-            assert rule_cost(rule, T, q) == pytest.approx(rule_cost(log, T, q), abs=1e-9)
-            assert rule_cost(rule, N, q) == pytest.approx(rule_cost(log, N, q), abs=1e-9)
-        assert rule_cost(rule, T, 0.0) == math.inf
-        assert rule_cost(rule, N, 1.0) == math.inf
+            assert rule.cost(T, q) == pytest.approx(log.cost(T, q), abs=1e-9)
+            assert rule.cost(N, q) == pytest.approx(log.cost(N, q), abs=1e-9)
+        assert rule.cost(T, 0.0) == math.inf
+        assert rule.cost(N, 1.0) == math.inf
 
     def test_parabolic_density_reproduces_brier(self):
         rule = CustomDensity(
@@ -107,18 +109,18 @@ class TestCustomDensity:
         brier = Brier()
         rng = random.Random(8)
         for q in [0.0, 1.0] + [rng.random() for _ in range(25)]:
-            assert rule_cost(rule, T, q) == pytest.approx(rule_cost(brier, T, q), abs=1e-9)
-            assert rule_cost(rule, N, q) == pytest.approx(rule_cost(brier, N, q), abs=1e-9)
+            assert rule.cost(T, q) == pytest.approx(brier.cost(T, q), abs=1e-9)
+            assert rule.cost(N, q) == pytest.approx(brier.cost(N, q), abs=1e-9)
 
     def test_unnormalized_density_rejected_on_first_use(self):
         rule = CustomDensity(lambda e: 2.0, integrable_at_zero=False, integrable_at_one=False)
         with pytest.raises(ValueError):
-            rule_cost(rule, T, 0.5)
+            rule.cost(T, 0.5)
 
     def test_negative_density_rejected_on_first_use(self):
         rule = CustomDensity(lambda e: e - 0.5, integrable_at_zero=True, integrable_at_one=True)
         with pytest.raises(ValueError):
-            rule_cost(rule, N, 0.5)
+            rule.cost(N, 0.5)
 
     def test_density_singular_at_both_ends_is_accepted(self):
         # The arcsine density is infinite at 0 and 1 but integrates to 1;
@@ -129,10 +131,10 @@ class TestCustomDensity:
             integrable_at_one=False,
         )
         for lab in (T, N):
-            cost = rule_cost(rule, lab, 0.3)
+            cost = rule.cost(lab, 0.3)
             assert math.isfinite(cost) and cost > 0.0
-        assert rule_cost(rule, T, 0.0) == math.inf
-        assert rule_cost(rule, N, 1.0) == math.inf
+        assert rule.cost(T, 0.0) == math.inf
+        assert rule.cost(N, 1.0) == math.inf
 
     def test_density_arithmetic_errors_become_value_errors(self):
         # Positive wherever it is defined, but 1/0 at the probe eta = 0.5.
@@ -140,7 +142,7 @@ class TestCustomDensity:
             lambda e: 1.0 / (e - 0.5) ** 2, integrable_at_zero=True, integrable_at_one=True
         )
         with pytest.raises(ValueError):
-            rule_cost(rule, T, 0.5)
+            rule.cost(T, 0.5)
 
 
 class TestExpectedCost:
@@ -202,7 +204,7 @@ class TestObjective:
         v1, v2 = 2.5, 0.7
         rule = Brier()
         want = sum(
-            (v1 if lab is T else v2) * rule_cost(rule, lab, q) for lab, q in zip(labels, p)
+            (v1 if lab is T else v2) * rule.cost(lab, q) for lab, q in zip(labels, p)
         )
         assert objective(rule, labels, (v1, v2), p) == pytest.approx(want, rel=1e-15)
 
@@ -226,6 +228,122 @@ class TestObjective:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             objective(Brier(), [T, N], (1.0, 1.0), [0.5])
+
+    def test_first_bad_probability_in_row_order_is_named(self):
+        for p in ([0.5, 1.5, math.nan], np.array([0.5, 1.5, math.nan])):
+            with pytest.raises(ValueError, match=r"^probability 1\.5 outside \[0, 1\]$"):
+                objective(Brier(), [T, N, T], (1.0, 1.0), p)
+        with pytest.raises(ValueError, match=r"^probability nan outside \[0, 1\]$"):
+            objective(Brier(), [T, N, T], (1.0, 1.0), [0.5, math.nan, -0.5])
+
+    def test_labels_that_are_not_labels_rejected(self):
+        with pytest.raises(TypeError, match="label must be a Label, got 'nontarget'"):
+            objective(Brier(), [T, "nontarget"], (1.0, 1.0), [0.5, 0.5])
+        with pytest.raises(TypeError, match="label must be a Label, got 'target'"):
+            Brier().cost("target", 0.5)
+
+    def test_a_class_with_no_rows_evaluates_no_cost(self):
+        class Recording(ScoringRule):
+            def __init__(self):
+                self.calls = []
+
+            def _costs(self, q, target):
+                self.calls.append((target, q.tolist()))
+                return np.ones(q.shape)
+
+        rule = Recording()
+        assert objective(rule, [T, T], (2.0, 1.0), [0.25, 0.5]) == 4.0
+        assert rule.calls == [(True, [0.25, 0.5])]
+        assert objective(rule, [], (1.0, 1.0), []) == 0.0
+        assert len(rule.calls) == 1
+        # The density is validated on first use only, and here there is none.
+        unnormalized = CustomDensity(lambda e: 2.0, False, False)
+        assert objective(unnormalized, [], (1.0, 1.0), []) == 0.0
+
+
+def _reference_cost(rule, label, q):
+    """The closed-form rules' costs, one probability at a time, written as
+    scalar formulas independently of ScoringRule._costs."""
+    if isinstance(rule, Logarithmic):
+        if label is T:
+            return math.inf if q == 0.0 else -math.log(q)
+        return math.inf if q == 1.0 else -math.log(1.0 - q)
+    if isinstance(rule, Brier):
+        if label is T:
+            d = 1.0 - q
+            return 3.0 * d * d
+        return 3.0 * q * q
+    if isinstance(rule, CostAt):
+        t = rule.threshold
+        if label is T:
+            return 1.0 / t if q < t else 0.0
+        return 1.0 / (1.0 - t) if q >= t else 0.0
+    s = 0.0
+    for a, t in rule.components:
+        if label is T and q < t:
+            s += a * (1.0 / t)
+        elif label is N and q >= t:
+            s += a * (1.0 / (1.0 - t))
+    return s
+
+
+_thresholds = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+
+
+@st.composite
+def _mixtures(draw):
+    raw = draw(st.lists(st.floats(0.01, 1.0), min_size=1, max_size=4))
+    ts = draw(st.lists(_thresholds, min_size=len(raw), max_size=len(raw)))
+    total = math.fsum(raw)
+    return DiracMixture(tuple((a / total, t) for a, t in zip(raw, ts)))
+
+
+_rules = st.one_of(st.just(Logarithmic()), st.just(Brier()), _thresholds.map(CostAt), _mixtures())
+
+
+def _probabilities(rule):
+    """[0, 1], its ends and edge values, and each threshold with its neighbours."""
+    if isinstance(rule, CostAt):
+        ts = [rule.threshold]
+    else:
+        ts = [t for _, t in getattr(rule, "components", ())]
+    edges = [0.0, -0.0, 1.0, 5e-324, 1.0 - 2.0**-53]
+    edges += [x for t in ts for x in (math.nextafter(t, 0.0), t, math.nextafter(t, 1.0))]
+    uniform = st.integers(0, 2**53).map(lambda k: k / 2**53)
+    return st.one_of(st.floats(0.0, 1.0), uniform, st.sampled_from(edges))
+
+
+class TestAgainstScalarReference:
+    @given(rule=_rules, data=st.data())
+    def test_costs_match_bit_for_bit(self, rule, data):
+        qs = data.draw(st.lists(_probabilities(rule), min_size=1, max_size=30))
+        for target, label in ((True, T), (False, N)):
+            want = [repr(_reference_cost(rule, label, q)) for q in qs]
+            assert [repr(rule.cost(label, q)) for q in qs] == want
+            assert list(map(repr, rule._costs(np.array(qs), target).tolist())) == want
+
+    @given(rule=_rules, data=st.data())
+    def test_objective_matches_the_exactly_rounded_reference_sum(self, rule, data):
+        rows = data.draw(st.lists(st.tuples(st.sampled_from([T, N]), _probabilities(rule))))
+        v1, v2 = data.draw(st.tuples(st.floats(1e-3, 1e3), st.floats(1e-3, 1e3)))
+        labels = [lab for lab, _ in rows]
+        qs = [q for _, q in rows]
+        terms = [(v1 if lab is T else v2) * _reference_cost(rule, lab, q) for lab, q in rows]
+        try:
+            want = math.fsum(terms)
+        except OverflowError:
+            want = math.inf
+        assert repr(objective(rule, labels, (v1, v2), qs)) == repr(want)
+        assert repr(objective(rule, labels, (v1, v2), np.array(qs))) == repr(want)
+
+    @pytest.mark.parametrize("rule", STANDARD, ids=str)
+    def test_costs_match_on_a_seeded_sweep(self, rule):
+        # Enough values that a last-bit difference (np.log against
+        # math.log, say) shows up on some of them.
+        q = np.random.default_rng(5).uniform(size=20_000)
+        for target, label in ((True, T), (False, N)):
+            want = [repr(_reference_cost(rule, label, x)) for x in q.tolist()]
+            assert list(map(repr, rule._costs(q, target).tolist())) == want
 
 
 class TestParse:
