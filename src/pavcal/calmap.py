@@ -41,9 +41,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .llr import _class_log_odds, logit
+from .llr import _block_llrs
 from .pav import _pool_counts, _target_flags
-from .types import Trial, WeightPair, as_weights
+from .types import Trial, WeightPair, _expand, as_weights
 
 MODES = ("posterior", "llr")
 POLICIES = ("step", "linear")
@@ -152,30 +152,17 @@ class _TiePool:
         v1, v2 = (1.0, 1.0) if mode == "llr" else (weights.v1, weights.v2)
         starts, ends, bm, bn, vals = _pool_counts(self.ms, self.ns, v1, v2)
         if mode == "llr":
-            offset = _class_log_odds(self.t1, self.t2)
-            vals = [logit(v) - offset for v in vals]
+            vals = _block_llrs(vals, self.t1, self.t2)[0]
         knots: list[tuple[float, float]] = []
         for s, e, v in zip(starts, ends, vals):
             knots.append((float(self.scores[s]), v))
             if e > s:
                 knots.append((float(self.scores[e]), v))
+        trial_vals = _expand(vals, map(operator.add, bm, bn))
         values = np.empty(self.order.size)
-        values[self.order] = np.repeat(vals, np.add(bm, bn))
+        values[self.order] = np.fromiter(trial_vals, float, values.size)
         cmap = CalibrationMap(knots=tuple(knots), mode=mode, policy=policy)
         return cmap, values, len(vals)
-
-
-def _pool_trials(trials: Sequence[Trial]) -> _TiePool:
-    """The _TiePool of the trials' scores and target flags."""
-    size = len(trials)
-    scores = np.fromiter(map(operator.attrgetter("score"), trials), float, size)
-    return _TiePool(scores, _target_flags(list(map(operator.attrgetter("label"), trials))))
-
-
-def _tie_pool(trials: Sequence[Trial]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Item scores and target / non-target counts of the trials' _TiePool."""
-    pool = _pool_trials(trials)
-    return pool.scores, pool.ms, pool.ns
 
 
 def build_map(
@@ -193,7 +180,9 @@ def build_map(
     """
     if not trials:
         raise ValueError("build_map needs at least one trial")
-    return _pool_trials(trials).fit(as_weights(weights), mode, policy)[0]
+    scores = np.fromiter(map(operator.attrgetter("score"), trials), float, len(trials))
+    flags = _target_flags(list(map(operator.attrgetter("label"), trials)))
+    return _TiePool(scores, flags).fit(as_weights(weights), mode, policy)[0]
 
 
 def _apply(cmap: CalibrationMap, scores: np.ndarray) -> np.ndarray:

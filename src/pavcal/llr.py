@@ -18,13 +18,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, repeat
 from typing import Sequence
 
 import numpy as np
 
 from . import pav
-from .types import Label, WeightPair
+from .types import Label, WeightPair, _expand
 
 
 def logit(p: float) -> float:
@@ -51,6 +50,12 @@ def _class_log_odds(t1: int, t2: int) -> float:
     if t1 < 1 or t2 < 1:
         raise ValueError(f"both classes are needed, got {t1} targets and {t2} non-targets")
     return logit(t1 / (t1 + t2))
+
+
+def _block_llrs(values: Sequence[float], t1: int, t2: int) -> tuple[list[float], float]:
+    """logit(v) - offset for each unit-weight block value v, and that offset."""
+    offset = _class_log_odds(t1, t2)
+    return [logit(v) - offset for v in values], offset
 
 
 def weights_from_prior(prior_logodds: float, t1: int, t2: int) -> WeightPair:
@@ -96,14 +101,11 @@ def llr_calibrate(labels: Sequence[Label]) -> LlrCalibration:
     # Called through the module, so that a wrapper installed on
     # pav.pav_fit (the benchmark's tracer) sees this call too.
     solution = pav.pav_fit(labels, WeightPair(1.0, 1.0))
-    t1 = sum(blk.m for blk in solution.blocks)
+    blocks = solution.blocks
+    t1 = sum(blk.m for blk in blocks)
     t2 = solution.total - t1
-    offset = _class_log_odds(t1, t2)
-    w = tuple(
-        chain.from_iterable(
-            repeat(logit(blk.value) - offset, blk.size) for blk in solution.blocks
-        )
-    )
+    llrs, offset = _block_llrs([blk.value for blk in blocks], t1, t2)
+    w = tuple(_expand(llrs, [blk.size for blk in blocks]))
     return LlrCalibration(w=w, prior_logodds=offset, t1=t1, t2=t2)
 
 

@@ -23,6 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .pav import _target_flags
 from .rules import ScoringRule
 from .types import Label, WeightPair, as_weights
 
@@ -34,14 +35,15 @@ def maxmin_oracle(
 ) -> list[float]:
     """Closed-form monotone solution, one value per trial.
 
-    Raises ValueError on an empty sequence, or if the max-min and min-max
-    nestings disagree beyond 1e-12 (which would indicate a broken build).
+    Raises TypeError on a label that is not a Label, ValueError on an
+    empty sequence, or if the max-min and min-max nestings disagree
+    beyond 1e-12 (which would indicate a broken build).
     """
     w = as_weights(weights)
     T = len(labels)
     if T == 0:
         raise ValueError("maxmin_oracle needs at least one trial")
-    flags = np.fromiter((lab is Label.TARGET for lab in labels), dtype=bool, count=T)
+    flags = _target_flags(labels)
     # M[i] / N[i]: targets / non-targets among the first i trials.
     M = np.concatenate(([0], np.cumsum(flags, dtype=np.int64)))
     N = np.concatenate(([0], np.cumsum(~flags, dtype=np.int64)))

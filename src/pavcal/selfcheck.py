@@ -1,10 +1,12 @@
 """Built-in verification suites, runnable via the selfcheck subcommand.
 
-Each suite rechecks one advertised property of the package against an
-independent reference: the closed-form max-min solution, brute-force
-candidate search, prior reweighting, and serialization round trips.
-Failures are collected and reported, not raised, so a run always prints
-one line per suite.
+Each suite is one acceptance criterion, checked against an independent
+reference: oracle-equivalence is criterion 1, optimality 2,
+prior-independence 4, performance 6 (with --perf only) and map-round-trip
+7.  tests/test_acceptance.py runs these functions at the release sizes
+and seeds; `pavcal selfcheck` runs them with fewer random instances and
+candidates.  Failures are collected and reported, not raised, so a run
+always prints one line per suite; a suite that raises has failed.
 """
 
 from __future__ import annotations
@@ -15,10 +17,12 @@ import random
 import time
 from typing import Callable, Sequence
 
-from .calmap import CalibrationMap, apply_map, build_map
+import numpy as np
+
+from .calmap import MODES, POLICIES, CalibrationMap, apply_map, build_map
 from .llr import llr_calibrate, logit, weights_from_prior
 from .oracle import grid_minimizer, maxmin_oracle
-from .pav import pav_fit, pav_posteriors
+from .pav import _target_flags, pav_fit, pav_posteriors
 from .rules import Brier, CostAt, DiracMixture, Logarithmic, objective
 from .types import Label, Trial, WeightPair
 
@@ -34,13 +38,8 @@ STANDARD_RULES = (
 )
 
 
-def _random_labels(rng: random.Random, size: int, require_both: bool = False) -> list[Label]:
-    while True:
-        labs = [_T if rng.random() < 0.5 else _N for _ in range(size)]
-        if not require_both:
-            return labs
-        if any(l is _T for l in labs) and any(l is _N for l in labs):
-            return labs
+def _random_labels(rng: random.Random, size: int) -> list[Label]:
+    return [_T if rng.random() < 0.5 else _N for _ in range(size)]
 
 
 def check_oracle_equivalence(
@@ -58,47 +57,48 @@ def check_oracle_equivalence(
                 worst = max(worst, max(abs(a - b) for a, b in zip(got, want)))
                 cases += 1
     ok = worst <= 1e-12
-    return ok, f"{cases} cases, max deviation {worst:.3e}"
+    return ok, f"{cases} cases, max dev {worst:.2e}"
 
 
-def check_optimality(
-    instances: int, candidates: int, seed: int, trials_per_instance: int = 50
-) -> tuple[bool, str]:
-    """Random search never beats the fit, for all standard rules at once."""
+def check_optimality(instances: int, candidates: int, seed: int) -> tuple[bool, str]:
+    """No random monotone candidate and no grid sequence beats the fit, for
+    all standard rules at once."""
     rng = random.Random(seed)
+    nprng = np.random.default_rng(seed)
     worst = -math.inf
     for _ in range(instances):
-        labs = _random_labels(rng, trials_per_instance)
-        w = WeightPair(math.exp(rng.uniform(-1.6, 1.6)), math.exp(rng.uniform(-1.6, 1.6)))
+        labs = _random_labels(rng, 50)
+        flags = _target_flags(labs)
+        w = WeightPair(math.exp(rng.uniform(-1.5, 1.5)), math.exp(rng.uniform(-1.5, 1.5)))
         fit = pav_posteriors(labs, w)
-        cand = [sorted(rng.random() for _ in labs) for _ in range(candidates)]
+        cand = np.sort(nprng.uniform(size=(candidates, len(labs))), axis=1)
+        sides = ((cand[:, flags], True, w.v1), (cand[:, ~flags], False, w.v2))
         for rule in STANDARD_RULES:
-            fit_obj = objective(rule, labs, w, fit)
-            best = min(objective(rule, labs, w, c) for c in cand)
-            worst = max(worst, fit_obj - best)
-    ok = worst <= 1e-9
-    return ok, f"{instances} instances x {candidates} candidates, max excess {worst:.3e}"
+            # Every candidate's objective at once: one _costs call per class.
+            totals = sum(
+                v * rule._costs(q.ravel(), target).reshape(q.shape).sum(axis=1)
+                for q, target, v in sides
+            )
+            worst = max(worst, objective(rule, labs, w, fit) - float(totals.min()))
 
-
-def check_grid_optimality(seed: int) -> tuple[bool, str]:
-    """Tiny instances: the fit is no worse than the exhaustive grid answer."""
-    rng = random.Random(seed)
-    worst = -math.inf
-    cases = 0
+    grid_worst = -math.inf
     for rule in STANDARD_RULES:
-        for size in (3, 5, 6):
+        for size in (3, 4, 5, 6):
             labs = _random_labels(rng, size)
             w = WeightPair(math.exp(rng.uniform(-1.0, 1.0)), 1.0)
-            fit_obj = objective(rule, labs, w, pav_posteriors(labs, w))
+            fit = pav_posteriors(labs, w)
             grid_obj = objective(rule, labs, w, grid_minimizer(rule, labs, w, 21))
-            if math.isinf(grid_obj) and math.isinf(fit_obj):
-                excess = 0.0
-            else:
-                excess = fit_obj - grid_obj
-            worst = max(worst, excess)
-            cases += 1
-    ok = worst <= 1e-12
-    return ok, f"{cases} cases, max excess over grid {worst:.3e}"
+            grid_worst = max(grid_worst, objective(rule, labs, w, fit) - grid_obj)
+            # Slack: the fit rounded to the same grid is a grid-feasible
+            # witness near the optimum, which the grid answer must not lose to.
+            slack_obj = objective(rule, labs, w, [round(p * 20) / 20 for p in fit])
+            if not (math.isinf(grid_obj) and math.isinf(slack_obj)):
+                grid_worst = max(grid_worst, grid_obj - slack_obj)
+    ok = worst <= 1e-9 and grid_worst <= 1e-12
+    return ok, (
+        f"{instances}x{candidates} candidates max excess {worst:.2e}, "
+        f"grid max excess {grid_worst:.2e}"
+    )
 
 
 def check_prior_independence(instances: int, seed: int) -> tuple[bool, str]:
@@ -106,45 +106,47 @@ def check_prior_independence(instances: int, seed: int) -> tuple[bool, str]:
     rng = random.Random(seed)
     priors = (-5.0, -2.0, -0.5, 0.0, 0.5, 2.0, 5.0)
     worst = 0.0
+    bad_inf = 0
     for _ in range(instances):
-        labs = _random_labels(rng, 40, require_both=True)
-        t1 = sum(1 for l in labs if l is _T)
-        t2 = len(labs) - t1
+        labs = _random_labels(rng, 40)
+        if not (_T in labs and _N in labs):
+            labs[0], labs[-1] = _T, _N
+        t1 = labs.count(_T)
         ref = llr_calibrate(labs).w
         for pi in priors:
-            p = pav_posteriors(labs, weights_from_prior(pi, t1, t2))
-            for a, b in zip((logit(x) - pi for x in p), ref):
-                if math.isinf(a) or math.isinf(b):
-                    if a != b:
-                        return False, f"infinity mismatch {a!r} vs {b!r}"
+            p = pav_posteriors(labs, weights_from_prior(pi, t1, len(labs) - t1))
+            for pt, want in zip(p, ref):
+                got = logit(pt) - pi
+                if math.isinf(got) or math.isinf(want):
+                    bad_inf += got != want
                 else:
-                    worst = max(worst, abs(a - b))
-    ok = worst <= 1e-9
-    return ok, f"{instances} instances x {len(priors)} priors, max deviation {worst:.3e}"
+                    worst = max(worst, abs(got - want))
+    ok = worst <= 1e-9 and bad_inf == 0
+    return ok, (
+        f"{instances} instances x {len(priors)} priors, max dev {worst:.2e}, "
+        f"inf mismatches {bad_inf}"
+    )
 
 
 def check_map_round_trip(seed: int) -> tuple[bool, str]:
     """serialize -> parse -> apply is bit-identical to the original map."""
     rng = random.Random(seed)
-    probes = [rng.uniform(-4.0, 4.0) for _ in range(250)]
-    cases = 0
-    for mode in ("posterior", "llr"):
-        for policy in ("step", "linear"):
+    probes = [rng.uniform(-6.0, 6.0) for _ in range(1000)]
+    for mode in MODES:
+        for policy in POLICIES:
             trials = [
-                Trial(round(rng.uniform(-3.0, 3.0), 1), _T if rng.random() < 0.5 else _N)
-                for _ in range(80)
+                Trial(round(rng.uniform(-4.0, 4.0), 2), _T if rng.random() < 0.5 else _N)
+                for _ in range(300)
             ]
-            trials += [Trial(0.0, _T), Trial(0.0, _N)]  # guaranteed tie
-            cmap = build_map(trials, (1.0, 1.0), mode=mode, policy=policy)
+            trials += [Trial(5.0, _T), Trial(-5.0, _N)]  # both classes, one at each end
+            cmap = build_map(trials, (2.5, 0.7), mode=mode, policy=policy)
             back = CalibrationMap.from_text(cmap.to_text())
             if back != cmap:
                 return False, f"{mode}/{policy}: reparsed map differs"
             for s in probes:
-                a, b = apply_map(cmap, s), apply_map(back, s)
-                if a != b:
+                if apply_map(cmap, s) != apply_map(back, s):
                     return False, f"{mode}/{policy}: value changed at score {s!r}"
-                cases += 1
-    return True, f"{cases} probes bit-identical across modes and policies"
+    return True, f"{len(MODES) * len(POLICIES) * len(probes)} probe applications bit-identical"
 
 
 def check_performance(seed: int) -> tuple[bool, str]:
@@ -153,7 +155,7 @@ def check_performance(seed: int) -> tuple[bool, str]:
     w = WeightPair(1.0, 1.0)
 
     def best_time(size: int) -> float:
-        labs = [_T if rng.random() < 0.5 else _N for _ in range(size)]
+        labs = _random_labels(rng, size)
         best = math.inf
         for _ in range(3):
             t0 = time.perf_counter()
@@ -161,11 +163,12 @@ def check_performance(seed: int) -> tuple[bool, str]:
             best = min(best, time.perf_counter() - t0)
         return best
 
+    best_time(10_000)  # warm-up
     t_small = best_time(100_000)
     t_big = best_time(1_000_000)
     ratio = t_big / t_small
     ok = ratio <= 15.0 and t_big < 1.0
-    return ok, f"T=1e5: {t_small:.3f}s, T=1e6: {t_big:.3f}s, ratio {ratio:.1f}"
+    return ok, f"T=1e5 {t_small * 1e3:.0f}ms, T=1e6 {t_big * 1e3:.0f}ms, ratio {ratio:.1f}"
 
 
 def run_selfcheck(
@@ -181,12 +184,11 @@ def run_selfcheck(
     suites: list[tuple[str, Callable[[], tuple[bool, str]]]] = [
         ("oracle-equivalence", lambda: check_oracle_equivalence(max_len, weight_pairs)),
         ("optimality", lambda: check_optimality(instances, candidates, seed)),
-        ("grid-optimality", lambda: check_grid_optimality(seed + 1)),
-        ("prior-independence", lambda: check_prior_independence(instances, seed + 2)),
-        ("map-round-trip", lambda: check_map_round_trip(seed + 3)),
+        ("prior-independence", lambda: check_prior_independence(instances, seed + 1)),
+        ("map-round-trip", lambda: check_map_round_trip(seed + 2)),
     ]
     if perf:
-        suites.append(("performance", lambda: check_performance(seed + 4)))
+        suites.append(("performance", lambda: check_performance(seed + 3)))
     all_ok = True
     for name, fn in suites:
         try:

@@ -5,6 +5,8 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from itertools import chain, repeat
+from typing import Iterable, Iterator
 
 
 class Label(enum.Enum):
@@ -145,9 +147,12 @@ class BlockSolution:
         return self.total - len(self.blocks)
 
 
+def _expand(values: Iterable[float], sizes: Iterable[int]) -> Iterator[float]:
+    """Each block's value once per trial, lazily, to fill the caller's own container."""
+    return chain.from_iterable(map(repeat, values, sizes))
+
+
 def expand(solution: BlockSolution) -> list[float]:
     """Per-trial fitted values, one entry per index covered by the blocks."""
-    out: list[float] = []
-    for blk in solution.blocks:
-        out.extend([blk.value] * blk.size)
-    return out
+    blocks = solution.blocks
+    return list(_expand([blk.value for blk in blocks], [blk.size for blk in blocks]))

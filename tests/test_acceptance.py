@@ -3,10 +3,12 @@
 Eight criteria, each with a pinned tolerance, each printing one PASS/FAIL
 line (run with `pytest -s` to see the lines as they happen).  These are
 intentionally heavier than the unit tests: exhaustive enumeration, large
-random sweeps, timing, and a full command-line round trip.
+random sweeps, timing, and a full command-line round trip.  Criteria 1,
+2, 4, 6 and 7 are the suites of pavcal.selfcheck, run here at the release
+sizes and seeds; `pavcal selfcheck` runs the same functions at its own,
+smaller defaults.
 """
 
-import itertools
 import math
 import random
 import subprocess
@@ -23,32 +25,22 @@ from pavcal import (
     DiracMixture,
     Label,
     Logarithmic,
-    Trial,
-    WeightPair,
-    apply_map,
-    build_map,
-    CalibrationMap,
     expected_cost,
-    grid_minimizer,
-    llr_calibrate,
-    logit,
-    maxmin_oracle,
     objective,
-    pav_fit,
     pav_posteriors,
-    weights_from_prior,
+)
+from pavcal.selfcheck import (
+    DEFAULT_WEIGHT_PAIRS,
+    STANDARD_RULES as RULES,
+    check_map_round_trip,
+    check_optimality,
+    check_oracle_equivalence,
+    check_performance,
+    check_prior_independence,
 )
 
 T = Label.TARGET
 N = Label.NONTARGET
-
-RULES = [
-    Logarithmic(),
-    Brier(),
-    CostAt(0.37),
-    DiracMixture(((0.5, 0.21), (0.5, 0.68))),
-]
-WEIGHT_PAIRS = [(1.0, 1.0), (2.5, 0.7), (0.3, 4.0)]
 
 
 SUMMARY_LINES = []
@@ -63,19 +55,9 @@ def report(num, name, ok, detail):
 
 def test_criterion_1_oracle_equivalence_exhaustive():
     t0 = time.perf_counter()
-    worst = 0.0
-    cases = 0
-    for v1, v2 in WEIGHT_PAIRS:
-        w = WeightPair(v1, v2)
-        for size in range(1, 11):
-            for labels in itertools.product((T, N), repeat=size):
-                got = pav_posteriors(labels, w)
-                want = maxmin_oracle(labels, w)
-                worst = max(worst, max(abs(a - b) for a, b in zip(got, want)))
-                cases += 1
+    ok, detail = check_oracle_equivalence(10, DEFAULT_WEIGHT_PAIRS)
     took = time.perf_counter() - t0
-    ok = worst <= 1e-12 and took < 10.0
-    report(1, "oracle-equivalence", ok, f"{cases} cases, max dev {worst:.2e}, {took:.1f}s")
+    report(1, "oracle-equivalence", ok and took < 10.0, f"{detail}, {took:.1f}s")
 
 
 def _vector_costs(rule, Q):
@@ -105,9 +87,9 @@ def test_criterion_2_simultaneous_optimality():
     t0 = time.perf_counter()
     rng = random.Random(1001)
     nprng = np.random.default_rng(1001)
-    worst = -math.inf
 
-    # Sanity-tie the vectorized candidate scorer to the scalar objective.
+    # Tie the package's costs, which the search below scores the fit and
+    # the candidates with, to independent closed-form ones.
     labels0 = [T if rng.random() < 0.5 else N for _ in range(50)]
     flags0 = np.array([lab is T for lab in labels0])
     probe = np.sort(nprng.uniform(size=(5, 50)), axis=1)
@@ -119,50 +101,9 @@ def test_criterion_2_simultaneous_optimality():
             want = objective(rule, labels0, (2.5, 0.7), row.tolist())
             assert got == pytest.approx(want, rel=1e-12)
 
-    for _ in range(200):
-        labels = [T if rng.random() < 0.5 else N for _ in range(50)]
-        flags = np.array([lab is T for lab in labels])
-        v1 = math.exp(rng.uniform(-1.5, 1.5))
-        v2 = math.exp(rng.uniform(-1.5, 1.5))
-        wvec = np.where(flags, v1, v2)
-        fit = pav_posteriors(labels, (v1, v2))
-        cand = np.sort(nprng.uniform(size=(1000, 50)), axis=1)
-        for rule in RULES:
-            fit_obj = objective(rule, labels, (v1, v2), fit)
-            c1, c2 = _vector_costs(rule, cand)
-            best = float((wvec * np.where(flags, c1, c2)).sum(axis=1).min())
-            worst = max(worst, fit_obj - best)
-    random_ok = worst <= 1e-9
-
-    # Exhaustive grid cross-check on small instances.
-    grid_worst = -math.inf
-    for rule in RULES:
-        for size in (3, 4, 5, 6):
-            labels = [T if rng.random() < 0.5 else N for _ in range(size)]
-            wpair = (math.exp(rng.uniform(-1.0, 1.0)), 1.0)
-            fit = pav_posteriors(labels, wpair)
-            fit_obj = objective(rule, labels, wpair, fit)
-            grid_sol = grid_minimizer(rule, labels, wpair, 21)
-            grid_obj = objective(rule, labels, wpair, grid_sol)
-            # Slack: what the objective loses by rounding the true fit to
-            # the same grid (a grid-feasible witness near the optimum).
-            rounded = [round(p * 20) / 20 for p in fit]
-            slack_obj = objective(rule, labels, wpair, rounded)
-            if math.isinf(grid_obj) and math.isinf(slack_obj):
-                excesses = (fit_obj - grid_obj,)
-            else:
-                excesses = (fit_obj - grid_obj, grid_obj - slack_obj)
-            grid_worst = max(grid_worst, *excesses)
-    grid_ok = grid_worst <= 1e-12
-
+    ok, detail = check_optimality(200, 1000, 1001)
     took = time.perf_counter() - t0
-    ok = random_ok and grid_ok and took < 60.0
-    report(
-        2,
-        "simultaneous-optimality",
-        ok,
-        f"200x1000 candidates max excess {worst:.2e}, grid max excess {grid_worst:.2e}, {took:.1f}s",
-    )
+    report(2, "simultaneous-optimality", ok and took < 60.0, f"{detail}, {took:.1f}s")
 
 
 def test_criterion_3_properness_and_quasiconvexity():
@@ -193,31 +134,8 @@ def test_criterion_3_properness_and_quasiconvexity():
 
 
 def test_criterion_4_prior_independence():
-    priors = (-5.0, -2.0, -0.5, 0.0, 0.5, 2.0, 5.0)
-    rng = random.Random(404)
-    worst = 0.0
-    bad_inf = 0
-    for _ in range(100):
-        labels = [T if rng.random() < 0.5 else N for _ in range(40)]
-        if not (any(l is T for l in labels) and any(l is N for l in labels)):
-            labels[0], labels[-1] = T, N
-        t1 = sum(1 for l in labels if l is T)
-        ref = llr_calibrate(labels).w
-        for pi in priors:
-            p = pav_posteriors(labels, weights_from_prior(pi, t1, len(labels) - t1))
-            for pt, want in zip(p, ref):
-                got = logit(pt) - pi
-                if math.isinf(got) or math.isinf(want):
-                    bad_inf += got != want
-                else:
-                    worst = max(worst, abs(got - want))
-    ok = worst <= 1e-9 and bad_inf == 0
-    report(
-        4,
-        "prior-independence",
-        ok,
-        f"100 instances x {len(priors)} priors, max dev {worst:.2e}, inf mismatches {bad_inf}",
-    )
+    ok, detail = check_prior_independence(100, 404)
+    report(4, "prior-independence", ok, detail)
 
 
 def test_criterion_5_closed_forms_match_quadrature():
@@ -240,51 +158,13 @@ def test_criterion_5_closed_forms_match_quadrature():
 
 
 def test_criterion_6_near_linear_runtime():
-    rng = random.Random(66)
-    w = WeightPair(1.0, 1.0)
-
-    def best_of(size, reps=3):
-        labels = [T if rng.random() < 0.5 else N for _ in range(size)]
-        best = math.inf
-        for _ in range(reps):
-            t0 = time.perf_counter()
-            pav_fit(labels, w)
-            best = min(best, time.perf_counter() - t0)
-        return best
-
-    best_of(10_000)  # warm-up
-    t_small = best_of(100_000)
-    t_big = best_of(1_000_000)
-    ratio = t_big / t_small
-    ok = ratio <= 15.0 and t_big < 1.0
-    report(
-        6,
-        "near-linear-runtime",
-        ok,
-        f"T=1e5 {t_small * 1e3:.0f}ms, T=1e6 {t_big * 1e3:.0f}ms, ratio {ratio:.1f}",
-    )
+    ok, detail = check_performance(66)
+    report(6, "near-linear-runtime", ok, detail)
 
 
 def test_criterion_7_map_round_trip_bit_exact():
-    rng = random.Random(77)
-    probes = [rng.uniform(-6.0, 6.0) for _ in range(1000)]
-    checked = 0
-    exact = True
-    for mode in ("posterior", "llr"):
-        for policy in ("step", "linear"):
-            trials = [
-                Trial(round(rng.uniform(-4, 4), 2), T if rng.random() < 0.5 else N)
-                for _ in range(300)
-            ]
-            trials += [Trial(5.0, T), Trial(-5.0, N)]
-            cmap = build_map(trials, (2.5, 0.7), mode=mode, policy=policy)
-            back = CalibrationMap.from_text(cmap.to_text())
-            exact = exact and back == cmap
-            for s in probes:
-                a, b = apply_map(cmap, s), apply_map(back, s)
-                exact = exact and a == b
-                checked += 1
-    report(7, "map-round-trip", exact, f"{checked} probe applications bit-identical")
+    ok, detail = check_map_round_trip(77)
+    report(7, "map-round-trip", ok, detail)
 
 
 def test_criterion_8_cli_end_to_end(tmp_path):

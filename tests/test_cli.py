@@ -18,6 +18,7 @@ from pavcal import (
     posterior_from_llr,
     weights_from_prior,
 )
+from pavcal import selfcheck
 from pavcal.cli import main
 
 T = Label.TARGET
@@ -264,6 +265,37 @@ def test_selfcheck_single_weight_pair(capsys):
     )
     assert code == 0
     assert "oracle-equivalence" in out
+
+
+def _small_selfcheck(capsys):
+    code, out, _ = run(capsys, "selfcheck", "--max-len", "4", "--instances", "3",
+                       "--candidates", "20")
+    return code, out.splitlines()
+
+
+def test_selfcheck_reports_a_wrong_fit_and_exits_3(capsys, monkeypatch):
+    # A fit that swaps the target and non-target weights.
+    monkeypatch.setattr(
+        selfcheck, "pav_posteriors", lambda labs, w: pav_posteriors(labs, (w.v2, w.v1))
+    )
+    code, lines = _small_selfcheck(capsys)
+    assert code == 3
+    for name in ("oracle-equivalence", "optimality", "prior-independence"):
+        assert any(line.startswith(f"[FAIL] {name}: ") for line in lines), lines
+    assert any(line.startswith("[PASS] map-round-trip: ") for line in lines), lines
+    assert lines[-1] == "selfcheck: FAIL"
+
+
+def test_selfcheck_counts_a_suite_that_raises_as_failed(capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(selfcheck, "build_map", broken)
+    code, lines = _small_selfcheck(capsys)
+    assert code == 3
+    assert "[FAIL] map-round-trip: raised RuntimeError: boom" in lines
+    assert sum(line.startswith("[PASS] ") for line in lines) == 3
+    assert lines[-1] == "selfcheck: FAIL"
 
 
 def test_cli_import_does_not_load_scipy():

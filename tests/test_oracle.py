@@ -32,6 +32,12 @@ def test_oracle_rejects_empty():
         maxmin_oracle([], (1.0, 1.0))
 
 
+def test_oracle_rejects_string_labels():
+    # A string is not Label.TARGET, but it is not a non-target either.
+    with pytest.raises(TypeError, match="'target'"):
+        maxmin_oracle(["target", "nontarget", "target"], (1.0, 1.0))
+
+
 def test_grid_minimizer_finds_known_optima():
     assert grid_minimizer(Brier(), [T, N], (1.0, 1.0), 21) == [0.5, 0.5]
     assert grid_minimizer(Logarithmic(), [T], (1.0, 1.0), 11) == [1.0]

@@ -11,10 +11,11 @@ sorted-and-loop tie pool.
 
 import math
 
+import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from pavcal import Label, Trial, build_map, maxmin_oracle, pav_fit, pav_posteriors, pooled_value
-from pavcal.calmap import _tie_pool
+from pavcal.calmap import _TiePool
 from pavcal.pav import _pool_counts
 
 T = Label.TARGET
@@ -141,7 +142,8 @@ tied_trials = st.lists(
 
 @given(trials=tied_trials)
 def test_tie_pool_matches_sorted_reference(trials):
-    scores, ms, ns = _tie_pool(trials)
+    pool = _TiePool(np.array([t.score for t in trials]), np.array([t.label is T for t in trials]))
+    scores, ms, ns = pool.scores, pool.ms, pool.ns
     want_scores, want_ms, want_ns = _reference_tie_pool(trials)
     # repr tells -0.0 from 0.0: the item keeps the first such score in input order.
     assert [repr(s) for s in scores.tolist()] == [repr(s) for s in want_scores]
