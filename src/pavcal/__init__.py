@@ -32,7 +32,6 @@ from .types import (
     Block,
     BlockSolution,
     Label,
-    Trial,
     WeightPair,
     expand,
     pooled_value,
@@ -52,7 +51,6 @@ __all__ = [
     "LlrCalibration",
     "Logarithmic",
     "ScoringRule",
-    "Trial",
     "WeightPair",
     "apply_map",
     "build_map",

@@ -35,15 +35,14 @@ in llr mode only.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from .llr import _block_llrs
-from .pav import _pool_counts, _target_flags
-from .types import Trial, WeightPair, _expand, as_weights
+from .pav import Labels, _pool_counts, _target_flags
+from .types import WeightPair, as_weights
 
 MODES = ("posterior", "llr")
 POLICIES = ("step", "linear")
@@ -158,31 +157,36 @@ class _TiePool:
             knots.append((float(self.scores[s]), v))
             if e > s:
                 knots.append((float(self.scores[e]), v))
-        trial_vals = _expand(vals, map(operator.add, bm, bn))
         values = np.empty(self.order.size)
-        values[self.order] = np.fromiter(trial_vals, float, values.size)
+        values[self.order] = np.repeat(vals, np.add(bm, bn))
         cmap = CalibrationMap(knots=tuple(knots), mode=mode, policy=policy)
         return cmap, values, len(vals)
 
 
 def build_map(
-    trials: Sequence[Trial],
+    scores: Sequence[float] | np.ndarray,
+    labels: Labels,
     weights: WeightPair | tuple[float, float],
     mode: str = "posterior",
     policy: str = "step",
 ) -> CalibrationMap:
-    """Fit a calibration map from labeled trials.
+    """Fit a calibration map from a column of finite scores and their labels.
 
     posterior mode fits with the given weights and stores fitted
     probabilities.  llr mode ignores the weights (the result provably
     does not depend on them), fits with unit weights, and stores
     logit(fit) - logit(t1 / T); it needs both classes present.
     """
-    if not trials:
+    flags = _target_flags(labels)
+    xs = np.asarray(scores, dtype=float)
+    if xs.shape != flags.shape:
+        raise ValueError(f"scores of shape {xs.shape} do not match {flags.size} labels")
+    if not xs.size:
         raise ValueError("build_map needs at least one trial")
-    scores = np.fromiter(map(operator.attrgetter("score"), trials), float, len(trials))
-    flags = _target_flags(list(map(operator.attrgetter("label"), trials)))
-    return _TiePool(scores, flags).fit(as_weights(weights), mode, policy)[0]
+    i = int(np.argmax(~np.isfinite(xs)))  # the first score that is not finite, if any
+    if not math.isfinite(xs[i]):
+        raise ValueError(f"trial score must be finite, got {xs[i].item()!r}")
+    return _TiePool(xs, flags).fit(as_weights(weights), mode, policy)[0]
 
 
 def _apply(cmap: CalibrationMap, scores: np.ndarray) -> np.ndarray:

@@ -19,7 +19,7 @@ from typing import Sequence, TextIO
 import numpy as np
 
 from .calmap import CalibrationMap, _apply, _TiePool
-from .llr import _class_log_odds, posterior_from_llr, weights_from_prior
+from .llr import _class_log_odds, _posteriors, weights_from_prior
 from .pav import _target_flags
 from .rules import Logarithmic, ScoringRule, objective, parse_rule
 from .selfcheck import DEFAULT_WEIGHT_PAIRS, run_selfcheck
@@ -60,11 +60,11 @@ def _is_number(text: str) -> bool:
 
 @dataclass(frozen=True)
 class _Rows:
-    """A CSV file's data rows by column; labels and values only if asked for."""
+    """A CSV file's data rows by column; target flags and values only if asked for."""
 
     linenos: list[int]
     scores: np.ndarray
-    labels: list[Label] | None
+    flags: np.ndarray | None
     values: np.ndarray | None
 
     def __len__(self) -> int:
@@ -86,9 +86,9 @@ def _floats(texts: list[str], linenos: list[int], what: str, infinite_ok=False) 
     return values
 
 
-def _labels(texts: list[str], linenos: list[int]) -> list[Label]:
+def _flags(texts: list[str], linenos: list[int]) -> np.ndarray:
     try:
-        return list(map(Label.parse, texts))
+        return _target_flags(list(map(Label.parse, texts)))
     except ValueError:
         for lineno, text in zip(linenos, texts):
             try:
@@ -146,9 +146,9 @@ def _read_csv(
     texts = [[row[col] for row in rows] for col in cols]
     del rows
     scores = _floats(texts[0], linenos, "score")
-    labels = _labels(texts[1], linenos) if labeled else None
+    flags = _flags(texts[1], linenos) if labeled else None
     values = _floats(texts[2], linenos, "calibrated value", infinite_ok) if calibrated else None
-    return header, _Rows(linenos, scores, labels, values)
+    return header, _Rows(linenos, scores, flags, values)
 
 
 def _open_out(path: str | None) -> TextIO:
@@ -174,7 +174,7 @@ def _fit_weights(args: argparse.Namespace, pool: _TiePool) -> WeightPair:
 
 def cmd_fit(args: argparse.Namespace) -> int:
     _, rows = _read_csv(args.input, labeled=True)
-    pool = _TiePool(rows.scores, _target_flags(rows.labels))
+    pool = _TiePool(rows.scores, rows.flags)
     if args.mode == "llr":
         if args.weights is not None:
             raise UsageError("--weights has no effect in llr mode")
@@ -186,10 +186,9 @@ def cmd_fit(args: argparse.Namespace) -> int:
     print(f"T={len(rows)} T1={pool.t1} T2={pool.t2} blocks={blocks}")
 
     if args.mode == "llr":
-        offset = _class_log_odds(pool.t1, pool.t2)
-        values = np.fromiter((posterior_from_llr(w, offset) for w in values.tolist()), float)
+        values = _posteriors(values, _class_log_odds(pool.t1, pool.t2))
     for rule in _rules_of(args):
-        print(f"objective[{rule}]={objective(rule, rows.labels, weights, values)!r}")
+        print(f"objective[{rule}]={objective(rule, rows.flags, weights, values)!r}")
     return 0
 
 
@@ -209,7 +208,7 @@ def cmd_apply(args: argparse.Namespace) -> int:
     calibrated = _apply(cmap, scores)
     posteriors: list[float] | None = None
     if cmap.mode == "llr" and args.prior_logodds is not None:
-        posteriors = [posterior_from_llr(w, args.prior_logodds) for w in calibrated.tolist()]
+        posteriors = _posteriors(calibrated, args.prior_logodds).tolist()
     if args.clamp_llr is not None:
         calibrated = np.clip(calibrated, -args.clamp_llr, args.clamp_llr)
 
@@ -232,7 +231,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     _, rows = _read_csv(
         args.input, labeled=True, calibrated=args.calibrated, infinite_ok=args.mode == "llr"
     )
-    pool = _TiePool(rows.scores, _target_flags(rows.labels))
+    pool = _TiePool(rows.scores, rows.flags)
     values = rows.values
 
     if args.mode == "llr":
@@ -241,7 +240,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             pi = _class_log_odds(pool.t1, pool.t2)
         weights = weights_from_prior(pi, pool.t1, pool.t2)
         if values is not None:
-            values = np.fromiter((posterior_from_llr(w, pi) for w in values.tolist()), float)
+            values = _posteriors(values, pi)
     else:
         weights = _fit_weights(args, pool)
         if values is not None:
@@ -253,10 +252,10 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
     ref_vals = pool.fit(weights, "posterior", "step")[1]
     for rule in _rules_of(args):
-        ref_obj = objective(rule, rows.labels, weights, ref_vals)
+        ref_obj = objective(rule, rows.flags, weights, ref_vals)
         line = f"rule={rule} reference={ref_obj!r}"
         if values is not None:
-            cal_obj = objective(rule, rows.labels, weights, values)
+            cal_obj = objective(rule, rows.flags, weights, values)
             if ref_obj == 0.0:
                 ratio = 1.0 if cal_obj == 0.0 else math.inf
             else:

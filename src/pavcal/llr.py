@@ -23,7 +23,8 @@ from typing import Sequence
 import numpy as np
 
 from . import pav
-from .types import Label, WeightPair, _expand
+from .pav import Labels
+from .types import WeightPair, _expand
 
 
 def logit(p: float) -> float:
@@ -37,12 +38,18 @@ def logit(p: float) -> float:
     return math.log(p / (1.0 - p))
 
 
+def _posteriors(w: np.ndarray, prior_logodds: float) -> np.ndarray:
+    """sigmoid(w + prior_logodds) elementwise, by the scalar formula's IEEE operations:
+    math.exp is mapped, not np.exp, as the two differ in the last bit on some inputs."""
+    x = np.asarray(w, dtype=float) + prior_logodds
+    up = x >= 0.0
+    e = np.fromiter(map(math.exp, np.where(up, -x, x).tolist()), float, x.size)
+    return np.where(up, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
 def sigmoid(w: float) -> float:
     """Inverse of logit, numerically stable for large |w|; maps +-inf to 1/0."""
-    if w >= 0.0:
-        return 1.0 / (1.0 + math.exp(-w))
-    e = math.exp(w)
-    return e / (1.0 + e)
+    return _posteriors(np.array([w], float), 0.0)[0].item()
 
 
 def _class_log_odds(t1: int, t2: int) -> float:
@@ -92,8 +99,8 @@ class LlrCalibration:
             raise ValueError("llr values must be nondecreasing")
 
 
-def llr_calibrate(labels: Sequence[Label]) -> LlrCalibration:
-    """Prior-independent monotone LLR assignment for a label sequence.
+def llr_calibrate(labels: Labels) -> LlrCalibration:
+    """Prior-independent monotone LLR assignment for labels in score order.
 
     Requires at least one trial of each class.  Values may include -inf
     and +inf at the ends of the sequence.
@@ -111,7 +118,7 @@ def llr_calibrate(labels: Sequence[Label]) -> LlrCalibration:
 
 def posterior_from_llr(w: float, prior_logodds: float) -> float:
     """Posterior target probability from an LLR and a prior log-odds."""
-    return sigmoid(w + prior_logodds)
+    return _posteriors(np.array([w], float), prior_logodds)[0].item()
 
 
 __all__ = [

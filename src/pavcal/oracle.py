@@ -19,20 +19,17 @@ and exponential, so keep T and the grid tiny.
 from __future__ import annotations
 
 import itertools
-from typing import Sequence
 
 import numpy as np
 
-from .pav import _target_flags
+from .pav import Labels, _target_flags
 from .rules import ScoringRule
-from .types import Label, WeightPair, as_weights
+from .types import WeightPair, as_weights
 
 _AGREE_TOL = 1e-12
 
 
-def maxmin_oracle(
-    labels: Sequence[Label], weights: WeightPair | tuple[float, float]
-) -> list[float]:
+def maxmin_oracle(labels: Labels, weights: WeightPair | tuple[float, float]) -> list[float]:
     """Closed-form monotone solution, one value per trial.
 
     Raises TypeError on a label that is not a Label, ValueError on an
@@ -71,7 +68,7 @@ def maxmin_oracle(
 
 def grid_minimizer(
     rule: ScoringRule,
-    labels: Sequence[Label],
+    labels: Labels,
     weights: WeightPair | tuple[float, float],
     grid_size: int,
 ) -> list[float]:
@@ -91,10 +88,9 @@ def grid_minimizer(
     w = as_weights(weights)
     grid = [k / (grid_size - 1) for k in range(grid_size)]
     # Per-trial weighted cost of placing that trial at each grid value.
-    table = [
-        [(w.v1 if lab is Label.TARGET else w.v2) * rule.cost(lab, g) for g in grid]
-        for lab in labels
-    ]
+    pairs = ((True, w.v1), (False, w.v2))
+    side = {target: (v * rule._costs(np.array(grid), target)).tolist() for target, v in pairs}
+    table = [side[flag] for flag in _target_flags(labels).tolist()]
     best: tuple[int, ...] | None = None
     best_obj = None
     for combo in itertools.combinations_with_replacement(range(grid_size), T):

@@ -31,6 +31,8 @@ import numpy as np
 
 from .types import Block, BlockSolution, Label, WeightPair, as_weights, expand, pooled_value
 
+Labels = Sequence[Label] | np.ndarray  # or a 1-D bool array of target flags
+
 # Vectorised prune passes run before the stack pass.  Each pass costs a
 # few array sweeps over the surviving segments; on score-sorted data the
 # first passes remove nearly every vertex and later ones find little.
@@ -120,8 +122,13 @@ def _pool_counts(
     return starts, ends, bm, bn, bvals
 
 
-def _target_flags(labels: Sequence[Label]) -> np.ndarray:
-    """Bool array, True where the label is Label.TARGET; TypeError on a non-Label."""
+def _target_flags(labels: Labels) -> np.ndarray:
+    """Bool array, True where the label is Label.TARGET; TypeError on a non-Label.
+    The one Label-to-flag conversion: a 1-D bool array is returned as it is."""
+    if isinstance(labels, np.ndarray) and labels.dtype == bool:
+        if labels.ndim != 1:
+            raise TypeError(f"target flags must be a 1-D array, got shape {labels.shape}")
+        return labels
     size = len(labels)
     flags = np.fromiter(map(operator.is_, labels, itertools.repeat(Label.TARGET)), bool, size)
     if operator.countOf(labels, Label.NONTARGET) != size - np.count_nonzero(flags):
@@ -130,11 +137,11 @@ def _target_flags(labels: Sequence[Label]) -> np.ndarray:
     return flags
 
 
-def pav_fit(labels: Sequence[Label], weights: WeightPair | tuple[float, float]) -> BlockSolution:
+def pav_fit(labels: Labels, weights: WeightPair | tuple[float, float]) -> BlockSolution:
     """Fit the monotone solution for a label sequence in score order.
 
     Args:
-        labels: nonempty sequence of Label values, ascending-score order.
+        labels: nonempty Labels (or bool target flags), ascending-score order.
         weights: per-class trial weights (v1 targets, v2 non-targets).
 
     Returns:
@@ -154,9 +161,7 @@ def pav_fit(labels: Sequence[Label], weights: WeightPair | tuple[float, float]) 
     return BlockSolution(blocks=blocks, weights=w, total=total)
 
 
-def pav_posteriors(
-    labels: Sequence[Label], weights: WeightPair | tuple[float, float]
-) -> list[float]:
+def pav_posteriors(labels: Labels, weights: WeightPair | tuple[float, float]) -> list[float]:
     """Per-trial fitted values of pav_fit, expanded."""
     return expand(pav_fit(labels, weights))
 

@@ -35,7 +35,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .pav import _target_flags
+from .pav import Labels, _target_flags
 from .types import Label, WeightPair, as_weights
 
 _INF = math.inf
@@ -257,7 +257,7 @@ def expected_cost(rule: ScoringRule, r: float, q: float) -> float:
 
 def objective(
     rule: ScoringRule,
-    labels: Sequence[Label],
+    labels: Labels,
     weights: WeightPair | tuple[float, float],
     p: Sequence[float] | np.ndarray,
 ) -> float:

@@ -5,8 +5,8 @@ reference: oracle-equivalence is criterion 1, optimality 2,
 prior-independence 4, performance 6 (with --perf only) and map-round-trip
 7.  tests/test_acceptance.py runs these functions at the release sizes
 and seeds; `pavcal selfcheck` runs them with fewer random instances and
-candidates.  Failures are collected and reported, not raised, so a run
-always prints one line per suite; a suite that raises has failed.
+candidates.  Both run each suite through run_suite, which reports a
+suite that raises as failed, so every suite always prints its line.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .llr import llr_calibrate, logit, weights_from_prior
 from .oracle import grid_minimizer, maxmin_oracle
 from .pav import _target_flags, pav_fit, pav_posteriors
 from .rules import Brier, CostAt, DiracMixture, Logarithmic, objective
-from .types import Label, Trial, WeightPair
+from .types import Label, WeightPair
 
 _T = Label.TARGET
 _N = Label.NONTARGET
@@ -135,11 +135,12 @@ def check_map_round_trip(seed: int) -> tuple[bool, str]:
     for mode in MODES:
         for policy in POLICIES:
             trials = [
-                Trial(round(rng.uniform(-4.0, 4.0), 2), _T if rng.random() < 0.5 else _N)
+                (round(rng.uniform(-4.0, 4.0), 2), _T if rng.random() < 0.5 else _N)
                 for _ in range(300)
             ]
-            trials += [Trial(5.0, _T), Trial(-5.0, _N)]  # both classes, one at each end
-            cmap = build_map(trials, (2.5, 0.7), mode=mode, policy=policy)
+            trials += [(5.0, _T), (-5.0, _N)]  # both classes, one at each end
+            scores, labels = zip(*trials)
+            cmap = build_map(scores, labels, (2.5, 0.7), mode=mode, policy=policy)
             back = CalibrationMap.from_text(cmap.to_text())
             if back != cmap:
                 return False, f"{mode}/{policy}: reparsed map differs"
@@ -171,6 +172,14 @@ def check_performance(seed: int) -> tuple[bool, str]:
     return ok, f"T=1e5 {t_small * 1e3:.0f}ms, T=1e6 {t_big * 1e3:.0f}ms, ratio {ratio:.1f}"
 
 
+def run_suite(fn: Callable[[], tuple[bool, str]]) -> tuple[bool, str]:
+    """fn's (ok, detail), or a failure naming the exception if fn raises."""
+    try:
+        return fn()
+    except Exception as exc:  # a crashed suite is a failed suite
+        return False, f"raised {type(exc).__name__}: {exc}"
+
+
 def run_selfcheck(
     max_len: int = 10,
     weight_pairs: Sequence[tuple[float, float]] = DEFAULT_WEIGHT_PAIRS,
@@ -178,9 +187,8 @@ def run_selfcheck(
     candidates: int = 100,
     seed: int = 20260819,
     perf: bool = False,
-    emit: Callable[[str], None] = print,
 ) -> bool:
-    """Run all suites, emit one line per suite, return overall pass."""
+    """Run all suites, print one line per suite, return overall pass."""
     suites: list[tuple[str, Callable[[], tuple[bool, str]]]] = [
         ("oracle-equivalence", lambda: check_oracle_equivalence(max_len, weight_pairs)),
         ("optimality", lambda: check_optimality(instances, candidates, seed)),
@@ -191,14 +199,11 @@ def run_selfcheck(
         suites.append(("performance", lambda: check_performance(seed + 3)))
     all_ok = True
     for name, fn in suites:
-        try:
-            ok, detail = fn()
-        except Exception as exc:  # a crashed suite is a failed suite
-            ok, detail = False, f"raised {type(exc).__name__}: {exc}"
+        ok, detail = run_suite(fn)
         all_ok = all_ok and ok
-        emit(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}")
-    emit(f"selfcheck: {'PASS' if all_ok else 'FAIL'}")
+        print(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}")
+    print(f"selfcheck: {'PASS' if all_ok else 'FAIL'}")
     return all_ok
 
 
-__all__ = ["run_selfcheck", "DEFAULT_WEIGHT_PAIRS", "STANDARD_RULES"]
+__all__ = ["run_selfcheck", "run_suite", "DEFAULT_WEIGHT_PAIRS", "STANDARD_RULES"]

@@ -28,21 +28,6 @@ _LABELS = {label.value: label for label in Label}
 
 
 @dataclass(frozen=True, slots=True)
-class Trial:
-    """One scored, labeled trial. The score must be finite."""
-
-    score: float
-    label: Label
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.label, Label):
-            raise TypeError(f"label must be a Label, got {self.label!r}")
-        object.__setattr__(self, "score", float(self.score))
-        if not math.isfinite(self.score):
-            raise ValueError(f"trial score must be finite, got {self.score!r}")
-
-
-@dataclass(frozen=True, slots=True)
 class WeightPair:
     """Positive per-trial weights: v1 for targets, v2 for non-targets."""
 

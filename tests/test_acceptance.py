@@ -5,8 +5,9 @@ line (run with `pytest -s` to see the lines as they happen).  These are
 intentionally heavier than the unit tests: exhaustive enumeration, large
 random sweeps, timing, and a full command-line round trip.  Criteria 1,
 2, 4, 6 and 7 are the suites of pavcal.selfcheck, run here at the release
-sizes and seeds; `pavcal selfcheck` runs the same functions at its own,
-smaller defaults.
+sizes and seeds, through the same run_suite, so a suite that raises
+prints a FAIL line naming the exception; `pavcal selfcheck` runs the same
+functions at its own, smaller defaults.
 """
 
 import math
@@ -37,6 +38,7 @@ from pavcal.selfcheck import (
     check_oracle_equivalence,
     check_performance,
     check_prior_independence,
+    run_suite,
 )
 
 T = Label.TARGET
@@ -55,7 +57,7 @@ def report(num, name, ok, detail):
 
 def test_criterion_1_oracle_equivalence_exhaustive():
     t0 = time.perf_counter()
-    ok, detail = check_oracle_equivalence(10, DEFAULT_WEIGHT_PAIRS)
+    ok, detail = run_suite(lambda: check_oracle_equivalence(10, DEFAULT_WEIGHT_PAIRS))
     took = time.perf_counter() - t0
     report(1, "oracle-equivalence", ok and took < 10.0, f"{detail}, {took:.1f}s")
 
@@ -101,7 +103,7 @@ def test_criterion_2_simultaneous_optimality():
             want = objective(rule, labels0, (2.5, 0.7), row.tolist())
             assert got == pytest.approx(want, rel=1e-12)
 
-    ok, detail = check_optimality(200, 1000, 1001)
+    ok, detail = run_suite(lambda: check_optimality(200, 1000, 1001))
     took = time.perf_counter() - t0
     report(2, "simultaneous-optimality", ok and took < 60.0, f"{detail}, {took:.1f}s")
 
@@ -134,7 +136,7 @@ def test_criterion_3_properness_and_quasiconvexity():
 
 
 def test_criterion_4_prior_independence():
-    ok, detail = check_prior_independence(100, 404)
+    ok, detail = run_suite(lambda: check_prior_independence(100, 404))
     report(4, "prior-independence", ok, detail)
 
 
@@ -158,12 +160,12 @@ def test_criterion_5_closed_forms_match_quadrature():
 
 
 def test_criterion_6_near_linear_runtime():
-    ok, detail = check_performance(66)
+    ok, detail = run_suite(lambda: check_performance(66))
     report(6, "near-linear-runtime", ok, detail)
 
 
 def test_criterion_7_map_round_trip_bit_exact():
-    ok, detail = check_map_round_trip(77)
+    ok, detail = run_suite(lambda: check_map_round_trip(77))
     report(7, "map-round-trip", ok, detail)
 
 

@@ -9,7 +9,6 @@ from hypothesis import given, strategies as st
 from pavcal import (
     CalibrationMap,
     Label,
-    Trial,
     apply_map,
     build_map,
     llr_calibrate,
@@ -21,19 +20,39 @@ T = Label.TARGET
 N = Label.NONTARGET
 
 
-def _trials(pairs):
-    return [Trial(s, lab) for s, lab in pairs]
+def _columns(pairs):
+    """The (score, label) pairs as a score column and a label column."""
+    scores, labels = zip(*pairs)
+    return list(scores), list(labels)
 
 
 class TestBuild:
+    def test_build_map_rejects_bad_columns(self):
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match=f"finite, got {bad!r}"):
+                build_map([0.0, bad], [T, N], (1.0, 1.0))
+        with pytest.raises(TypeError, match="label must be a Label, got 'target'"):
+            build_map([0.0, 1.0], [T, "target"], (1.0, 1.0))
+        with pytest.raises(ValueError, match="do not match"):
+            build_map([0.0, 1.0, 2.0], [T, N], (1.0, 1.0))
+        with pytest.raises(ValueError, match="do not match"):
+            build_map(np.zeros(2), np.array([True, False, True]), (1.0, 1.0))
+        with pytest.raises(ValueError, match="at least one trial"):
+            build_map([], [], (1.0, 1.0))
+
+    def test_build_map_accepts_int_scores(self):
+        got = build_map([-3, 2], [N, T], (1.0, 1.0))
+        assert got == build_map([-3.0, 2.0], [N, T], (1.0, 1.0))
+        assert repr(got.knots) == "((-3.0, 0.0), (2.0, 1.0))"
+
     def test_constant_map_from_one_pooled_block(self):
-        cmap = build_map(_trials([(0.0, T), (1.0, N)]), (1.0, 1.0))
+        cmap = build_map(*_columns([(0.0, T), (1.0, N)]), (1.0, 1.0))
         assert cmap.knots == ((0.0, 0.5), (1.0, 0.5))
         for s in (-10.0, 0.0, 0.3, 1.0, 99.0):
             assert apply_map(cmap, s) == 0.5
 
     def test_two_block_step_map(self):
-        cmap = build_map(_trials([(-1.0, N), (1.0, T)]), (1.0, 1.0), policy="step")
+        cmap = build_map(*_columns([(-1.0, N), (1.0, T)]), (1.0, 1.0), policy="step")
         assert cmap.knots == ((-1.0, 0.0), (1.0, 1.0))
         assert apply_map(cmap, 0.0) == 0.0
         assert apply_map(cmap, 0.999) == 0.0
@@ -42,7 +61,7 @@ class TestBuild:
         assert apply_map(cmap, 5.0) == 1.0
 
     def test_two_block_linear_map(self):
-        cmap = build_map(_trials([(-1.0, N), (1.0, T)]), (1.0, 1.0), policy="linear")
+        cmap = build_map(*_columns([(-1.0, N), (1.0, T)]), (1.0, 1.0), policy="linear")
         assert apply_map(cmap, 0.0) == 0.5
         assert apply_map(cmap, -1.0) == 0.0
         assert apply_map(cmap, 1.0) == 1.0
@@ -50,18 +69,18 @@ class TestBuild:
         assert apply_map(cmap, 5.0) == 1.0
 
     def test_exact_score_ties_are_pooled(self):
-        cmap = build_map(_trials([(0.0, T), (0.0, N)]), (1.0, 1.0))
+        cmap = build_map(*_columns([(0.0, T), (0.0, N)]), (1.0, 1.0))
         assert cmap.knots == ((0.0, 0.5),)
         assert apply_map(cmap, -1.0) == apply_map(cmap, 1.0) == 0.5
 
     def test_unsorted_input_is_sorted_first(self):
-        a = build_map(_trials([(3.0, T), (1.0, N), (2.0, N)]), (1.0, 1.0))
-        b = build_map(_trials([(1.0, N), (2.0, N), (3.0, T)]), (1.0, 1.0))
+        a = build_map(*_columns([(3.0, T), (1.0, N), (2.0, N)]), (1.0, 1.0))
+        b = build_map(*_columns([(1.0, N), (2.0, N), (3.0, T)]), (1.0, 1.0))
         assert a == b
 
     def test_llr_map_matches_llr_calibrate_on_training_scores(self):
         pairs = [(1.0, T), (2.0, N), (3.0, N), (4.0, T)]
-        cmap = build_map(_trials(pairs), (1.0, 1.0), mode="llr")
+        cmap = build_map(*_columns(pairs), (1.0, 1.0), mode="llr")
         want = llr_calibrate([lab for _, lab in pairs]).w
         for (s, _), expect in zip(pairs, want):
             assert apply_map(cmap, s) == pytest.approx(expect, abs=1e-12)
@@ -69,34 +88,34 @@ class TestBuild:
 
     def test_llr_mode_needs_both_classes(self):
         with pytest.raises(ValueError):
-            build_map(_trials([(0.0, T), (1.0, T)]), (1.0, 1.0), mode="llr")
+            build_map(*_columns([(0.0, T), (1.0, T)]), (1.0, 1.0), mode="llr")
 
     def test_empty_and_bad_arguments(self):
         with pytest.raises(ValueError):
-            build_map([], (1.0, 1.0))
+            build_map([], [], (1.0, 1.0))
         with pytest.raises(ValueError):
-            build_map(_trials([(0.0, T)]), (1.0, 1.0), mode="probability")
+            build_map(*_columns([(0.0, T)]), (1.0, 1.0), mode="probability")
         with pytest.raises(ValueError):
-            build_map(_trials([(0.0, T)]), (1.0, 1.0), policy="cubic")
+            build_map(*_columns([(0.0, T)]), (1.0, 1.0), policy="cubic")
 
 
 class TestApply:
     def test_rejects_non_finite_scores(self):
-        cmap = build_map(_trials([(0.0, T), (1.0, N)]), (1.0, 1.0))
+        cmap = build_map(*_columns([(0.0, T), (1.0, N)]), (1.0, 1.0))
         for bad in (math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError):
                 apply_map(cmap, bad)
 
     def test_step_is_right_continuous_at_knots(self):
         cmap = build_map(
-            _trials([(0.0, N), (1.0, N), (2.0, T), (3.0, T)]), (1.0, 1.0), policy="step"
+            *_columns([(0.0, N), (1.0, N), (2.0, T), (3.0, T)]), (1.0, 1.0), policy="step"
         )
         assert cmap.knots == ((0.0, 0.0), (1.0, 0.0), (2.0, 1.0), (3.0, 1.0))
         assert apply_map(cmap, 2.0) == 1.0
         assert apply_map(cmap, 1.9999999) == 0.0
 
     def test_linear_ramp_between_infinite_knots_degenerates_to_step(self):
-        cmap = build_map(_trials([(0.0, N), (1.0, T)]), (1.0, 1.0), mode="llr", policy="linear")
+        cmap = build_map(*_columns([(0.0, N), (1.0, T)]), (1.0, 1.0), mode="llr", policy="linear")
         assert cmap.knots == ((0.0, -math.inf), (1.0, math.inf))
         assert apply_map(cmap, 0.5) == -math.inf
         assert apply_map(cmap, 1.0) == math.inf
@@ -109,11 +128,11 @@ class TestApply:
     def test_apply_is_monotone_in_the_score(self, seed, policy, mode):
         rng = random.Random(seed)
         trials = [
-            Trial(round(rng.uniform(-2, 2), 1), T if rng.random() < 0.5 else N)
+            (round(rng.uniform(-2, 2), 1), T if rng.random() < 0.5 else N)
             for _ in range(40)
         ]
-        trials += [Trial(0.5, T), Trial(-0.5, N)]
-        cmap = build_map(trials, (1.0, 1.0), mode=mode, policy=policy)
+        trials += [(0.5, T), (-0.5, N)]
+        cmap = build_map(*_columns(trials), (1.0, 1.0), mode=mode, policy=policy)
         probes = sorted(rng.uniform(-3, 3) for _ in range(60))
         values = [apply_map(cmap, s) for s in probes]
         for a, b in zip(values, values[1:]):
@@ -125,28 +144,28 @@ class TestApply:
         # that trial's fitted value under either policy.
         rng = random.Random(seed)
         scores = sorted({round(rng.uniform(-5, 5), 6) for _ in range(50)})
-        trials = [Trial(s, T if rng.random() < 0.5 else N) for s in scores]
+        labels = [T if rng.random() < 0.5 else N for _ in scores]
         wpair = (math.exp(rng.uniform(-1, 1)), 1.0)
-        cmap = build_map(trials, wpair, policy=policy)
-        fitted = pav_posteriors([t.label for t in trials], wpair)
-        for t, want in zip(trials, fitted):
-            assert apply_map(cmap, t.score) == want
+        cmap = build_map(scores, labels, wpair, policy=policy)
+        fitted = pav_posteriors(labels, wpair)
+        for s, want in zip(scores, fitted):
+            assert apply_map(cmap, s) == want
 
 
 class TestSerialization:
     def test_text_format_is_stable(self):
-        cmap = build_map(_trials([(-1.0, N), (1.0, T)]), (1.0, 1.0))
+        cmap = build_map(*_columns([(-1.0, N), (1.0, T)]), (1.0, 1.0))
         assert cmap.to_text() == "pavcal-map v1 posterior step\n-1.0\t0.0\n1.0\t1.0\n"
 
     def test_round_trip_is_bit_exact(self):
         rng = random.Random(3)
-        trials = [
-            Trial(rng.uniform(-1e3, 1e3) * 10 ** rng.randint(-12, 3), T if rng.random() < 0.5 else N)
+        scores, labels = _columns(
+            (rng.uniform(-1e3, 1e3) * 10 ** rng.randint(-12, 3), T if rng.random() < 0.5 else N)
             for _ in range(120)
-        ]
+        )
         for mode in ("posterior", "llr"):
             for policy in ("step", "linear"):
-                cmap = build_map(trials, (2.5, 0.7), mode=mode, policy=policy)
+                cmap = build_map(scores, labels, (2.5, 0.7), mode=mode, policy=policy)
                 back = CalibrationMap.from_text(cmap.to_text())
                 assert back == cmap
                 for _ in range(200):
@@ -154,7 +173,7 @@ class TestSerialization:
                     assert apply_map(back, s) == apply_map(cmap, s)
 
     def test_infinite_values_serialize_in_llr_mode(self):
-        cmap = build_map(_trials([(0.0, N), (1.0, T)]), (1.0, 1.0), mode="llr")
+        cmap = build_map(*_columns([(0.0, N), (1.0, T)]), (1.0, 1.0), mode="llr")
         text = cmap.to_text()
         assert "-inf" in text and "inf" in text
         assert CalibrationMap.from_text(text) == cmap
@@ -180,7 +199,7 @@ class TestSerialization:
             CalibrationMap.from_text(text)
 
     def test_save_and_load(self, tmp_path):
-        cmap = build_map(_trials([(-1.0, N), (1.0, T)]), (1.0, 1.0), policy="linear")
+        cmap = build_map(*_columns([(-1.0, N), (1.0, T)]), (1.0, 1.0), policy="linear")
         path = tmp_path / "cal.map"
         cmap.save(str(path))
         assert CalibrationMap.load(str(path)) == cmap

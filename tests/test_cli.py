@@ -8,7 +8,6 @@ import pytest
 from pavcal import (
     CalibrationMap,
     Label,
-    Trial,
     apply_map,
     build_map,
     llr_calibrate,
@@ -369,11 +368,11 @@ def test_evaluate_reference_equals_the_step_map_on_each_row(tmp_path, capsys, fl
     src = _write_rows(tmp_path / "ev.csv", rows)
     code, out, _ = run(capsys, "evaluate", src, *flags, *_rule_args())
     assert code == 0
-    trials = [Trial(s, lab) for s, lab in rows]
+    scores = [s for s, _ in rows]
     labels = [lab for _, lab in rows]
     weights = _weights_for(flags, labels)
-    cmap = build_map(trials, weights, "posterior", "step")
-    ref = [apply_map(cmap, t.score) for t in trials]
+    cmap = build_map(scores, labels, weights, "posterior", "step")
+    ref = [apply_map(cmap, s) for s in scores]
     want = [f"rule={name} reference={objective(parse_rule(name), labels, weights, ref)!r}"
             for name in RULE_NAMES]
     assert out.splitlines() == want

@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -14,6 +15,7 @@ from pavcal import (
     sigmoid,
     weights_from_prior,
 )
+from pavcal.llr import _posteriors
 
 T = Label.TARGET
 N = Label.NONTARGET
@@ -94,6 +96,38 @@ def test_posterior_from_llr():
     assert posterior_from_llr(math.log(3), -math.log(3)) == pytest.approx(0.5, abs=1e-15)
     assert posterior_from_llr(-math.inf, 2.0) == 0.0
     assert posterior_from_llr(math.inf, -2.0) == 1.0
+
+
+def _reference_sigmoid(w):
+    """The scalar sigmoid that the array path replaced, kept as the reference."""
+    if w >= 0.0:
+        return 1.0 / (1.0 + math.exp(-w))
+    e = math.exp(w)
+    return e / (1.0 + e)
+
+
+_EDGES = [math.inf, 0.0, 5e-324, 709.0, 745.0, 746.0, 1e308]
+EDGE_LLRS = _EDGES + [-x for x in _EDGES] + [math.nan]
+REF_PRIORS = (0.0, -2.0, 1.3, -1e-3)
+
+
+@pytest.mark.parametrize("prior", REF_PRIORS)
+@given(extra=st.lists(st.floats(), max_size=40))
+def test_posteriors_match_the_scalar_reference_bit_for_bit(prior, extra):
+    w = EDGE_LLRS + extra
+    want = [repr(_reference_sigmoid(x + prior)) for x in w]
+    assert list(map(repr, _posteriors(np.array(w), prior).tolist())) == want
+    assert [repr(posterior_from_llr(x, prior)) for x in w] == want
+    assert [repr(sigmoid(x + prior)) for x in w] == want
+
+
+@pytest.mark.parametrize("prior", REF_PRIORS)
+def test_posteriors_match_the_scalar_reference_on_a_seeded_sweep(prior):
+    # Enough values that a last-bit difference (np.exp against math.exp,
+    # say) shows up on some of them.
+    w = np.random.default_rng(6).normal(scale=10.0, size=20_000)
+    want = [repr(_reference_sigmoid(x + prior)) for x in w.tolist()]
+    assert list(map(repr, _posteriors(w, prior).tolist())) == want
 
 
 @given(labels=st.lists(st.sampled_from([T, N]), min_size=2, max_size=60))

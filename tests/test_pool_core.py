@@ -14,7 +14,7 @@ import math
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from pavcal import Label, Trial, build_map, maxmin_oracle, pav_fit, pav_posteriors, pooled_value
+from pavcal import Label, build_map, maxmin_oracle, pav_fit, pav_posteriors, pooled_value
 from pavcal.calmap import _TiePool
 from pavcal.pav import _pool_counts
 
@@ -113,38 +113,38 @@ def test_blocks_carry_exact_counts_and_values(labels, weights):
         assert blk.value == pooled_value(blk.m, blk.n, v1, v2)
 
 
-def _reference_tie_pool(trials):
+def _reference_tie_pool(scores, labels):
     """Score-sorted items of the trials, pooling equal scores, in plain Python."""
-    scores, ms, ns = [], [], []
-    for t in sorted(trials, key=lambda t: t.score):
-        if scores and t.score == scores[-1]:
-            if t.label is T:
+    items, ms, ns = [], [], []
+    for score, label in sorted(zip(scores, labels), key=lambda t: t[0]):
+        if items and score == items[-1]:
+            if label is T:
                 ms[-1] += 1
             else:
                 ns[-1] += 1
         else:
-            scores.append(t.score)
-            ms.append(1 if t.label is T else 0)
-            ns.append(0 if t.label is T else 1)
-    return scores, ms, ns
+            items.append(score)
+            ms.append(1 if label is T else 0)
+            ns.append(0 if label is T else 1)
+    return items, ms, ns
 
 
+# Score and label columns of equal length.
 tied_trials = st.lists(
-    st.builds(
-        Trial,
+    st.tuples(
         st.sampled_from([-0.0, 0.0, -1.5, 1.5, 2.0, -1e-300, 1e-300, 7.25]),
         st.sampled_from([T, N]),
     ),
     min_size=1,
     max_size=60,
-)
+).map(lambda pairs: tuple(map(list, zip(*pairs))))
 
 
 @given(trials=tied_trials)
 def test_tie_pool_matches_sorted_reference(trials):
-    pool = _TiePool(np.array([t.score for t in trials]), np.array([t.label is T for t in trials]))
+    pool = _TiePool(np.array(trials[0]), np.array([lab is T for lab in trials[1]]))
     scores, ms, ns = pool.scores, pool.ms, pool.ns
-    want_scores, want_ms, want_ns = _reference_tie_pool(trials)
+    want_scores, want_ms, want_ns = _reference_tie_pool(*trials)
     # repr tells -0.0 from 0.0: the item keeps the first such score in input order.
     assert [repr(s) for s in scores.tolist()] == [repr(s) for s in want_scores]
     assert ms.tolist() == want_ms
@@ -153,12 +153,12 @@ def test_tie_pool_matches_sorted_reference(trials):
 
 @given(trials=tied_trials, weights=weight_pairs, policy=st.sampled_from(["step", "linear"]))
 def test_build_map_knots_match_sorted_reference(trials, weights, policy):
-    scores, ms, ns = _reference_tie_pool(trials)
+    scores, ms, ns = _reference_tie_pool(*trials)
     starts, ends, _, _, vals = _pool_counts(ms, ns, *weights)
     want = []
     for s, e, v in zip(starts, ends, vals):
         want.append((scores[s], v))
         if e > s:
             want.append((scores[e], v))
-    cmap = build_map(trials, weights, policy=policy)
+    cmap = build_map(*trials, weights, policy=policy)
     assert repr(cmap.knots) == repr(tuple(want))

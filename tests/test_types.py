@@ -3,7 +3,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from pavcal import Block, BlockSolution, Label, Trial, WeightPair, expand, pav_fit, pooled_value
+from pavcal import Block, BlockSolution, Label, WeightPair, expand, pav_fit, pooled_value
 
 T = Label.TARGET
 N = Label.NONTARGET
@@ -17,16 +17,6 @@ def test_label_parse():
     assert Label.parse(" NonTarget ") is N
     with pytest.raises(ValueError):
         Label.parse("bogus")
-
-
-def test_trial_rejects_non_finite_scores():
-    Trial(0.5, T)
-    Trial(-3, N)  # ints are fine, coerced
-    for bad in (math.nan, math.inf, -math.inf):
-        with pytest.raises(ValueError):
-            Trial(bad, T)
-    with pytest.raises(TypeError):
-        Trial(0.0, "target")
 
 
 def test_weight_pair_must_be_positive_finite():
