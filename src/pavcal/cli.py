@@ -14,7 +14,7 @@ import math
 import re
 import sys
 from dataclasses import dataclass
-from typing import Sequence, TextIO
+from typing import Iterable, Sequence, TextIO
 
 import numpy as np
 
@@ -62,13 +62,12 @@ def _is_number(text: str) -> bool:
 class _Rows:
     """A CSV file's data rows by column; target flags and values only if asked for."""
 
-    linenos: list[int]
     scores: np.ndarray
     flags: np.ndarray | None
     values: np.ndarray | None
 
     def __len__(self) -> int:
-        return len(self.linenos)
+        return self.scores.size
 
 
 def _floats(texts: list[str], linenos: list[int], what: str, infinite_ok=False) -> np.ndarray:
@@ -99,22 +98,148 @@ def _flags(texts: list[str], linenos: list[int]) -> np.ndarray:
 
 
 def _read_csv(
-    path: str, labeled: bool = False, calibrated: str | None = None, infinite_ok: bool = False
+    path: str, labeled: bool = False, calibrated: str | None = None, llrs: bool = False
 ) -> tuple[dict[str, int] | None, _Rows]:
-    """The header and the data rows of a CSV file.  The first row is a header
-    when its first field is not numeric; names match case-insensitively.
-    Without one, the columns are score, label, calibrated.  infinite_ok
-    allows +/-inf in the calibrated column only."""
-    header, rows, linenos = None, [], []
+    """The header and the data rows of a CSV file (see _columns for the
+    header).  The calibrated column holds probabilities in [0, 1], or with
+    llrs any LLR but NaN.
+
+    A plain file is read in one np.loadtxt pass; any other file, and any
+    file with a fault, is read line by line, which names the line of the
+    first fault it finds."""
+    names = ["score", "label"] if labeled else ["score"]
+    if calibrated:
+        names.append(calibrated.lower())
+    return _bulk_read(path, names, llrs) or _read_lines(path, names, llrs)
+
+
+def _columns(fields: list[str], names: list[str]) -> tuple[dict[str, int] | None, list[int]]:
+    """The header and the index of each named column, given the fields of a
+    file's first non-blank row.  The row is a header when its first field
+    is not numeric, and names match it case-insensitively; without one the
+    columns are score, label, calibrated.  A name the header lacks is -1."""
+    if _is_number(fields[0].strip()):
+        return None, list(range(len(names)))
+    header = {name.strip().lower(): i for i, name in enumerate(fields)}
+    return header, [header.get(n, -1) for n in names]
+
+
+# Fields of the one structured loadtxt row, in the order of _read_csv's names.
+# A label is read one byte wider than the longest label, so a longer field,
+# which loadtxt cuts to that width, can never compare equal to a label.
+_BULK_FIELDS = [("score", "f8"), ("label", "S10"), ("calibrated", "f8")]
+_NONBLANK = re.compile(rb"\S")
+
+
+def _bulk_read(
+    path: str, names: list[str], llrs: bool
+) -> tuple[dict[str, int] | None, _Rows] | None:
+    """_read_csv's result for a plain file, or None for any file the csv
+    reader might read otherwise or reject: one with a quote, a NUL byte, a
+    bare CR, a line longer than a csv field may be, a first line that is
+    blank, or no data rows after the header; and any file loadtxt cannot
+    read or whose values are not all plain, exact and in range.
+
+    The first and the last data line are read on their own before the whole
+    file, so that a file whose every line is unusual (capitalised labels,
+    say) or whose last line is cut short is turned down at once."""
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError:
+        return None
+    if (
+        b'"' in data
+        or b"\0" in data
+        or b"\r" in data and data.count(b"\r") != data.count(b"\r\n")  # a bare CR
+        or not _lines_within(data, csv.field_size_limit())
+    ):
+        return None
+    first = _line(data, 0)
+    start = len(first) + 1  # of the line after the first
+    last = data[data.rfind(b"\n", 0, len(data) - 1) + 1 :]
+    try:
+        fields = first.decode("utf-8-sig").removesuffix("\r").split(",")
+    except UnicodeDecodeError:
+        return None
+    if not any(map(str.strip, fields)):
+        return None
+    header, cols = _columns(fields, names)
+    if -1 in cols or header is not None and not _NONBLANK.search(data, start):
+        return None
+    edges = (first if header is None else _line(data, start), last)
+    del data
+    texts = (line.decode("utf-8-sig", "replace") for line in edges)
+    probe = [text for text in texts if text.strip()]
+    if probe and _plain_rows(probe, names, cols, 0, llrs) is None:
+        return None
+    try:
+        with open(path, "r", encoding="utf-8-sig") as fh:
+            rows = _plain_rows(fh, names, cols, 0 if header is None else 1, llrs)
+    except OSError:
+        return None
+    return None if rows is None else (header, rows)
+
+
+def _plain_rows(
+    lines: Iterable[str], names: list[str], cols: list[int], skiprows: int, llrs: bool
+) -> _Rows | None:
+    """The named columns of text lines, read by one np.loadtxt call, or None
+    when loadtxt cannot read them or a value is not plain, exact and in range."""
+    try:
+        table = np.loadtxt(
+            lines, np.dtype(_BULK_FIELDS[: len(names)]), comments=None, delimiter=",",
+            skiprows=skiprows, usecols=cols, ndmin=1, quotechar=None,
+        )
+    except ValueError:
+        return None
+    scores = np.ascontiguousarray(table["score"])
+    if not np.isfinite(scores).all():
+        return None
+    flags = values = None
+    if len(names) > 1:
+        labels = table["label"]
+        flags = labels == b"target"
+        if not (flags | (labels == b"nontarget")).all():
+            return None
+    if len(names) > 2:
+        values = np.ascontiguousarray(table["calibrated"])
+        if not (~np.isnan(values) if llrs else (values >= 0.0) & (values <= 1.0)).all():
+            return None
+    return _Rows(scores, flags, values)
+
+
+def _line(data: bytes, start: int) -> bytes:
+    """The line of data that begins at start, without its newline."""
+    end = data.find(b"\n", start)
+    return data[start : len(data) if end < 0 else end]
+
+
+def _lines_within(data: bytes, limit: int) -> bool:
+    """Whether no line of data is longer than limit bytes."""
+    start = 0
+    while len(data) - start > limit:
+        end = data.rfind(b"\n", start, start + limit + 1)
+        if end < 0:
+            return False
+        start = end + 1
+    return True
+
+
+def _read_lines(path: str, names: list[str], llrs: bool) -> tuple[dict[str, int] | None, _Rows]:
+    """_read_csv's result by the csv module, line by line; DataError names
+    the line of the first fault found, checking column by column."""
+    header, cols, rows, linenos = None, None, [], []
     try:
         with open(path, "r", encoding="utf-8-sig", newline="") as fh:
             reader = csv.reader(fh)
             for row in reader:
                 if not any(map(str.strip, row)):
                     continue
-                if not rows and header is None and not _is_number(row[0].strip()):
-                    header = {name.strip().lower(): i for i, name in enumerate(row)}
-                    continue
+                if cols is None:
+                    header, cols = _columns(row, names)
+                    if header is not None:
+                        continue
                 rows.append(row)
                 linenos.append(reader.line_num)
     except OSError as exc:
@@ -132,23 +257,25 @@ def _read_csv(
     if not rows:
         raise DataError(f"{path}: no data rows")
 
-    names = ["score", "label"] if labeled else ["score"]
-    if calibrated:
-        names.append(calibrated.lower())
-    cols = list(range(len(names))) if header is None else [header.get(n, -1) for n in names]
     if -1 in cols:
         raise DataError(f"{path}: missing column {names[cols.index(-1)]!r}")
     need = max(cols)
     if min(map(len, rows)) <= need:
         i = next(i for i, row in enumerate(rows) if len(row) <= need)
-        what = f"expected at least {need + 1} fields" if labeled else "missing score field"
+        what = f"expected at least {need + 1} fields" if len(names) > 1 else "missing score field"
         raise DataError(f"line {linenos[i]}: {what}")
     texts = [[row[col] for row in rows] for col in cols]
     del rows
     scores = _floats(texts[0], linenos, "score")
-    flags = _flags(texts[1], linenos) if labeled else None
-    values = _floats(texts[2], linenos, "calibrated value", infinite_ok) if calibrated else None
-    return header, _Rows(linenos, scores, flags, values)
+    flags = _flags(texts[1], linenos) if len(names) > 1 else None
+    values = None
+    if len(names) > 2:
+        values = _floats(texts[2], linenos, "calibrated value", infinite_ok=llrs)
+        i = int(np.argmax((values < 0.0) | (values > 1.0)))  # first outside, if any
+        if not (llrs or 0.0 <= values[i] <= 1.0):
+            value = values[i].item()
+            raise DataError(f"line {linenos[i]}: calibrated value {value!r} outside [0, 1]")
+    return header, _Rows(scores, flags, values)
 
 
 def _open_out(path: str | None) -> TextIO:
@@ -158,6 +285,22 @@ def _open_out(path: str | None) -> TextIO:
         return open(path, "w", encoding="utf-8", newline="\n")
     except OSError as exc:
         raise DataError(f"cannot write {path}: {exc}")
+
+
+# Rows per chunk the apply writer formats at a time: enough to spend its time
+# in repr, few enough that no full-length list or string is ever built.
+_WRITE_ROWS = 4096
+
+
+def _write_columns(out: TextIO, columns: dict[str, np.ndarray]) -> None:
+    """A header line of the column names, then one line per row with each
+    value as repr writes it."""
+    out.write(",".join(columns) + "\n")
+    line = ",".join(["{!r}"] * len(columns)) + "\n"
+    size = len(next(iter(columns.values())))
+    for start in range(0, size, _WRITE_ROWS):
+        chunk = [c[start : start + _WRITE_ROWS].tolist() for c in columns.values()]
+        out.write("".join(map(line.format, *chunk)))
 
 
 def _rules_of(args: argparse.Namespace) -> list[ScoringRule]:
@@ -206,21 +349,15 @@ def cmd_apply(args: argparse.Namespace) -> int:
         raise UsageError("--clamp-llr must be positive")
     scores = _read_csv(args.input)[1].scores
     calibrated = _apply(cmap, scores)
-    posteriors: list[float] | None = None
+    columns = {"score": scores, "calibrated": calibrated}
     if cmap.mode == "llr" and args.prior_logodds is not None:
-        posteriors = _posteriors(calibrated, args.prior_logodds).tolist()
+        columns["posterior"] = _posteriors(calibrated, args.prior_logodds)
     if args.clamp_llr is not None:
-        calibrated = np.clip(calibrated, -args.clamp_llr, args.clamp_llr)
+        columns["calibrated"] = np.clip(calibrated, -args.clamp_llr, args.clamp_llr)
 
     out = _open_out(args.out)
     try:
-        if posteriors is None:
-            out.write("score,calibrated\n")
-            out.writelines(f"{s!r},{c!r}\n" for s, c in zip(scores.tolist(), calibrated.tolist()))
-        else:
-            out.write("score,calibrated,posterior\n")
-            rows = zip(scores.tolist(), calibrated.tolist(), posteriors)
-            out.writelines(f"{s!r},{c!r},{p!r}\n" for s, c, p in rows)
+        _write_columns(out, columns)
     finally:
         if out is not sys.stdout:
             out.close()
@@ -229,7 +366,7 @@ def cmd_apply(args: argparse.Namespace) -> int:
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     _, rows = _read_csv(
-        args.input, labeled=True, calibrated=args.calibrated, infinite_ok=args.mode == "llr"
+        args.input, labeled=True, calibrated=args.calibrated, llrs=args.mode == "llr"
     )
     pool = _TiePool(rows.scores, rows.flags)
     values = rows.values
@@ -243,12 +380,6 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             values = _posteriors(values, pi)
     else:
         weights = _fit_weights(args, pool)
-        if values is not None:
-            i = int(np.argmax((values < 0.0) | (values > 1.0)))  # first outside, if any
-            if not 0.0 <= values[i] <= 1.0:
-                raise DataError(
-                    f"line {rows.linenos[i]}: calibrated value {values[i].item()!r} outside [0, 1]"
-                )
 
     ref_vals = pool.fit(weights, "posterior", "step")[1]
     for rule in _rules_of(args):
