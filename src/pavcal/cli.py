@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import math
 import re
 import sys
 from dataclasses import dataclass
-from typing import Iterable, Sequence, TextIO
+from typing import Callable, Sequence, TextIO
 
 import numpy as np
 
@@ -70,33 +71,6 @@ class _Rows:
         return self.scores.size
 
 
-def _floats(texts: list[str], linenos: list[int], what: str, infinite_ok=False) -> np.ndarray:
-    """The texts as float64; NaN is an error, and so is inf unless infinite_ok."""
-    try:
-        values = np.fromiter(map(float, texts), float, len(texts))
-    except ValueError:
-        i = next(i for i, text in enumerate(texts) if not _is_number(text))
-        raise DataError(f"line {linenos[i]}: {what} {texts[i].strip()!r} is not a number")
-    i = int(np.argmax(np.isnan(values) if infinite_ok else ~np.isfinite(values)))  # first bad
-    if math.isnan(values[i]):
-        raise DataError(f"line {linenos[i]}: {what} must not be NaN")
-    if math.isinf(values[i]) and not infinite_ok:
-        raise DataError(f"line {linenos[i]}: {what} must be finite, got {texts[i].strip()!r}")
-    return values
-
-
-def _flags(texts: list[str], linenos: list[int]) -> np.ndarray:
-    try:
-        return _target_flags(list(map(Label.parse, texts)))
-    except ValueError:
-        for lineno, text in zip(linenos, texts):
-            try:
-                Label.parse(text.strip())
-            except ValueError as exc:
-                raise DataError(f"line {lineno}: {exc}")
-        raise
-
-
 def _read_csv(
     path: str, labeled: bool = False, calibrated: str | None = None, llrs: bool = False
 ) -> tuple[dict[str, int] | None, _Rows]:
@@ -104,13 +78,25 @@ def _read_csv(
     header).  The calibrated column holds probabilities in [0, 1], or with
     llrs any LLR but NaN.
 
-    A plain file is read in one np.loadtxt pass; any other file, and any
-    file with a fault, is read line by line, which names the line of the
-    first fault it finds."""
+    A plain file is split into columns by one np.loadtxt pass, any other
+    file by the csv module.  The same checks then run on either split,
+    column by column, and DataError names the line of the first fault found
+    in the first faulty column."""
     names = ["score", "label"] if labeled else ["score"]
     if calibrated:
         names.append(calibrated.lower())
-    return _bulk_read(path, names, llrs) or _read_lines(path, names, llrs)
+    header, columns, field = _bulk_read(path, names) or _read_lines(path, names)
+    scores = _numbers(columns, 0, field, "score")
+    flags = _target_column(columns[1], field) if len(names) > 1 else None
+    values = None
+    if len(names) > 2:
+        values = _numbers(columns, 2, field, "calibrated value", infinite_ok=llrs)
+        outside = (values < 0.0) | (values > 1.0)
+        i = int(np.argmax(outside))  # the first outside, if any
+        if outside[i] and not llrs:
+            lineno, _ = field(i, 2)
+            raise DataError(f"line {lineno}: calibrated value {values[i].item()!r} outside [0, 1]")
+    return header, _Rows(scores, flags, values)
 
 
 def _columns(fields: list[str], names: list[str]) -> tuple[dict[str, int] | None, list[int]]:
@@ -124,95 +110,114 @@ def _columns(fields: list[str], names: list[str]) -> tuple[dict[str, int] | None
     return header, [header.get(n, -1) for n in names]
 
 
-# Fields of the one structured loadtxt row, in the order of _read_csv's names.
-# A label is read one byte wider than the longest label, so a longer field,
-# which loadtxt cuts to that width, can never compare equal to a label.
+# field(i, k): the line number and the text of data row i's field in column k.
+Field = Callable[[int, int], tuple[int, str]]
+
+
+def _numbers(columns: list, k: int, field: Field, what: str, infinite_ok=False) -> np.ndarray:
+    """Column k as float64: every field a number, none NaN, and none
+    infinite unless infinite_ok."""
+    values = columns[k]
+    if isinstance(values, list):  # texts from the csv module
+        try:
+            values = np.fromiter(map(float, values), float, len(values))
+        except ValueError:
+            lineno, text = field(next(i for i, t in enumerate(values) if not _is_number(t)), k)
+            raise DataError(f"line {lineno}: {what} {text.strip()!r} is not a number")
+    bad = np.isnan(values) if infinite_ok else ~np.isfinite(values)
+    i = int(np.argmax(bad))  # the first bad value, if any
+    if bad[i]:
+        lineno, text = field(i, k)
+        if math.isnan(values[i]):
+            raise DataError(f"line {lineno}: {what} must not be NaN")
+        raise DataError(f"line {lineno}: {what} must be finite, got {text.strip()!r}")
+    return values
+
+
+def _target_column(labels: list[str] | np.ndarray, field: Field) -> np.ndarray:
+    """The target flags of a label column: texts from the csv module, each
+    parsed, or bytes from loadtxt, of which only those not spelled exactly
+    are parsed."""
+    flags, rows = np.empty(len(labels), bool), slice(None)
+    if isinstance(labels, np.ndarray):
+        flags = labels == b"target"
+        rows = np.flatnonzero(~flags & (labels != b"nontarget"))
+        labels = [label.decode("latin-1") for label in labels[rows].tolist()]
+    try:
+        flags[rows] = _target_flags(list(map(Label.parse, labels)))
+    except ValueError:
+        for i, text in zip(np.arange(flags.size)[rows], labels):  # the row of each label
+            try:
+                Label.parse(text.strip())
+            except ValueError as exc:
+                raise DataError(f"line {field(int(i), 1)[0]}: {exc}")
+        raise
+    return flags
+
+
+# The fields of loadtxt's structured row, in the order of _read_csv's names;
+# loadtxt cuts a longer label to its field, so one that fills it may be cut.
 _BULK_FIELDS = [("score", "f8"), ("label", "S10"), ("calibrated", "f8")]
 _NONBLANK = re.compile(rb"\S")
 
 
-def _bulk_read(
-    path: str, names: list[str], llrs: bool
-) -> tuple[dict[str, int] | None, _Rows] | None:
-    """_read_csv's result for a plain file, or None for any file the csv
-    reader might read otherwise or reject: one with a quote, a NUL byte, a
-    bare CR, a line longer than a csv field may be, a first line that is
-    blank, or no data rows after the header; and any file loadtxt cannot
-    read or whose values are not all plain, exact and in range.
-
-    The first and the last data line are read on their own before the whole
-    file, so that a file whose every line is unusual (capitalised labels,
-    say) or whose last line is cut short is turned down at once."""
+def _bulk_read(path: str, names: list[str]) -> tuple[dict[str, int] | None, list, Field] | None:
+    """_read_csv's split of a plain file by one np.loadtxt call: the header,
+    the named columns as float64 and S10 arrays, and the field locator.
+    None for a file it cannot split: one with a quote, a NUL or \\x1c-\\x1f
+    byte, a bare CR, a line longer than a csv field may be, a blank first
+    line, a missing column or no data rows; one loadtxt cannot read; and
+    one with a label that is not spelled exactly and fills its field."""
     try:
         with open(path, "rb") as fh:
             data = fh.read()
     except OSError:
         return None
     if (
-        b'"' in data
-        or b"\0" in data
+        # A quote, a NUL, or a separator byte that loadtxt strips from a
+        # number as a blank and float does not.
+        any(byte in data for byte in b'"\0\x1c\x1d\x1e\x1f')
         or b"\r" in data and data.count(b"\r") != data.count(b"\r\n")  # a bare CR
         or not _lines_within(data, csv.field_size_limit())
     ):
         return None
-    first = _line(data, 0)
-    start = len(first) + 1  # of the line after the first
-    last = data[data.rfind(b"\n", 0, len(data) - 1) + 1 :]
-    try:
-        fields = first.decode("utf-8-sig").removesuffix("\r").split(",")
-    except UnicodeDecodeError:
-        return None
-    if not any(map(str.strip, fields)):
-        return None
+    end = data.find(b"\n")
+    first = data if end < 0 else data[:end]
+    # A blank first line has no named column, and loadtxt turns down bytes
+    # that are not UTF-8.
+    fields = first.decode("utf-8-sig", "replace").removesuffix("\r").split(",")
     header, cols = _columns(fields, names)
-    if -1 in cols or header is not None and not _NONBLANK.search(data, start):
+    skip = 0 if header is None else 1
+    if -1 in cols or skip and not _NONBLANK.search(data, len(first) + 1):
         return None
-    edges = (first if header is None else _line(data, start), last)
     del data
-    texts = (line.decode("utf-8-sig", "replace") for line in edges)
-    probe = [text for text in texts if text.strip()]
-    if probe and _plain_rows(probe, names, cols, 0, llrs) is None:
-        return None
     try:
         with open(path, "r", encoding="utf-8-sig") as fh:
-            rows = _plain_rows(fh, names, cols, 0 if header is None else 1, llrs)
-    except OSError:
+            table = np.loadtxt(
+                fh, np.dtype(_BULK_FIELDS[: len(names)]), comments=None, delimiter=",",
+                skiprows=skip, usecols=cols, ndmin=1, quotechar=None,
+            )
+    except (OSError, ValueError):
         return None
-    return None if rows is None else (header, rows)
-
-
-def _plain_rows(
-    lines: Iterable[str], names: list[str], cols: list[int], skiprows: int, llrs: bool
-) -> _Rows | None:
-    """The named columns of text lines, read by one np.loadtxt call, or None
-    when loadtxt cannot read them or a value is not plain, exact and in range."""
-    try:
-        table = np.loadtxt(
-            lines, np.dtype(_BULK_FIELDS[: len(names)]), comments=None, delimiter=",",
-            skiprows=skiprows, usecols=cols, ndmin=1, quotechar=None,
-        )
-    except ValueError:
-        return None
-    scores = np.ascontiguousarray(table["score"])
-    if not np.isfinite(scores).all():
-        return None
-    flags = values = None
+    columns = [np.ascontiguousarray(table["score"])]
     if len(names) > 1:
         labels = table["label"]
-        flags = labels == b"target"
-        if not (flags | (labels == b"nontarget")).all():
-            return None
+        unspelled = labels[(labels != b"target") & (labels != b"nontarget")]
+        if (np.char.str_len(unspelled) == labels.itemsize).any():
+            return None  # a label that loadtxt may have cut
+        columns.append(labels)
     if len(names) > 2:
-        values = np.ascontiguousarray(table["calibrated"])
-        if not (~np.isnan(values) if llrs else (values >= 0.0) & (values <= 1.0)).all():
-            return None
-    return _Rows(scores, flags, values)
+        columns.append(np.ascontiguousarray(table["calibrated"]))
 
+    def field(i: int, k: int) -> tuple[int, str]:
+        # Data row i is the file's (skip + i)th line that is not empty, as
+        # loadtxt counts them; the file has no quotes and no bare CR.
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+            lines = ((n, line) for n, line in enumerate(fh, 1) if line.strip("\r\n"))
+            lineno, line = next(itertools.islice(lines, skip + i, None))
+        return lineno, line.rstrip("\r\n").split(",")[cols[k]]
 
-def _line(data: bytes, start: int) -> bytes:
-    """The line of data that begins at start, without its newline."""
-    end = data.find(b"\n", start)
-    return data[start : len(data) if end < 0 else end]
+    return header, columns, field
 
 
 def _lines_within(data: bytes, limit: int) -> bool:
@@ -226,9 +231,10 @@ def _lines_within(data: bytes, limit: int) -> bool:
     return True
 
 
-def _read_lines(path: str, names: list[str], llrs: bool) -> tuple[dict[str, int] | None, _Rows]:
-    """_read_csv's result by the csv module, line by line; DataError names
-    the line of the first fault found, checking column by column."""
+def _read_lines(path: str, names: list[str]) -> tuple[dict[str, int] | None, list, Field]:
+    """_read_csv's split of any file by the csv module, line by line: the
+    header, the named columns as lists of texts, and the field locator.
+    DataError names the line of the first fault in the file's layout."""
     header, cols, rows, linenos = None, None, [], []
     try:
         with open(path, "r", encoding="utf-8-sig", newline="") as fh:
@@ -265,17 +271,7 @@ def _read_lines(path: str, names: list[str], llrs: bool) -> tuple[dict[str, int]
         what = f"expected at least {need + 1} fields" if len(names) > 1 else "missing score field"
         raise DataError(f"line {linenos[i]}: {what}")
     texts = [[row[col] for row in rows] for col in cols]
-    del rows
-    scores = _floats(texts[0], linenos, "score")
-    flags = _flags(texts[1], linenos) if len(names) > 1 else None
-    values = None
-    if len(names) > 2:
-        values = _floats(texts[2], linenos, "calibrated value", infinite_ok=llrs)
-        i = int(np.argmax((values < 0.0) | (values > 1.0)))  # first outside, if any
-        if not (llrs or 0.0 <= values[i] <= 1.0):
-            value = values[i].item()
-            raise DataError(f"line {linenos[i]}: calibrated value {value!r} outside [0, 1]")
-    return header, _Rows(scores, flags, values)
+    return header, texts, lambda i, k: (linenos[i], texts[k][i])
 
 
 def _open_out(path: str | None) -> TextIO:
@@ -397,6 +393,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_selfcheck(args: argparse.Namespace) -> int:
+    if min(args.max_len, args.instances, args.candidates) < 1:
+        raise UsageError("--max-len, --instances and --candidates must be positive")
     pairs = [args.weights] if args.weights is not None else list(DEFAULT_WEIGHT_PAIRS)
     ok = run_selfcheck(
         max_len=args.max_len,

@@ -272,6 +272,20 @@ def test_selfcheck_single_weight_pair(capsys):
     assert "oracle-equivalence" in out
 
 
+@pytest.mark.parametrize("argv", [
+    ["--candidates", "0"],
+    ["--max-len", "-2", "--instances", "0"],
+    ["--instances", "0"],
+    ["--max-len", "0"],
+    ["--candidates", "-1"],
+])
+def test_selfcheck_sizes_must_be_positive(capsys, argv):
+    code, out, err = run(capsys, "selfcheck", *argv)
+    assert code == 2
+    assert out == ""
+    assert err == "error: --max-len, --instances and --candidates must be positive\n"
+
+
 def _small_selfcheck(capsys):
     code, out, _ = run(capsys, "selfcheck", "--max-len", "4", "--instances", "3",
                        "--candidates", "20")

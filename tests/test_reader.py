@@ -1,14 +1,16 @@
-"""The CSV reader's two paths agree.
+"""The CSV reader's two splitters agree.
 
-_read_csv reads a plain file in one np.loadtxt pass (cli._bulk_read) and
-any other file line by line with the csv module (cli._read_lines), which
-is the only path that names a line.  The bulk read must either decline a
-file or return exactly what the line reader returns for it; the apply
-writer must write what a per-row f-string writes.
+_read_csv splits a plain file into columns with one np.loadtxt pass
+(cli._bulk_read) and any other file line by line with the csv module
+(cli._read_lines); one set of column checks then runs on either split and
+names the line of the first fault.  Read through the bulk splitter, a file
+must give exactly what the csv splitter gives, or the same DataError; the
+apply writer must write what a per-row f-string writes.
 """
 
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,50 +21,54 @@ from pavcal import cli
 from pavcal.cli import main
 from test_cli_fuzz import csv_files
 
-# The columns each command reads, as _read_csv names them, and whether
-# the calibrated column holds LLRs.
-COLUMNS_READ = {
-    "fit": (["score", "label"], False),
-    "apply": (["score"], False),
-    "evaluate": (["score", "label", "calibrated"], False),
-    "evaluate-llr": (["score", "label", "calibrated"], True),
+# _read_csv's arguments for the columns each command reads, and the names
+# _read_csv gives the splitters for them.
+NAMES = {
+    "apply": ["score"], "fit": ["score", "label"], "evaluate": ["score", "label", "calibrated"],
+}
+READS = {
+    "fit": {"labeled": True},
+    "apply": {},
+    "evaluate": {"labeled": True, "calibrated": "calibrated"},
+    "evaluate-llr": {"labeled": True, "calibrated": "calibrated", "llrs": True},
 }
 
 
 def _bits(values):
-    return None if values is None else values.view(np.int64).tolist()
+    return None if values is None else (values.dtype.str, values.view(np.int64).tolist())
 
 
-def _same_result(bulk, lines):
-    (bulk_header, bulk_rows), (header, rows) = bulk, lines
-    assert bulk_header == header
-    assert _bits(bulk_rows.scores) == _bits(rows.scores)
-    assert (bulk_rows.flags is None) == (rows.flags is None)
-    if rows.flags is not None:
-        assert bulk_rows.flags.dtype == rows.flags.dtype
-        assert bulk_rows.flags.tolist() == rows.flags.tolist()
-    assert _bits(bulk_rows.values) == _bits(rows.values)
-    assert len(bulk_rows) == len(rows)
+def _outcome(path, read):
+    """_read_csv's result, with floats as bits, or its DataError's text."""
+    try:
+        header, rows = cli._read_csv(path, **read)
+    except cli.DataError as exc:
+        return str(exc)
+    flags = None if rows.flags is None else (rows.flags.dtype.str, rows.flags.tolist())
+    return header, _bits(rows.scores), flags, _bits(rows.values), len(rows)
 
 
-@given(file=csv_files(), command=st.sampled_from(sorted(COLUMNS_READ)), plain=st.booleans())
+def _by_lines(path, read):
+    """_outcome with the bulk splitter turning every file down."""
+    with mock.patch.object(cli, "_bulk_read", lambda path, names: None):
+        return _outcome(path, read)
+
+
+@given(file=csv_files(), command=st.sampled_from(sorted(READS)), plain=st.booleans())
 def test_bulk_read_declines_or_matches_the_line_reader(tmp_path_factory, file, command, plain):
     text, columns, _, _ = file
-    if plain:  # so that more files are read in bulk: exact labels, no padded blank lines
-        for spelling in (" NonTarget ", "TARGET", "Target"):
-            text = text.replace(spelling, spelling.strip().lower())
+    if plain:  # so that more files are split in bulk: no blank lines holding blanks or commas
         lines = text.split("\n")
         text = "\n".join(line for line in lines if line.strip(" ,\r") or line in ("", "\r"))
-    names, llrs = COLUMNS_READ[command]
+    read = READS[command]
     if "calibrated" not in columns:
-        names = names[:2]
+        read = {key: value for key, value in read.items() if key == "labeled"}
     path = tmp_path_factory.mktemp("reader") / "in.csv"
     path.write_bytes(text.encode("utf-8"))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        bulk = cli._bulk_read(str(path), names, llrs)
-    if bulk is not None:
-        _same_result(bulk, cli._read_lines(str(path), names, llrs))
+        bulk = _outcome(str(path), read)
+    assert bulk == _by_lines(str(path), read)
 
 
 def _write(tmp_path, text):
@@ -76,15 +82,14 @@ def test_a_plain_file_takes_the_bulk_read(tmp_path):
                    for k in range(50))
     for text in ("score,label,calibrated\n" + rows, "\ufeff" + rows.replace("\n", "\r\n")):
         path = _write(tmp_path, text)
-        names = ["score", "label", "calibrated"]
-        bulk = cli._bulk_read(path, names, False)
-        assert bulk is not None
-        _same_result(bulk, cli._read_lines(path, names, False))
-        assert cli._read_csv(path, labeled=True, calibrated="calibrated")[1].scores.size == 50
+        assert cli._bulk_read(path, ["score", "label", "calibrated"]) is not None
+        read = READS["evaluate"]
+        assert _outcome(path, read) == _by_lines(path, read)
+        assert cli._read_csv(path, **read)[1].scores.size == 50
 
 
-# Valid files the csv reader reads that the bulk read must leave to it,
-# with the scores they hold; the labels are target, nontarget.
+# Valid files the csv splitter splits that the bulk splitter must leave to
+# it, with the scores they hold; the labels are target, nontarget.
 VALID_DECLINED = {
     "quoted fields": ('note,score,label\n"x,7,nontarget,y",0.5,target\n"z",1,nontarget\n',
                       [0.5, 1.0]),
@@ -93,8 +98,9 @@ VALID_DECLINED = {
     "whitespace-only line": ("score,label\n0,target\n   \n1,nontarget\n", [0.0, 1.0]),
     "comma-only line": ("score,label\n0,target\n,\n1,nontarget\n", [0.0, 1.0]),
     "cr-only line ends": ("0,target\r1,nontarget\r", [0.0, 1.0]),
-    "padded and mixed-case labels": ("score,label\n0, Target\n1,NONTARGET\n", [0.0, 1.0]),
     "blank first line": ("\nscore,label\n0,target\n1,nontarget\n", [0.0, 1.0]),
+    "label that fills its field": ("score,label\n0,target\n1, nontarget \n", [0.0, 1.0]),
+    "unit-separator-padded labels": ("score,label\n0,\x1ftarget\x1f\n1,nontarget\n", [0.0, 1.0]),
 }
 
 
@@ -102,13 +108,56 @@ VALID_DECLINED = {
 def test_unusual_valid_files_are_declined_and_read_line_by_line(tmp_path, case):
     text, scores = case
     path = _write(tmp_path, text)
-    assert cli._bulk_read(path, ["score", "label"], False) is None
+    assert cli._bulk_read(path, ["score", "label"]) is None
     rows = cli._read_csv(path, labeled=True)[1]
     assert rows.scores.tolist() == scores
     assert rows.flags.tolist() == [True, False]
 
 
-# Faulty files the bulk read must decline, so the line reader names the line.
+# Labels not spelled exactly that the bulk splitter splits, and Label.parse
+# reads; the labels are target, nontarget.
+LABELS_IN_BULK = {
+    "padded and mixed-case labels": "score,label\n0, Target\n1,NONTARGET\n",
+    "nbsp-padded labels": "score,label\n0,\u00a0target\u00a0\n1,NonTarget\n",
+}
+
+
+@pytest.mark.parametrize("text", LABELS_IN_BULK.values(), ids=LABELS_IN_BULK)
+def test_unusual_labels_are_read_in_bulk(tmp_path, monkeypatch, text):
+    path = _write(tmp_path, text)
+    assert cli._bulk_read(path, ["score", "label"]) is not None
+    want = _by_lines(path, READS["fit"])
+    monkeypatch.setattr(cli, "_read_lines", _no_line_reader)
+    assert _outcome(path, READS["fit"]) == want
+    assert want[2] == ("|b1", [True, False])
+
+
+def _no_line_reader(*args):
+    raise AssertionError("the line reader was used")
+
+
+def _argv(tmp_path, command, path):
+    if command == "apply":
+        map_path = tmp_path / "m.map"
+        map_path.write_text("pavcal-map v1 posterior step\n0.0\t0.5\n", encoding="utf-8")
+        return ["apply", str(map_path), path, "--out", str(tmp_path / "out.csv")]
+    if command == "fit":
+        return ["fit", path, "--out", str(tmp_path / "m.map")]
+    return ["evaluate", path, "--calibrated"]
+
+
+def _named(tmp_path, capsys, command, text, message):
+    """Assert that the command exits 1 naming the fault, and that reading
+    line by line gives the same DataError."""
+    path = _write(tmp_path, text)
+    assert main(_argv(tmp_path, command, path)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}"), err
+    assert err == f"error: {_by_lines(path, READS[command])}\n"
+    return path
+
+
+# Faulty files the bulk splitter must decline, so the csv splitter splits them.
 FAULTS = {
     "# inside a score": ("apply", "0.25\n0.5#1\n", "line 2: score '0.5#1' is not a number"),
     "nul after a label": ("fit", "score,label\n0,target\n1,nontarget\0\n", "line 3: "),
@@ -117,65 +166,95 @@ FAULTS = {
     ),
     "oversized unread field": ("apply", "score,label\n0,target\n1," + "x" * 200_000 + "\n",
                                "line 3: field larger than field limit"),
-    "probability outside [0, 1]": ("evaluate", "score,label,calibrated\n0,target,0.5\n"
-                                   "1,nontarget,1.5\n", "line 3: calibrated value 1.5 outside"),
-    "infinite score": ("fit", "score,label\n0,target\n-inf,nontarget\n",
-                       "line 3: score must be finite, got '-inf'"),
+    "label beyond latin-1": ("fit", "score,label\n0,target\n1,\u20ac\n",
+                             "line 3: unknown label '\u20ac'"),
+    # loadtxt would strip the separator from the number as a blank.
+    "unit separator by a score": ("apply", "0.25\n\x1f0.5\n",
+                                  "line 2: score '0.5' is not a number"),
+    "bad label that fills its field": ("fit", "score,label\n0,target\n1, nontargetx\n",
+                                       "line 3: unknown label 'nontargetx'"),
 }
 
 
 @pytest.mark.parametrize("case", FAULTS.values(), ids=FAULTS)
 def test_faulty_files_are_declined_and_named_by_their_line(tmp_path, capsys, case):
     command, text, message = case
-    path = _write(tmp_path, text)
-    names, llrs = COLUMNS_READ[command]
-    assert cli._bulk_read(path, names, llrs) is None
-    if command == "apply":
-        map_path = tmp_path / "m.map"
-        map_path.write_text("pavcal-map v1 posterior step\n0.0\t0.5\n", encoding="utf-8")
-        argv = ["apply", str(map_path), path]
-    elif command == "fit":
-        argv = ["fit", path, "--out", str(tmp_path / "m.map")]
-    else:
-        argv = ["evaluate", path, "--calibrated"]
-    assert main(argv) == 1
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: {message}"), err
+    path = _named(tmp_path, capsys, command, text, message)
+    assert cli._bulk_read(path, NAMES[command]) is None
 
 
-# Files the bulk read turns down on its first and last data lines alone,
-# before np.loadtxt reads the whole file.
-EDGE_DECLINED = {
-    "capitalised labels": "score,label\n0,Target\n1,Nontarget\n2,Target\n",
-    "bad score on the last line": "score,label\n0,target\n1,nontarget\nx,target\n",
-    "last line cut short": "0,target\n1,nontarget\n2",
+# Faulty files the bulk splitter splits, so the checks name the line
+# without the csv splitter.
+FAULTS_IN_BULK = {
+    "infinite score": ("fit", "score,label\n0,target\n-inf,nontarget\n",
+                       "line 3: score must be finite, got '-inf'"),
+    "probability outside [0, 1]": ("evaluate", "score,label,calibrated\n0,target,0.5\n"
+                                   "1,nontarget,1.5\n", "line 3: calibrated value 1.5 outside"),
+    "nan score": ("apply", "0.25\nnan\n", "line 2: score must not be NaN"),
+    "latin-1 label": ("fit", "score,label\n0,target\n1,caf\u00e9\n",
+                      "line 3: unknown label 'caf\u00e9'"),
+    "blank and crlf lines before the fault": (
+        "fit", "score,label\n\n0,target\r\n\n1,nontarget\r\n\r\n2,Maybe\n",
+        "line 7: unknown label 'Maybe'",
+    ),
+    "two bad labels, the first sorting last": ("fit", "score,label\n0,zebra\n1,apple\n",
+                                               "line 2: unknown label 'zebra'"),
+    "byte order mark and no header": ("fit", "\ufeff inf ,target\n0,nontarget\n",
+                                      "line 1: score must be finite, got 'inf'"),
 }
 
 
-@pytest.mark.parametrize("text", EDGE_DECLINED.values(), ids=EDGE_DECLINED)
-def test_unusual_edge_lines_are_declined_before_the_bulk_pass(tmp_path, monkeypatch, text):
-    passes = []
-    plain_rows = cli._plain_rows
-    monkeypatch.setattr(
-        cli, "_plain_rows", lambda lines, *args: passes.append(lines) or plain_rows(lines, *args)
-    )
-    names = ["score", "label"]
+@pytest.mark.parametrize("case", FAULTS_IN_BULK.values(), ids=FAULTS_IN_BULK)
+def test_faulty_values_are_named_after_the_bulk_pass(tmp_path, capsys, monkeypatch, case):
+    command, text, message = case
     path = _write(tmp_path, text)
-    assert cli._bulk_read(path, names, False) is None
-    assert len(passes) == 1 and isinstance(passes[0], list)
-
-    passes.clear()
-    path = _write(tmp_path, "score,label\n0,target\n1,nontarget\n2,target\n")
-    assert cli._bulk_read(path, names, False) is not None
-    assert len(passes) == 2 and not isinstance(passes[1], list)
+    assert cli._bulk_read(path, NAMES[command]) is not None
+    _named(tmp_path, capsys, command, text, message)
+    monkeypatch.setattr(cli, "_read_lines", _no_line_reader)
+    assert main(_argv(tmp_path, command, path)) == 1
+    assert capsys.readouterr().err.startswith(f"error: {message}")
 
 
-def test_infinite_llrs_are_read_in_bulk(tmp_path):
+# One fault at the middle line of a plain file is named from the one bulk
+# pass, and capitalised labels are read by it.
+MIDDLE_FAULTS = {
+    "bad label": (1, "Maybe", "line 5002: unknown label 'Maybe', expected"),
+    "infinite score": (0, "inf", "line 5002: score must be finite, got 'inf'"),
+    "calibrated value 1.5": (2, "1.5", "line 5002: calibrated value 1.5 outside [0, 1]"),
+}
+
+
+@pytest.mark.parametrize("case", MIDDLE_FAULTS.values(), ids=MIDDLE_FAULTS)
+def test_a_middle_fault_is_named_without_the_line_reader(tmp_path, capsys, monkeypatch, case):
+    column, field, message = case
+    rows = [[repr(k / 7), "target" if k % 3 else "nontarget", repr(k / 10_000)]
+            for k in range(10_000)]
+    rows[5000][column] = field
+    path = _write(tmp_path, "score,label,calibrated\n" + "".join(",".join(r) + "\n" for r in rows))
+    monkeypatch.setattr(cli, "_read_lines", _no_line_reader)
+    assert main(["evaluate", path, "--calibrated"]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+
+
+def test_capitalised_labels_are_read_without_the_line_reader(tmp_path, capsys, monkeypatch):
+    rows = "".join(f"{k / 7!r},{'Target' if k % 3 else 'NonTarget'}\n" for k in range(10_000))
+    lower = tmp_path / "lower.csv"
+    lower.write_text("score,label\n" + rows.lower(), encoding="utf-8")
+    assert main(["evaluate", str(lower)]) == 0
+    want = capsys.readouterr().out
+    path = _write(tmp_path, "score,label\n" + rows)
+    monkeypatch.setattr(cli, "_read_lines", _no_line_reader)
+    assert main(["evaluate", path]) == 0
+    assert capsys.readouterr().out == want
+
+
+def test_infinite_llrs_are_read_in_bulk(tmp_path, monkeypatch):
     path = _write(tmp_path, "score,label,calibrated\n0,target,-inf\n1,nontarget,inf\n")
-    names = ["score", "label", "calibrated"]
-    assert cli._bulk_read(path, names, False) is None
-    header, rows = cli._bulk_read(path, names, True)
+    monkeypatch.setattr(cli, "_read_lines", _no_line_reader)
+    rows = cli._read_csv(path, **READS["evaluate-llr"])[1]
     assert rows.values.tolist() == [-math.inf, math.inf]
+    with pytest.raises(cli.DataError, match="^line 2: calibrated value must be finite, got '-inf'"):
+        cli._read_csv(path, **READS["evaluate"])
 
 
 # --- the chunked apply writer
