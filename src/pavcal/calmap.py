@@ -40,7 +40,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .llr import _block_llrs
+from .llr import _block_llrs, _posteriors
 from .pav import Labels, _pool_counts, _target_flags
 from .types import WeightPair, as_weights
 
@@ -123,44 +123,38 @@ class CalibrationMap:
             return cls.from_text(fh.read())
 
 
-class _TiePool:
-    """Trials sorted stably by score, with exact score ties pooled into items.
-
-    order: the trial indices by ascending score; scores, ms, ns: each
-    item's score and target / non-target counts; t1, t2: the class counts.
-    Sorted scores split where they differ by !=, so -0.0 and 0.0 pool; an
-    item's score is that of its first trial in input order.
-    """
-
-    def __init__(self, scores: np.ndarray, flags: np.ndarray) -> None:
-        self.order = np.argsort(scores, kind="stable")
-        scores = scores[self.order]
-        heads = np.flatnonzero(np.concatenate(([True], scores[1:] != scores[:-1])))
-        self.scores = scores[heads]
-        self.ms = np.add.reduceat(flags[self.order], heads, dtype=np.int64)
-        self.ns = np.diff(heads, append=scores.size)
-        self.ns -= self.ms
-        self.t1 = int(self.ms.sum())
-        self.t2 = scores.size - self.t1
-
-    def fit(
-        self, weights: WeightPair, mode: str, policy: str
-    ) -> tuple[CalibrationMap, np.ndarray, int]:
-        """The fitted map (llr mode ignores weights), each trial's map value
-        in input order, and the number of fitted blocks."""
-        v1, v2 = (1.0, 1.0) if mode == "llr" else (weights.v1, weights.v2)
-        starts, ends, bm, bn, vals = _pool_counts(self.ms, self.ns, v1, v2)
-        if mode == "llr":
-            vals = _block_llrs(vals, self.t1, self.t2)[0]
-        knots: list[tuple[float, float]] = []
-        for s, e, v in zip(starts, ends, vals):
-            knots.append((float(self.scores[s]), v))
-            if e > s:
-                knots.append((float(self.scores[e]), v))
-        values = np.empty(self.order.size)
-        values[self.order] = np.repeat(vals, np.add(bm, bn))
-        cmap = CalibrationMap(knots=tuple(knots), mode=mode, policy=policy)
-        return cmap, values, len(vals)
+def _fit(
+    scores: np.ndarray, flags: np.ndarray, weights: WeightPair, mode: str, policy: str
+) -> tuple[CalibrationMap, np.ndarray, int]:
+    """Fit a map to finite scores and their target flags: the map (llr mode
+    ignores weights), each row's fitted posterior in input order, and the
+    block count.  Exact score ties pool into one item, -0.0 and 0.0 as 0.0,
+    so the map does not depend on row order.  An llr fit's posterior is
+    sigmoid(llr + logit(t1 / T)), computed once per block."""
+    order = np.argsort(scores, kind="stable")
+    xs = scores[order]
+    xs += 0.0  # -0.0 becomes 0.0; every other score stays as it is
+    heads = np.flatnonzero(np.concatenate(([True], xs[1:] != xs[:-1])))
+    xs = xs[heads]  # each item's score
+    ms = np.add.reduceat(flags[order], heads, dtype=np.int64)
+    ns = np.diff(heads, append=order.size)
+    ns -= ms
+    del heads  # item-length, so freed before the PAV pass, not kept through it
+    v1, v2 = (1.0, 1.0) if mode == "llr" else (weights.v1, weights.v2)
+    starts, ends, bm, bn, vals = _pool_counts(ms, ns, v1, v2)
+    fitted = vals
+    if mode == "llr":
+        vals, offset = _block_llrs(vals, sum(bm), sum(bn))
+        fitted = _posteriors(np.array(vals), offset)
+    knots: list[tuple[float, float]] = []
+    for s, e, v in zip(starts, ends, vals):
+        knots.append((float(xs[s]), v))
+        if e > s:
+            knots.append((float(xs[e]), v))
+    posteriors = np.empty(order.size)
+    posteriors[order] = np.repeat(fitted, np.add(bm, bn))
+    cmap = CalibrationMap(knots=tuple(knots), mode=mode, policy=policy)
+    return cmap, posteriors, len(vals)
 
 
 def build_map(
@@ -186,7 +180,7 @@ def build_map(
     i = int(np.argmax(~np.isfinite(xs)))  # the first score that is not finite, if any
     if not math.isfinite(xs[i]):
         raise ValueError(f"trial score must be finite, got {xs[i].item()!r}")
-    return _TiePool(xs, flags).fit(as_weights(weights), mode, policy)[0]
+    return _fit(xs, flags, as_weights(weights), mode, policy)[0]
 
 
 def _apply(cmap: CalibrationMap, scores: np.ndarray) -> np.ndarray:

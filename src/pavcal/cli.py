@@ -19,7 +19,7 @@ from typing import Callable, Sequence, TextIO
 
 import numpy as np
 
-from .calmap import CalibrationMap, _apply, _TiePool
+from .calmap import CalibrationMap, _apply, _fit
 from .llr import _class_log_odds, _posteriors, weights_from_prior
 from .pav import _target_flags
 from .rules import Logarithmic, ScoringRule, objective, parse_rule
@@ -123,7 +123,10 @@ def _numbers(columns: list, k: int, field: Field, what: str, infinite_ok=False) 
             values = np.fromiter(map(float, values), float, len(values))
         except ValueError:
             lineno, text = field(next(i for i, t in enumerate(values) if not _is_number(t)), k)
-            raise DataError(f"line {lineno}: {what} {text.strip()!r} is not a number")
+            # Show the text without the blanks float ignores: all that strip
+            # removes but the separators \x1c-\x1f, which float turns down.
+            text = re.sub(r"\A[^\S\x1c-\x1f]+|[^\S\x1c-\x1f]+\Z", "", text)
+            raise DataError(f"line {lineno}: {what} {text!r} is not a number")
     bad = np.isnan(values) if infinite_ok else ~np.isfinite(values)
     i = int(np.argmax(bad))  # the first bad value, if any
     if bad[i]:
@@ -136,21 +139,23 @@ def _numbers(columns: list, k: int, field: Field, what: str, infinite_ok=False) 
 
 def _target_column(labels: list[str] | np.ndarray, field: Field) -> np.ndarray:
     """The target flags of a label column: texts from the csv module, each
-    parsed, or bytes from loadtxt, of which only those not spelled exactly
-    are parsed."""
-    flags, rows = np.empty(len(labels), bool), slice(None)
+    parsed, or bytes from loadtxt, of which each distinct spelling that is
+    not exact is parsed once."""
+    flags, rows, which = np.empty(len(labels), bool), slice(None), slice(None)
+    texts, text_rows = labels, range(len(labels))  # text_rows[i]: the row of texts[i]
     if isinstance(labels, np.ndarray):
         flags = labels == b"target"
         rows = np.flatnonzero(~flags & (labels != b"nontarget"))
-        labels = [label.decode("latin-1") for label in labels[rows].tolist()]
+        texts, first, which = np.unique(labels[rows], return_index=True, return_inverse=True)
+        texts, text_rows = [text.decode("latin-1") for text in texts.tolist()], rows[first]
     try:
-        flags[rows] = _target_flags(list(map(Label.parse, labels)))
+        flags[rows] = _target_flags(list(map(Label.parse, texts)))[which]
     except ValueError:
-        for i, text in zip(np.arange(flags.size)[rows], labels):  # the row of each label
+        for i in sorted(range(len(texts)), key=text_rows.__getitem__):  # in file order
             try:
-                Label.parse(text.strip())
+                Label.parse(texts[i].strip())
             except ValueError as exc:
-                raise DataError(f"line {field(int(i), 1)[0]}: {exc}")
+                raise DataError(f"line {field(int(text_rows[i]), 1)[0]}: {exc}")
         raise
     return flags
 
@@ -303,9 +308,9 @@ def _rules_of(args: argparse.Namespace) -> list[ScoringRule]:
     return list(args.rule) if args.rule else [Logarithmic()]
 
 
-def _fit_weights(args: argparse.Namespace, pool: _TiePool) -> WeightPair:
+def _fit_weights(args: argparse.Namespace, t1: int, t2: int) -> WeightPair:
     if args.prior_logodds is not None:
-        return weights_from_prior(args.prior_logodds, pool.t1, pool.t2)
+        return weights_from_prior(args.prior_logodds, t1, t2)
     if args.weights is not None:
         return WeightPair(*args.weights)
     return WeightPair(1.0, 1.0)
@@ -313,21 +318,19 @@ def _fit_weights(args: argparse.Namespace, pool: _TiePool) -> WeightPair:
 
 def cmd_fit(args: argparse.Namespace) -> int:
     _, rows = _read_csv(args.input, labeled=True)
-    pool = _TiePool(rows.scores, rows.flags)
+    t1 = np.count_nonzero(rows.flags)
+    t2 = len(rows) - t1
     if args.mode == "llr":
         if args.weights is not None:
             raise UsageError("--weights has no effect in llr mode")
         weights = WeightPair(1.0, 1.0)
     else:
-        weights = _fit_weights(args, pool)
-    cmap, values, blocks = pool.fit(weights, args.mode, args.policy)
+        weights = _fit_weights(args, t1, t2)
+    cmap, fitted, blocks = _fit(rows.scores, rows.flags, weights, args.mode, args.policy)
     cmap.save(args.out)
-    print(f"T={len(rows)} T1={pool.t1} T2={pool.t2} blocks={blocks}")
-
-    if args.mode == "llr":
-        values = _posteriors(values, _class_log_odds(pool.t1, pool.t2))
+    print(f"T={len(rows)} T1={t1} T2={t2} blocks={blocks}")
     for rule in _rules_of(args):
-        print(f"objective[{rule}]={objective(rule, rows.flags, weights, values)!r}")
+        print(f"objective[{rule}]={objective(rule, rows.flags, weights, fitted)!r}")
     return 0
 
 
@@ -364,20 +367,21 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     _, rows = _read_csv(
         args.input, labeled=True, calibrated=args.calibrated, llrs=args.mode == "llr"
     )
-    pool = _TiePool(rows.scores, rows.flags)
+    t1 = np.count_nonzero(rows.flags)
+    t2 = len(rows) - t1
     values = rows.values
 
     if args.mode == "llr":
         pi = args.prior_logodds
         if pi is None:
-            pi = _class_log_odds(pool.t1, pool.t2)
-        weights = weights_from_prior(pi, pool.t1, pool.t2)
+            pi = _class_log_odds(t1, t2)
+        weights = weights_from_prior(pi, t1, t2)
         if values is not None:
             values = _posteriors(values, pi)
     else:
-        weights = _fit_weights(args, pool)
+        weights = _fit_weights(args, t1, t2)
 
-    ref_vals = pool.fit(weights, "posterior", "step")[1]
+    ref_vals = _fit(rows.scores, rows.flags, weights, "posterior", "step")[1]
     for rule in _rules_of(args):
         ref_obj = objective(rule, rows.flags, weights, ref_vals)
         line = f"rule={rule} reference={ref_obj!r}"

@@ -40,10 +40,11 @@ def logit(p: float) -> float:
 
 def _posteriors(w: np.ndarray, prior_logodds: float) -> np.ndarray:
     """sigmoid(w + prior_logodds) elementwise, by the scalar formula's IEEE operations:
-    math.exp is mapped, not np.exp, as the two differ in the last bit on some inputs."""
+    math.exp is mapped, not np.exp, as the two differ in the last bit on some inputs.
+    A memoryview of an array yields Python floats one at a time, with no list."""
     x = np.asarray(w, dtype=float) + prior_logodds
+    e = np.fromiter(map(math.exp, memoryview(-np.abs(x))), float, x.size)
     up = x >= 0.0
-    e = np.fromiter(map(math.exp, np.where(up, -x, x).tolist()), float, x.size)
     return np.where(up, 1.0 / (1.0 + e), e / (1.0 + e))
 
 

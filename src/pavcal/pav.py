@@ -14,11 +14,12 @@ deletes vertices of the diagram that cannot be vertices of the minorant,
 by pooling the two segments that meet there; what is left when no vertex
 can be deleted any more is the solution.
 
-The work is done by _pool_counts in two stages: a few vectorised prune
-passes that delete many vertices at once, then the classic stack pass
-over whatever segments survive.  Both compare pooled values as computed,
-with no epsilon, and both merge on equality; see _pool_counts for why the
-result is exact up to rounding and why the whole pass is O(T).
+The work is done by _pool_counts in two stages: vectorised prune passes
+that delete many vertices at once, for as long as each pass halves what
+is left, then the classic stack pass over whatever segments survive.
+Both compare pooled values as computed, with no epsilon, and both merge
+on equality; see _pool_counts for why the result is exact up to rounding
+and why the whole pass is O(T).
 """
 
 from __future__ import annotations
@@ -32,12 +33,6 @@ import numpy as np
 from .types import Block, BlockSolution, Label, WeightPair, as_weights, expand, pooled_value
 
 Labels = Sequence[Label] | np.ndarray  # or a 1-D bool array of target flags
-
-# Vectorised prune passes run before the stack pass.  Each pass costs a
-# few array sweeps over the surviving segments; on score-sorted data the
-# first passes remove nearly every vertex and later ones find little.
-_PRUNE_PASSES = 4
-
 
 def _pool_counts(
     ms: Sequence[int] | np.ndarray,
@@ -62,9 +57,11 @@ def _pool_counts(
     Deleting every such vertex at once therefore leaves the minorant
     unchanged, and one pass is a handful of O(segments) array operations:
     one comparison of neighbouring values, and np.add.reduceat to add up
-    the counts of each run of merged segments.  At most _PRUNE_PASSES
-    passes run; a pass that deletes nothing ends them early, since then
-    every value already rises strictly.
+    the counts of each run of merged segments.  Passes run while each one
+    at least halves the segments, and a pass that deletes nothing ends
+    them, since then every value already rises strictly.  So the passes
+    start from at most T, T, T/2, T/4, ... segments and cost O(T) in all,
+    whatever the data: no more than 3T segments are visited.
 
     Stack pass.  The survivors are then pooled left to right on a stack of
     finished blocks: while the top block's value is >= the new block's,
@@ -72,9 +69,8 @@ def _pool_counts(
     the merged counts.  Merging on equality, not only on strict
     violation, is what leaves the final values strictly increasing, as
     BlockSolution requires.  Each survivor is pushed once and each merge
-    pops one block, so the stack is O(survivors); with the prune passes,
-    which only ever shrink the arrays, the whole call is O(T) however
-    little the passes delete.
+    pops one block, so the stack is O(survivors), and the whole call is
+    O(T) however little the passes delete.
 
     Values are compared as computed, with no epsilon.  A spurious merge of
     two pools whose values tie only after rounding is harmless, and near
@@ -86,10 +82,12 @@ def _pool_counts(
     size = m.shape[0]
     seg_start = np.arange(size)
     vals = pooled_value(m, n, v1, v2)
-    for _ in range(_PRUNE_PASSES):
+    halved = True  # whether the last pass left at most half the segments
+    while halved:
         rises = np.flatnonzero(vals[:-1] < vals[1:])
         if rises.size + 1 == vals.size:
             break
+        halved = 2 * (rises.size + 1) <= vals.size
         heads = np.concatenate(([0], rises + 1))
         seg_start = seg_start[heads]
         m = np.add.reduceat(m, heads, dtype=np.int64)

@@ -72,7 +72,7 @@ class Logarithmic(ScoringRule):
         x = q.copy() if target else 1.0 - q
         zero = x == 0.0
         x[zero] = 1.0  # any value math.log accepts; these costs are +inf
-        out = np.fromiter(map(math.log, x), float, x.size)
+        out = np.fromiter(map(math.log, memoryview(x)), float, x.size)
         out[zero] = -_INF
         return np.negative(out, out=out)
 
@@ -222,7 +222,7 @@ class CustomDensity(ScoringRule):
     def _costs(self, q: np.ndarray, target: bool) -> np.ndarray:
         self._ensure_valid()
         one = self._target_cost if target else self._nontarget_cost
-        return np.fromiter(map(one, q.tolist()), float, q.size)
+        return np.fromiter(map(one, memoryview(q)), float, q.size)
 
     def _target_cost(self, q: float) -> float:
         if q == 0.0 and not self.integrable_at_zero:
@@ -282,7 +282,7 @@ def objective(
             with np.errstate(over="ignore"):  # a term that overflows is +inf
                 parts.append(weight * rule._costs(rows, target))
     try:
-        return math.fsum(itertools.chain(*parts))
+        return math.fsum(itertools.chain(*map(memoryview, parts)))
     except OverflowError:
         return _INF
 

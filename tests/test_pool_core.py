@@ -12,10 +12,13 @@ sorted-and-loop tie pool.
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from pavcal import Label, build_map, maxmin_oracle, pav_fit, pav_posteriors, pooled_value
-from pavcal.calmap import _TiePool
+from pavcal import Label, WeightPair, build_map, logit, maxmin_oracle, pav_fit, pav_posteriors
+from pavcal import pav, pooled_value
+from pavcal.calmap import _apply, _fit
+from pavcal.llr import _posteriors
 from pavcal.pav import _pool_counts
 
 T = Label.TARGET
@@ -114,7 +117,8 @@ def test_blocks_carry_exact_counts_and_values(labels, weights):
 
 
 def _reference_tie_pool(scores, labels):
-    """Score-sorted items of the trials, pooling equal scores, in plain Python."""
+    """Score-sorted items of the trials, pooling equal scores, in plain Python.
+    An item of -0.0 and 0.0 has the score 0.0."""
     items, ms, ns = [], [], []
     for score, label in sorted(zip(scores, labels), key=lambda t: t[0]):
         if items and score == items[-1]:
@@ -123,7 +127,7 @@ def _reference_tie_pool(scores, labels):
             else:
                 ns[-1] += 1
         else:
-            items.append(score)
+            items.append(0.0 if score == 0.0 else score)
             ms.append(1 if label is T else 0)
             ns.append(0 if label is T else 1)
     return items, ms, ns
@@ -140,15 +144,48 @@ tied_trials = st.lists(
 ).map(lambda pairs: tuple(map(list, zip(*pairs))))
 
 
-@given(trials=tied_trials)
-def test_tie_pool_matches_sorted_reference(trials):
-    pool = _TiePool(np.array(trials[0]), np.array([lab is T for lab in trials[1]]))
-    scores, ms, ns = pool.scores, pool.ms, pool.ns
-    want_scores, want_ms, want_ns = _reference_tie_pool(*trials)
-    # repr tells -0.0 from 0.0: the item keeps the first such score in input order.
-    assert [repr(s) for s in scores.tolist()] == [repr(s) for s in want_scores]
-    assert ms.tolist() == want_ms
-    assert ns.tolist() == want_ns
+@given(trials=tied_trials, weights=weight_pairs, mode=st.sampled_from(["posterior", "llr"]))
+def test_fit_matches_sorted_reference(trials, weights, mode):
+    scores, flags = np.array(trials[0]), np.array([lab is T for lab in trials[1]])
+    t1 = int(flags.sum())
+    if mode == "llr" and not 0 < t1 < flags.size:
+        return  # llr mode needs both classes
+    cmap, fitted, blocks = _fit(scores, flags, WeightPair(*weights), mode, "linear")
+    items, ms, ns = _reference_tie_pool(*trials)
+    v1, v2 = (1.0, 1.0) if mode == "llr" else weights
+    starts, ends, _, _, vals = _pool_counts(ms, ns, v1, v2)
+    assert blocks == len(vals)
+    block_of_item = [b for b, (s, e) in enumerate(zip(starts, ends)) for _ in range(s, e + 1)]
+    # Each row's posterior is its item's block value (-0.0 == 0.0 finds the item).
+    rows = [vals[block_of_item[items.index(score)]] for score in trials[0]]
+    if mode == "posterior":
+        assert repr(fitted.tolist()) == repr(rows)
+    else:
+        assert fitted.tolist() == pytest.approx(rows, rel=1e-12, abs=1e-300)
+        llrs = _apply(cmap, scores)
+        assert repr(fitted.tolist()) == repr(_posteriors(llrs, logit(t1 / flags.size)).tolist())
+
+
+def test_prune_passes_stop_when_they_stop_halving(monkeypatch):
+    # Targets at gaps 1000, 999, ..., 1 rise slowly in value, and a huge
+    # closing non-target count pools back through all of them.  Each prune
+    # pass deletes one vertex, so a prune loop run until nothing is left to
+    # delete takes 1000 passes; passes that must halve the segments stop
+    # after the first.  Counted by the array calls of pooled_value.
+    sizes = []
+
+    def counting(m, n, v1, v2):
+        if isinstance(m, np.ndarray):
+            sizes.append(m.size)
+        return pooled_value(m, n, v1, v2)
+
+    monkeypatch.setattr(pav, "pooled_value", counting)
+    ms = [1] * 1000 + [0]
+    ns = list(range(1000, 0, -1)) + [10**9]
+    starts, ends, bm, bn, vals = _pool_counts(ms, ns, 1.0, 1.0)
+    assert (starts, bm, bn) == ([0], [1000], [sum(ns)])
+    assert len(sizes) - 1 <= math.log2(len(ms)) + 1  # prune passes
+    assert sum(sizes) <= 3 * len(ms)
 
 
 @given(trials=tied_trials, weights=weight_pairs, policy=st.sampled_from(["step", "linear"]))

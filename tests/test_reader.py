@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from pavcal import CalibrationMap, apply_map, posterior_from_llr
+from pavcal import CalibrationMap, Label, apply_map, posterior_from_llr
 from pavcal import cli
 from pavcal.cli import main
 from test_cli_fuzz import csv_files
@@ -170,7 +170,10 @@ FAULTS = {
                              "line 3: unknown label '\u20ac'"),
     # loadtxt would strip the separator from the number as a blank.
     "unit separator by a score": ("apply", "0.25\n\x1f0.5\n",
-                                  "line 2: score '0.5' is not a number"),
+                                  "line 2: score '\\x1f0.5' is not a number"),
+    # The message drops the blanks float ignores, and only those.
+    "unit separator inside blanks": ("apply", "0.25\n \x1f0.5\u00a0\n",
+                                     "line 2: score '\\x1f0.5' is not a number"),
     "bad label that fills its field": ("fit", "score,label\n0,target\n1, nontargetx\n",
                                        "line 3: unknown label 'nontargetx'"),
 }
@@ -244,8 +247,18 @@ def test_capitalised_labels_are_read_without_the_line_reader(tmp_path, capsys, m
     want = capsys.readouterr().out
     path = _write(tmp_path, "score,label\n" + rows)
     monkeypatch.setattr(cli, "_read_lines", _no_line_reader)
+    parsed = []  # each distinct spelling is parsed once, not once per row
+
+    class CountingLabel:
+        @staticmethod
+        def parse(text):
+            parsed.append(text)
+            return Label.parse(text)
+
+    monkeypatch.setattr(cli, "Label", CountingLabel)
     assert main(["evaluate", path]) == 0
     assert capsys.readouterr().out == want
+    assert sorted(parsed) == ["NonTarget", "Target"]
 
 
 def test_infinite_llrs_are_read_in_bulk(tmp_path, monkeypatch):
