@@ -9,13 +9,14 @@ identical files.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import itertools
 import math
 import re
 import sys
 from dataclasses import dataclass
-from typing import Callable, Sequence, TextIO
+from typing import Callable, ContextManager, Sequence, TextIO
 
 import numpy as np
 
@@ -35,13 +36,11 @@ class UsageError(Exception):
     """Flag combination problems: exit code 2."""
 
 
-def _parse_weight_pair(text: str) -> tuple[float, float]:
+def _parse_weight_pair(text: str) -> WeightPair:
     parts = text.split(",")
     if len(parts) != 2:
         raise ValueError(f"expected 'v1,v2', got {text!r}")
-    v1, v2 = float(parts[0]), float(parts[1])
-    WeightPair(v1, v2)  # reject nonpositive values here, not mid-command
-    return v1, v2
+    return WeightPair(float(parts[0]), float(parts[1]))
 
 
 def _finite_float(text: str) -> float:
@@ -279,9 +278,9 @@ def _read_lines(path: str, names: list[str]) -> tuple[dict[str, int] | None, lis
     return header, texts, lambda i, k: (linenos[i], texts[k][i])
 
 
-def _open_out(path: str | None) -> TextIO:
+def _open_out(path: str | None) -> ContextManager[TextIO]:
     if path is None or path == "-":
-        return sys.stdout
+        return contextlib.nullcontext(sys.stdout)
     try:
         return open(path, "w", encoding="utf-8", newline="\n")
     except OSError as exc:
@@ -311,21 +310,24 @@ def _rules_of(args: argparse.Namespace) -> list[ScoringRule]:
 def _fit_weights(args: argparse.Namespace, t1: int, t2: int) -> WeightPair:
     if args.prior_logodds is not None:
         return weights_from_prior(args.prior_logodds, t1, t2)
-    if args.weights is not None:
-        return WeightPair(*args.weights)
-    return WeightPair(1.0, 1.0)
+    return args.weights or WeightPair(1.0, 1.0)
+
+
+def _read_labeled(
+    args: argparse.Namespace, calibrated: str | None = None
+) -> tuple[_Rows, int, int]:
+    """The rows of a labeled input and their target and non-target counts.
+    llr mode turns down --weights, before the file is read."""
+    if args.mode == "llr" and args.weights is not None:
+        raise UsageError("--weights has no effect in llr mode")
+    _, rows = _read_csv(args.input, labeled=True, calibrated=calibrated, llrs=args.mode == "llr")
+    t1 = np.count_nonzero(rows.flags)
+    return rows, t1, len(rows) - t1
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
-    _, rows = _read_csv(args.input, labeled=True)
-    t1 = np.count_nonzero(rows.flags)
-    t2 = len(rows) - t1
-    if args.mode == "llr":
-        if args.weights is not None:
-            raise UsageError("--weights has no effect in llr mode")
-        weights = WeightPair(1.0, 1.0)
-    else:
-        weights = _fit_weights(args, t1, t2)
+    rows, t1, t2 = _read_labeled(args)
+    weights = WeightPair(1.0, 1.0) if args.mode == "llr" else _fit_weights(args, t1, t2)
     cmap, fitted, blocks = _fit(rows.scores, rows.flags, weights, args.mode, args.policy)
     cmap.save(args.out)
     print(f"T={len(rows)} T1={t1} T2={t2} blocks={blocks}")
@@ -354,21 +356,13 @@ def cmd_apply(args: argparse.Namespace) -> int:
     if args.clamp_llr is not None:
         columns["calibrated"] = np.clip(calibrated, -args.clamp_llr, args.clamp_llr)
 
-    out = _open_out(args.out)
-    try:
+    with _open_out(args.out) as out:
         _write_columns(out, columns)
-    finally:
-        if out is not sys.stdout:
-            out.close()
     return 0
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    _, rows = _read_csv(
-        args.input, labeled=True, calibrated=args.calibrated, llrs=args.mode == "llr"
-    )
-    t1 = np.count_nonzero(rows.flags)
-    t2 = len(rows) - t1
+    rows, t1, t2 = _read_labeled(args, args.calibrated)
     values = rows.values
 
     if args.mode == "llr":
@@ -418,18 +412,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    fit = sub.add_parser("fit", help="fit a calibration map from labeled scores")
-    fit.add_argument("input", help="CSV with columns score,label")
-    fit.add_argument("--out", required=True, help="path for the fitted map")
-    fit.add_argument("--mode", choices=("posterior", "llr"), default="posterior")
-    fit.add_argument("--policy", choices=("step", "linear"), default="step")
-    wgroup = fit.add_mutually_exclusive_group()
+    # The flags fit and evaluate share.
+    labeled = argparse.ArgumentParser(add_help=False)
+    labeled.add_argument("input", help="CSV with columns score,label")
+    labeled.add_argument("--mode", choices=("posterior", "llr"), default="posterior")
+    wgroup = labeled.add_mutually_exclusive_group()
     wgroup.add_argument("--weights", type=_parse_weight_pair, metavar="V1,V2")
     wgroup.add_argument("--prior-logodds", type=_finite_float, metavar="PI")
-    fit.add_argument(
+    labeled.add_argument(
         "--rule", action="append", type=parse_rule, metavar="RULE",
         help="objective to report: log, brier, cost@T, mix(A@T,...); repeatable",
     )
+
+    fit = sub.add_parser("fit", parents=[labeled], help="fit a calibration map from labeled scores")
+    fit.add_argument("--out", required=True, help="path for the fitted map")
+    fit.add_argument("--policy", choices=("step", "linear"), default="step")
     fit.set_defaults(func=cmd_fit)
 
     apply_p = sub.add_parser("apply", help="apply a fitted map to scores")
@@ -442,15 +439,10 @@ def build_parser() -> argparse.ArgumentParser:
                          help="llr maps: clip calibrated values to [-L, L]")
     apply_p.set_defaults(func=cmd_apply)
 
-    ev = sub.add_parser("evaluate", help="score calibrated values against the monotone floor")
-    ev.add_argument("input", help="CSV with columns score,label")
+    ev = sub.add_parser("evaluate", parents=[labeled],
+                        help="score calibrated values against the monotone floor")
     ev.add_argument("--calibrated", nargs="?", const="calibrated", metavar="COLUMN",
                     help="column holding values to evaluate (third column if no header)")
-    ev.add_argument("--mode", choices=("posterior", "llr"), default="posterior")
-    evw = ev.add_mutually_exclusive_group()
-    evw.add_argument("--weights", type=_parse_weight_pair, metavar="V1,V2")
-    evw.add_argument("--prior-logodds", type=_finite_float, metavar="PI")
-    ev.add_argument("--rule", action="append", type=parse_rule, metavar="RULE")
     ev.set_defaults(func=cmd_evaluate)
 
     sc = sub.add_parser("selfcheck", help="run the built-in verification suites")

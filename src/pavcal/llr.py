@@ -71,13 +71,18 @@ def weights_from_prior(prior_logodds: float, t1: int, t2: int) -> WeightPair:
 
     Targets get sigmoid(pi)/t1 each and non-targets (1-sigmoid(pi))/t2,
     so each class's total weight matches the prior probability it should
-    carry.  The prior must be finite and both counts at least 1.
+    carry.  The prior must be finite, both counts at least 1, and neither
+    weight may underflow to 0, as it does for a prior beyond about +-745.
     """
     if not math.isfinite(prior_logodds):
         raise ValueError(f"prior log-odds must be finite, got {prior_logodds!r}")
     _class_log_odds(t1, t2)  # rejects a missing class
     pi = sigmoid(prior_logodds)
-    return WeightPair(pi / t1, (1.0 - pi) / t2)
+    # 1 - pi cancels to 0 once pi rounds to 1, above a prior of about 36.7.
+    v1, v2 = pi / t1, (1.0 - pi or sigmoid(-prior_logodds)) / t2
+    if v1 == 0.0 or v2 == 0.0:
+        raise ValueError(f"prior log-odds {prior_logodds!r} gives a class weight of 0")
+    return WeightPair(v1, v2)
 
 
 @dataclass(frozen=True, slots=True)

@@ -24,7 +24,7 @@ from .llr import llr_calibrate, logit, weights_from_prior
 from .oracle import grid_minimizer, maxmin_oracle
 from .pav import _target_flags, pav_fit, pav_posteriors
 from .rules import Brier, CostAt, DiracMixture, Logarithmic, objective
-from .types import Label, WeightPair
+from .types import Label, WeightPair, as_weights
 
 _T = Label.TARGET
 _N = Label.NONTARGET
@@ -43,13 +43,13 @@ def _random_labels(rng: random.Random, size: int) -> list[Label]:
 
 
 def check_oracle_equivalence(
-    max_len: int, weight_pairs: Sequence[tuple[float, float]]
+    max_len: int, weight_pairs: Sequence[WeightPair | tuple[float, float]]
 ) -> tuple[bool, str]:
     """Exhaustive: the PAV fit equals the closed form for every sequence."""
     cases = 0
     worst = 0.0
-    for v1, v2 in weight_pairs:
-        w = WeightPair(v1, v2)
+    for pair in weight_pairs:
+        w = as_weights(pair)
         for size in range(1, max_len + 1):
             for labs in itertools.product((_T, _N), repeat=size):
                 got = pav_posteriors(labs, w)
@@ -182,7 +182,7 @@ def run_suite(fn: Callable[[], tuple[bool, str]]) -> tuple[bool, str]:
 
 def run_selfcheck(
     max_len: int = 10,
-    weight_pairs: Sequence[tuple[float, float]] = DEFAULT_WEIGHT_PAIRS,
+    weight_pairs: Sequence[WeightPair | tuple[float, float]] = DEFAULT_WEIGHT_PAIRS,
     instances: int = 25,
     candidates: int = 100,
     seed: int = 20260819,

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 import subprocess
 import sys
 
@@ -97,6 +98,20 @@ def test_usage_errors_exit_2(tmp_path, capsys, train_csv):
     assert run(capsys, "fit", train_csv, "--rule", "nope", "--out", out)[0] == 2
     assert run(capsys, "fit", train_csv, "--weights", "1;2", "--out", out)[0] == 2
     assert run(capsys, "fit", train_csv)[0] == 2
+    # llr mode turns down --weights in both commands, before the input is read
+    bad_label = write(tmp_path / "bad.csv", "score,label\n0,target\n1,duck\n")
+    for src in (train_csv, bad_label):
+        for argv in (["fit", src, "--out", out], ["evaluate", src, "--calibrated"]):
+            assert run(capsys, *argv, "--mode", "llr", "--weights", "1,5") == (
+                2, "", "error: --weights has no effect in llr mode\n"
+            )
+
+
+@pytest.mark.parametrize("command", ["fit", "evaluate"])
+def test_help_describes_the_shared_flags(capsys, command):
+    code, out, _ = run(capsys, command, "-h")
+    assert code == 0
+    assert re.search(r"--rule RULE\s+objective to report: log, brier", out)
 
 
 # A warning, which numpy prints to stderr, fails the test.
@@ -530,6 +545,26 @@ def test_oversized_field_exits_1_naming_the_line(tmp_path, capsys, command):
     assert code == 1
     assert err.startswith("error: line 3:")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["fit", "evaluate"])
+@pytest.mark.parametrize("prior", ["37", "-37", "700", "-700"])
+def test_extreme_prior_logodds_are_accepted(tmp_path, capsys, command, prior):
+    train = write(tmp_path / "t.csv", "score,label\n1,target\n2,nontarget\n3,nontarget\n4,target\n")
+    code, out, err = run(capsys, *_command_argv(tmp_path, command, train), "--prior-logodds", prior)
+    assert (code, err) == (0, "")
+    assert out
+
+
+@pytest.mark.parametrize("command", ["fit", "evaluate"])
+@pytest.mark.parametrize("prior", ["800", "-800"])
+def test_prior_logodds_whose_weight_underflows_is_named(tmp_path, capsys, command, prior):
+    train = write(tmp_path / "t.csv", "score,label\n1,target\n2,nontarget\n3,nontarget\n4,target\n")
+    argv = _command_argv(tmp_path, command, train)
+    assert run(capsys, *argv, "--prior-logodds", prior) == (
+        1, "", f"error: prior log-odds {float(prior)!r} gives a class weight of 0\n"
+    )
+    assert not (tmp_path / "m.map").exists()
 
 
 @pytest.mark.parametrize("command", ["fit", "apply", "evaluate"])

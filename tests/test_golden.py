@@ -12,13 +12,15 @@ import json
 
 import pytest
 
-from golden.regenerate import VARIANTS, expected_path, inputs, python_version, run_case
+from golden.regenerate import (
+    EXPECTED, VARIANTS, expected_path, inputs, python_version, run_case,
+)
 
 INPUTS = inputs()
 
 
 def test_every_input_has_expectations():
-    stored = sorted(path.name for path in expected_path("x").parent.glob("*.json"))
+    stored = sorted(path.name for path in EXPECTED.glob("*.json"))
     assert stored == sorted(expected_path(name).name for name in INPUTS)
 
 

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -66,6 +67,28 @@ def test_weights_from_prior_rejects_bad_input():
         weights_from_prior(math.nan, 10, 10)
     with pytest.raises(ValueError):
         weights_from_prior(0.0, 0, 10)
+
+
+@pytest.mark.parametrize("pi", [37.0, 100.0, 700.0, -37.0, -100.0, -700.0])
+def test_extreme_priors_give_positive_weights(pi):
+    # Above a prior of about 36.7, sigmoid(pi) rounds to 1, and the
+    # non-target share must not be computed as 1 - sigmoid(pi).
+    w = weights_from_prior(pi, 7, 13)
+    assert 7 * w.v1 / (13 * w.v2) == pytest.approx(math.exp(pi), rel=1e-12)
+
+
+@pytest.mark.parametrize("pi", [746.0, -746.0, 1e300, -1e300])
+def test_priors_whose_share_underflows_are_named(pi):
+    with pytest.raises(ValueError, match=re.escape(f"prior log-odds {pi!r} gives a class weight")):
+        weights_from_prior(pi, 7, 13)
+
+
+def test_priors_that_worked_keep_their_bits():
+    for pi in np.linspace(-36.0, 36.0, 1441).tolist():
+        for t1, t2 in [(1, 1), (7, 13), (1000, 3)]:
+            p = sigmoid(pi)
+            w = weights_from_prior(pi, t1, t2)
+            assert (w.v1, w.v2) == (p / t1, (1.0 - p) / t2), pi
 
 
 def test_llr_calibrate_frozen_examples():
