@@ -125,12 +125,12 @@ class CalibrationMap:
 
 def _fit(
     scores: np.ndarray, flags: np.ndarray, weights: WeightPair, mode: str, policy: str
-) -> tuple[CalibrationMap, np.ndarray, int]:
+) -> tuple[CalibrationMap, np.ndarray, np.ndarray, np.ndarray]:
     """Fit a map to finite scores and their target flags: the map (llr mode
-    ignores weights), each row's fitted posterior in input order, and the
-    block count.  Exact score ties pool into one item, -0.0 and 0.0 as 0.0,
-    so the map does not depend on row order.  An llr fit's posterior is
-    sigmoid(llr + logit(t1 / T)), computed once per block."""
+    ignores weights), and each block's fitted posterior, target count and
+    non-target count, in score order.  Exact score ties pool into one item,
+    -0.0 and 0.0 as 0.0, so the map does not depend on row order.  An llr
+    fit's posterior is sigmoid(llr + logit(t1 / T))."""
     order = np.argsort(scores, kind="stable")
     xs = scores[order]
     xs += 0.0  # -0.0 becomes 0.0; every other score stays as it is
@@ -142,7 +142,7 @@ def _fit(
     del heads  # item-length, so freed before the PAV pass, not kept through it
     v1, v2 = (1.0, 1.0) if mode == "llr" else (weights.v1, weights.v2)
     starts, ends, bm, bn, vals = _pool_counts(ms, ns, v1, v2)
-    fitted = vals
+    fitted = np.array(vals)
     if mode == "llr":
         vals, offset = _block_llrs(vals, sum(bm), sum(bn))
         fitted = _posteriors(np.array(vals), offset)
@@ -151,10 +151,8 @@ def _fit(
         knots.append((float(xs[s]), v))
         if e > s:
             knots.append((float(xs[e]), v))
-    posteriors = np.empty(order.size)
-    posteriors[order] = np.repeat(fitted, np.add(bm, bn))
     cmap = CalibrationMap(knots=tuple(knots), mode=mode, policy=policy)
-    return cmap, posteriors, len(vals)
+    return cmap, fitted, np.array(bm), np.array(bn)
 
 
 def build_map(
@@ -195,7 +193,11 @@ def _apply(cmap: CalibrationMap, scores: np.ndarray) -> np.ndarray:
     x0, v0, x1, v1 = xs[j], vs[j], xs[j + 1], vs[j + 1]
     ramp = (i == j) & (scores != x0) & (v0 != v1) & np.isfinite(v0) & np.isfinite(v1)
     with np.errstate(all="ignore"):
-        v = v0 + (scores - x0) / (x1 - x0) * (v1 - v0)
+        wide = np.flatnonzero(np.isinf(x1 - x0))  # knots further apart than the largest double
+        v = (scores - x0) / (x1 - x0)
+        v[wide] = (scores[wide] / 2 - x0[wide] / 2) / (x1[wide] / 2 - x0[wide] / 2)
+        v *= v1 - v0  # in place: v0 + v * (v1 - v0) would add an array to the peak
+        v += v0
     # min(max(v, v0), v1): rounding in the interpolation must not poke
     # outside [v0, v1], or monotonicity across probes could break by an ulp.
     v = np.where(v0 > v, v0, v)

@@ -23,7 +23,7 @@ import numpy as np
 from .calmap import CalibrationMap, _apply, _fit
 from .llr import _class_log_odds, _posteriors, weights_from_prior
 from .pav import _target_flags
-from .rules import Logarithmic, ScoringRule, objective, parse_rule
+from .rules import Logarithmic, ScoringRule, _total_cost, objective, parse_rule
 from .selfcheck import DEFAULT_WEIGHT_PAIRS, run_selfcheck
 from .types import Label, WeightPair
 
@@ -328,11 +328,11 @@ def _read_labeled(
 def cmd_fit(args: argparse.Namespace) -> int:
     rows, t1, t2 = _read_labeled(args)
     weights = WeightPair(1.0, 1.0) if args.mode == "llr" else _fit_weights(args, t1, t2)
-    cmap, fitted, blocks = _fit(rows.scores, rows.flags, weights, args.mode, args.policy)
+    cmap, fitted, m, n = _fit(rows.scores, rows.flags, weights, args.mode, args.policy)
     cmap.save(args.out)
-    print(f"T={len(rows)} T1={t1} T2={t2} blocks={blocks}")
+    print(f"T={len(rows)} T1={t1} T2={t2} blocks={fitted.size}")
     for rule in _rules_of(args):
-        print(f"objective[{rule}]={objective(rule, rows.flags, weights, fitted)!r}")
+        print(f"objective[{rule}]={_total_cost(rule, weights, (fitted, m), (fitted, n))!r}")
     return 0
 
 
@@ -375,9 +375,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     else:
         weights = _fit_weights(args, t1, t2)
 
-    ref_vals = _fit(rows.scores, rows.flags, weights, "posterior", "step")[1]
+    _, ref_vals, m, n = _fit(rows.scores, rows.flags, weights, "posterior", "step")
     for rule in _rules_of(args):
-        ref_obj = objective(rule, rows.flags, weights, ref_vals)
+        ref_obj = _total_cost(rule, weights, (ref_vals, m), (ref_vals, n))
         line = f"rule={rule} reference={ref_obj!r}"
         if values is not None:
             cal_obj = objective(rule, rows.flags, weights, values)
@@ -393,6 +393,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 def cmd_selfcheck(args: argparse.Namespace) -> int:
     if min(args.max_len, args.instances, args.candidates) < 1:
         raise UsageError("--max-len, --instances and --candidates must be positive")
+    if args.seed < 0:
+        raise UsageError("--seed must not be negative")
     pairs = [args.weights] if args.weights is not None else list(DEFAULT_WEIGHT_PAIRS)
     ok = run_selfcheck(
         max_len=args.max_len,

@@ -36,7 +36,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .pav import Labels, _target_flags
-from .types import Label, WeightPair, as_weights
+from .types import Label, WeightPair, _expand, as_weights
 
 _INF = math.inf
 
@@ -267,22 +267,30 @@ def objective(
     +inf when any term is infinite or the total overflows.  Does not
     require p to be monotone; callers score arbitrary candidate assignments.
     """
-    if len(labels) != len(p):
-        raise ValueError(f"got {len(labels)} labels but {len(p)} values")
-    w = as_weights(weights)
     q = np.asarray(p, dtype=float)
+    if q.shape != (len(labels),):
+        raise ValueError(f"values of shape {q.shape} do not match {len(labels)} labels")
+    w = as_weights(weights)
     inside = (q >= 0.0) & (q <= 1.0)
     if not inside.all():  # name the first value outside [0, 1], or NaN
         raise ValueError(f"probability {q[np.argmin(inside)].item()!r} outside [0, 1]")
     flags = _target_flags(labels)
+    return _total_cost(rule, w, (q[flags], None), (q[~flags], None))
+
+
+def _total_cost(rule: ScoringRule, w: WeightPair, *sides: tuple) -> float:
+    """objective's sum over (values, counts or None) of targets, then non-targets: one
+    exactly rounded fsum of each term once or counts[i] times, as over expanded rows."""
     parts = []
-    for target, weight in ((True, w.v1), (False, w.v2)):
-        rows = q[flags] if target else q[~flags]
-        if rows.size:  # a class with no rows evaluates no cost
+    for target, weight, (q, k) in zip((True, False), (w.v1, w.v2), sides):
+        if k is not None:  # only counted values are evaluated
+            q, k = q[k > 0], memoryview(k[k > 0])
+        if q.size:  # a class with no rows evaluates no cost
             with np.errstate(over="ignore"):  # a term that overflows is +inf
-                parts.append(weight * rule._costs(rows, target))
+                terms = memoryview(weight * rule._costs(q, target))
+            parts.append(terms if k is None else _expand(terms, k))
     try:
-        return math.fsum(itertools.chain(*map(memoryview, parts)))
+        return math.fsum(itertools.chain(*parts))
     except OverflowError:
         return _INF
 

@@ -120,6 +120,17 @@ class TestApply:
         assert apply_map(cmap, 0.5) == -math.inf
         assert apply_map(cmap, 1.0) == math.inf
 
+    def test_linear_ramp_across_a_gap_wider_than_the_largest_double(self):
+        # 1e308 - -1e308 overflows, yet the ramp must still run from 0 to 1.
+        cmap = build_map([-1e308, 1e308], [N, T], (1.0, 1.0), policy="linear")
+        assert apply_map(cmap, 0.0) == 0.5
+        assert apply_map(cmap, 9e307) == pytest.approx(0.95, rel=1e-15)
+        probes = [-1e308, -9e307, -1e300, -1.0, 0.0, 1e-300, 1.0, 1e300, 9e307, 1.7e308]
+        values = _apply(cmap, np.array(probes)).tolist()
+        assert not any(map(math.isnan, values))
+        assert values == sorted(values)
+        assert values == [apply_map(cmap, s) for s in probes]
+
     @given(
         seed=st.integers(0, 999),
         policy=st.sampled_from(["step", "linear"]),
@@ -221,7 +232,10 @@ def _reference_apply(cmap, score):
         return v0
     if math.isinf(v0) or math.isinf(v1):
         return v0
-    t = (score - x0) / (x1 - x0)
+    if math.isinf(x1 - x0):  # knots further apart than the largest double
+        t = (score / 2 - x0 / 2) / (x1 / 2 - x0 / 2)
+    else:
+        t = (score - x0) / (x1 - x0)
     v = v0 + t * (v1 - v0)
     return min(max(v, v0), v1)
 

@@ -301,6 +301,11 @@ def test_selfcheck_sizes_must_be_positive(capsys, argv):
     assert err == "error: --max-len, --instances and --candidates must be positive\n"
 
 
+def test_selfcheck_seed_must_not_be_negative(capsys):
+    code, out, err = run(capsys, "selfcheck", "--seed", "-1")
+    assert (code, out, err) == (2, "", "error: --seed must not be negative\n")
+
+
 def _small_selfcheck(capsys):
     code, out, _ = run(capsys, "selfcheck", "--max-len", "4", "--instances", "3",
                        "--candidates", "20")

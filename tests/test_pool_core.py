@@ -15,16 +15,31 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pavcal import Label, WeightPair, build_map, logit, maxmin_oracle, pav_fit, pav_posteriors
+from pavcal import (
+    CustomDensity,
+    Label,
+    WeightPair,
+    build_map,
+    logit,
+    maxmin_oracle,
+    objective,
+    pav_fit,
+    pav_posteriors,
+)
 from pavcal import pav, pooled_value
 from pavcal.calmap import _apply, _fit
 from pavcal.llr import _posteriors
 from pavcal.pav import _pool_counts
+from pavcal.rules import _total_cost
+from pavcal.selfcheck import STANDARD_RULES
 
 T = Label.TARGET
 N = Label.NONTARGET
 
 NEAR_EQUAL = (3.0, math.nextafter(3.0, math.inf))
+
+# The Brier rule's density, with costs by quadrature.
+PARABOLIC_DENSITY = CustomDensity(lambda e: 6.0 * e * (1.0 - e), True, True)
 
 weight_pairs = st.one_of(
     st.tuples(st.floats(-6.0, 6.0), st.floats(-6.0, 6.0)).map(
@@ -150,20 +165,40 @@ def test_fit_matches_sorted_reference(trials, weights, mode):
     t1 = int(flags.sum())
     if mode == "llr" and not 0 < t1 < flags.size:
         return  # llr mode needs both classes
-    cmap, fitted, blocks = _fit(scores, flags, WeightPair(*weights), mode, "linear")
+    cmap, fitted, m, n = _fit(scores, flags, WeightPair(*weights), mode, "linear")
     items, ms, ns = _reference_tie_pool(*trials)
     v1, v2 = (1.0, 1.0) if mode == "llr" else weights
-    starts, ends, _, _, vals = _pool_counts(ms, ns, v1, v2)
-    assert blocks == len(vals)
-    block_of_item = [b for b, (s, e) in enumerate(zip(starts, ends)) for _ in range(s, e + 1)]
-    # Each row's posterior is its item's block value (-0.0 == 0.0 finds the item).
-    rows = [vals[block_of_item[items.index(score)]] for score in trials[0]]
+    starts, _, bm, bn, vals = _pool_counts(ms, ns, v1, v2)
+    assert (m.tolist(), n.tolist()) == (bm, bn)
     if mode == "posterior":
-        assert repr(fitted.tolist()) == repr(rows)
+        assert repr(fitted.tolist()) == repr(vals)
     else:
-        assert fitted.tolist() == pytest.approx(rows, rel=1e-12, abs=1e-300)
-        llrs = _apply(cmap, scores)
+        assert fitted.tolist() == pytest.approx(vals, rel=1e-12, abs=1e-300)
+        # Each block's posterior is sigmoid(llr + logit(t1 / T)) of the map's llr there.
+        llrs = _apply(cmap, np.array([items[s] for s in starts]))
         assert repr(fitted.tolist()) == repr(_posteriors(llrs, logit(t1 / flags.size)).tolist())
+
+
+@given(
+    trials=tied_trials,
+    weights=st.one_of(weight_pairs, st.sampled_from([(1e-300, 1e300), (1e300, 1e-300)])),
+    mode=st.sampled_from(["posterior", "llr"]),
+)
+def test_block_sums_equal_the_objective_on_the_rows(trials, weights, mode):
+    # The fit is constant on each block, so a block's counts stand for its
+    # rows: the same terms go into one exactly rounded fsum either way.
+    scores, flags = np.array(trials[0]), np.array([lab is T for lab in trials[1]])
+    t1 = int(flags.sum())
+    if mode == "llr" and not 0 < t1 < flags.size:
+        return  # llr mode needs both classes
+    w = WeightPair(*weights)
+    cmap, fitted, m, n = _fit(scores, flags, w, mode, "step")
+    rows = _apply(cmap, scores)  # each row's block value, in input order
+    if mode == "llr":
+        rows = _posteriors(rows, logit(t1 / flags.size))
+    for rule in (*STANDARD_RULES, PARABOLIC_DENSITY):
+        got = _total_cost(rule, w, (fitted, m), (fitted, n))
+        assert repr(got) == repr(objective(rule, flags, w, rows)), rule
 
 
 def test_prune_passes_stop_when_they_stop_halving(monkeypatch):

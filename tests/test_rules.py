@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -13,10 +14,12 @@ from pavcal import (
     Label,
     Logarithmic,
     ScoringRule,
+    WeightPair,
     expected_cost,
     objective,
     parse_rule,
 )
+from pavcal.rules import _total_cost
 
 T = Label.TARGET
 N = Label.NONTARGET
@@ -210,10 +213,21 @@ class TestObjective:
 
     def test_saturates_at_infinity(self):
         assert objective(Logarithmic(), [T, N], (1.0, 1.0), [0.0, 0.5]) == math.inf
+        # Counted: the value 0.0 of a block with no targets has an infinite
+        # target cost, which counts only when a target holds it.
+        q, w = np.array([0.0, 0.5]), WeightPair(1.0, 1.0)
+        got = _total_cost(Logarithmic(), w, (q, np.array([0, 2])), (q, np.array([3, 1])))
+        assert got == objective(Logarithmic(), [T, T, N, N, N, N], w, [0.5, 0.5, 0, 0, 0, 0.5])
+        assert math.isfinite(got)
+        assert _total_cost(Logarithmic(), w, (q, np.array([1, 2])), (q, np.array([3, 1]))) == math.inf
 
     def test_overflowing_total_saturates_at_infinity(self):
         # Each term is finite; only their sum overflows.
         assert objective(Logarithmic(), [T, N], (1.7e308, 1.7e308), [0.5, 0.5]) == math.inf
+        # Counted: 2 + 3 rows overflow, 1 row does not.
+        q, w = np.array([0.5]), WeightPair(1.7e308, 1.7e308)
+        assert _total_cost(Brier(), w, (q, np.array([2])), (q, np.array([3]))) == math.inf
+        assert _total_cost(Brier(), w, (q, np.array([1])), (q, np.array([0]))) == 1.7e308 * 0.75
 
     def test_total_does_not_depend_on_trial_order(self):
         rng = random.Random(4)
@@ -226,8 +240,10 @@ class TestObjective:
         assert len(totals) == 1
 
     def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            objective(Brier(), [T, N], (1.0, 1.0), [0.5])
+        # Values that are not one column of the labels' length, named by shape.
+        for p, shape in (([0.5], "(1,)"), ([[0.5], [0.5]], "(2, 1)"), (0.5, "()")):
+            with pytest.raises(ValueError, match=re.escape(f"values of shape {shape} do not")):
+                objective(Brier(), [T, N], (1.0, 1.0), p)
 
     def test_first_bad_probability_in_row_order_is_named(self):
         for p in ([0.5, 1.5, math.nan], np.array([0.5, 1.5, math.nan])):
@@ -259,6 +275,13 @@ class TestObjective:
         # The density is validated on first use only, and here there is none.
         unnormalized = CustomDensity(lambda e: 2.0, False, False)
         assert objective(unnormalized, [], (1.0, 1.0), []) == 0.0
+        # Counted values: a class whose counts are all 0 evaluates no cost,
+        # and a value counted 0 times is not evaluated either.
+        w = WeightPair(2.0, 1.0)
+        q = np.array([0.25, 0.5])
+        assert _total_cost(rule, w, (q, np.array([3, 0])), (q, np.array([0, 0]))) == 6.0
+        assert rule.calls[1:] == [(True, [0.25])]
+        assert _total_cost(unnormalized, w, (q, np.array([0, 0])), (q, np.array([0, 0]))) == 0.0
 
 
 def _reference_cost(rule, label, q):
