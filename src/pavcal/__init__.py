@@ -28,14 +28,7 @@ from .rules import (
     objective,
     parse_rule,
 )
-from .types import (
-    Block,
-    BlockSolution,
-    Label,
-    WeightPair,
-    expand,
-    pooled_value,
-)
+from .types import Block, BlockSolution, Label, WeightPair, expand, pooled_value
 
 __version__ = "0.1.0"
 

@@ -40,7 +40,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .llr import _block_llrs, _posteriors
+from .llr import _block_llrs
 from .pav import Labels, _pool_counts, _target_flags
 from .types import WeightPair, as_weights
 
@@ -125,12 +125,11 @@ class CalibrationMap:
 
 def _fit(
     scores: np.ndarray, flags: np.ndarray, weights: WeightPair, mode: str, policy: str
-) -> tuple[CalibrationMap, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[CalibrationMap, np.ndarray, np.ndarray]:
     """Fit a map to finite scores and their target flags: the map (llr mode
-    ignores weights), and each block's fitted posterior, target count and
-    non-target count, in score order.  Exact score ties pool into one item,
-    -0.0 and 0.0 as 0.0, so the map does not depend on row order.  An llr
-    fit's posterior is sigmoid(llr + logit(t1 / T))."""
+    ignores weights), and each block's target count and non-target count,
+    in score order.  Exact score ties pool into one item, -0.0 and 0.0 as
+    0.0, so the map does not depend on row order."""
     order = np.argsort(scores, kind="stable")
     xs = scores[order]
     xs += 0.0  # -0.0 becomes 0.0; every other score stays as it is
@@ -142,17 +141,15 @@ def _fit(
     del heads  # item-length, so freed before the PAV pass, not kept through it
     v1, v2 = (1.0, 1.0) if mode == "llr" else (weights.v1, weights.v2)
     starts, ends, bm, bn, vals = _pool_counts(ms, ns, v1, v2)
-    fitted = np.array(vals)
     if mode == "llr":
-        vals, offset = _block_llrs(vals, sum(bm), sum(bn))
-        fitted = _posteriors(np.array(vals), offset)
+        vals = _block_llrs(vals, sum(bm), sum(bn))[0]
     knots: list[tuple[float, float]] = []
     for s, e, v in zip(starts, ends, vals):
         knots.append((float(xs[s]), v))
         if e > s:
             knots.append((float(xs[e]), v))
     cmap = CalibrationMap(knots=tuple(knots), mode=mode, policy=policy)
-    return cmap, fitted, np.array(bm), np.array(bn)
+    return cmap, np.array(bm), np.array(bn)
 
 
 def build_map(

@@ -25,7 +25,7 @@ from .llr import _class_log_odds, _posteriors, weights_from_prior
 from .pav import _target_flags
 from .rules import Logarithmic, ScoringRule, _total_cost, objective, parse_rule
 from .selfcheck import DEFAULT_WEIGHT_PAIRS, run_selfcheck
-from .types import Label, WeightPair
+from .types import Label, WeightPair, pooled_value
 
 
 class DataError(Exception):
@@ -307,10 +307,15 @@ def _rules_of(args: argparse.Namespace) -> list[ScoringRule]:
     return list(args.rule) if args.rule else [Logarithmic()]
 
 
-def _fit_weights(args: argparse.Namespace, t1: int, t2: int) -> WeightPair:
-    if args.prior_logodds is not None:
-        return weights_from_prior(args.prior_logodds, t1, t2)
-    return args.weights or WeightPair(1.0, 1.0)
+def _scoring_weights(args: argparse.Namespace, t1: int, t2: int) -> tuple[WeightPair, float | None]:
+    """The weights fit and evaluate score at, and the prior log-odds they come from:
+    --weights; else --prior-logodds; else in llr mode the class proportions'; else 1,1."""
+    pi = args.prior_logodds
+    if pi is None and args.mode == "llr":
+        pi = _class_log_odds(t1, t2)
+    if pi is None:
+        return args.weights or WeightPair(1.0, 1.0), None
+    return weights_from_prior(pi, t1, t2), pi
 
 
 def _read_labeled(
@@ -327,12 +332,13 @@ def _read_labeled(
 
 def cmd_fit(args: argparse.Namespace) -> int:
     rows, t1, t2 = _read_labeled(args)
-    weights = WeightPair(1.0, 1.0) if args.mode == "llr" else _fit_weights(args, t1, t2)
-    cmap, fitted, m, n = _fit(rows.scores, rows.flags, weights, args.mode, args.policy)
+    weights = _scoring_weights(args, t1, t2)[0]
+    cmap, m, n = _fit(rows.scores, rows.flags, weights, args.mode, args.policy)
     cmap.save(args.out)
-    print(f"T={len(rows)} T1={t1} T2={t2} blocks={fitted.size}")
+    print(f"T={len(rows)} T1={t1} T2={t2} blocks={m.size}")
+    q = pooled_value(m, n, weights.v1, weights.v2)  # each block's posterior at the weights
     for rule in _rules_of(args):
-        print(f"objective[{rule}]={_total_cost(rule, weights, (fitted, m), (fitted, n))!r}")
+        print(f"objective[{rule}]={_total_cost(rule, weights, (q, m), (q, n))!r}")
     return 0
 
 
@@ -363,21 +369,14 @@ def cmd_apply(args: argparse.Namespace) -> int:
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     rows, t1, t2 = _read_labeled(args, args.calibrated)
+    weights, pi = _scoring_weights(args, t1, t2)
     values = rows.values
-
-    if args.mode == "llr":
-        pi = args.prior_logodds
-        if pi is None:
-            pi = _class_log_odds(t1, t2)
-        weights = weights_from_prior(pi, t1, t2)
-        if values is not None:
-            values = _posteriors(values, pi)
-    else:
-        weights = _fit_weights(args, t1, t2)
-
-    _, ref_vals, m, n = _fit(rows.scores, rows.flags, weights, "posterior", "step")
+    if args.mode == "llr" and values is not None:
+        values = _posteriors(values, pi)
+    _, m, n = _fit(rows.scores, rows.flags, weights, args.mode, "step")
+    q = pooled_value(m, n, weights.v1, weights.v2)
     for rule in _rules_of(args):
-        ref_obj = _total_cost(rule, weights, (ref_vals, m), (ref_vals, n))
+        ref_obj = _total_cost(rule, weights, (q, m), (q, n))
         line = f"rule={rule} reference={ref_obj!r}"
         if values is not None:
             cal_obj = objective(rule, rows.flags, weights, values)

@@ -49,8 +49,8 @@ def _posteriors(w: np.ndarray, prior_logodds: float) -> np.ndarray:
 
 
 def sigmoid(w: float) -> float:
-    """Inverse of logit, numerically stable for large |w|; maps +-inf to 1/0."""
-    return _posteriors(np.array([w], float), 0.0)[0].item()
+    """Inverse of logit, numerically stable for large |w|; maps +-inf to 1/0, rejects NaN."""
+    return posterior_from_llr(w, 0.0)
 
 
 def _class_log_odds(t1: int, t2: int) -> float:
@@ -74,10 +74,8 @@ def weights_from_prior(prior_logodds: float, t1: int, t2: int) -> WeightPair:
     carry.  The prior must be finite, both counts at least 1, and neither
     weight may underflow to 0, as it does for a prior beyond about +-745.
     """
-    if not math.isfinite(prior_logodds):
-        raise ValueError(f"prior log-odds must be finite, got {prior_logodds!r}")
+    pi = posterior_from_llr(0.0, prior_logodds)  # rejects a prior that is not finite
     _class_log_odds(t1, t2)  # rejects a missing class
-    pi = sigmoid(prior_logodds)
     # 1 - pi cancels to 0 once pi rounds to 1, above a prior of about 36.7.
     v1, v2 = pi / t1, (1.0 - pi or sigmoid(-prior_logodds)) / t2
     if v1 == 0.0 or v2 == 0.0:
@@ -100,6 +98,8 @@ class LlrCalibration:
 
     def __post_init__(self) -> None:
         _class_log_odds(self.t1, self.t2)  # rejects a missing class
+        if len(self.w) != self.t1 + self.t2:
+            raise ValueError(f"{len(self.w)} llr values for {self.t1 + self.t2} trials")
         w = np.fromiter(self.w, float, len(self.w))
         if np.isnan(w).any() or (w[1:] < w[:-1]).any():
             raise ValueError("llr values must be nondecreasing")
@@ -123,7 +123,11 @@ def llr_calibrate(labels: Labels) -> LlrCalibration:
 
 
 def posterior_from_llr(w: float, prior_logodds: float) -> float:
-    """Posterior target probability from an LLR and a prior log-odds."""
+    """Posterior target probability from an LLR (not NaN) and a finite prior log-odds."""
+    if math.isnan(w):
+        raise ValueError("llr must not be NaN")
+    if not math.isfinite(prior_logodds):
+        raise ValueError(f"prior log-odds must be finite, got {prior_logodds!r}")
     return _posteriors(np.array([w], float), prior_logodds)[0].item()
 
 

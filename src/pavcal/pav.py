@@ -25,6 +25,7 @@ and why the whole pass is O(T).
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from typing import Sequence
 
@@ -47,7 +48,8 @@ def _pool_counts(
     ties); there is at least one item, and every item holds at least one
     trial.  Returns parallel block lists (start item, end item, m, n,
     value) with strictly increasing values, each value being pooled_value
-    of the block's counts.
+    of the block's counts.  ValueError if the weight of all trials
+    overflows; as rounding is monotone, it bounds every block's weight.
 
     Prune passes.  Between two adjacent segments sits one vertex of the
     cumulative diagram.  If the left segment's value is >= the right
@@ -80,6 +82,8 @@ def _pool_counts(
     m = np.asarray(ms)
     n = np.asarray(ns)
     size = m.shape[0]
+    if not math.isfinite(int(m.sum()) * v1 + int(n.sum()) * v2):
+        raise ValueError(f"weights {v1!r},{v2!r} overflow the weight of {m.sum() + n.sum()} trials")
     seg_start = np.arange(size)
     vals = pooled_value(m, n, v1, v2)
     halved = True  # whether the last pass left at most half the segments

@@ -36,7 +36,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .pav import Labels, _target_flags
-from .types import Label, WeightPair, _expand, as_weights
+from .types import Label, WeightPair, as_weights
 
 _INF = math.inf
 
@@ -279,16 +279,19 @@ def objective(
 
 
 def _total_cost(rule: ScoringRule, w: WeightPair, *sides: tuple) -> float:
-    """objective's sum over (values, counts or None) of targets, then non-targets: one
-    exactly rounded fsum of each term once or counts[i] times, as over expanded rows."""
+    """objective's sum over (values, counts or None) of targets, then non-targets: one exactly
+    rounded fsum of each term t once, or k times as t * 2**i per set bit i of its count k."""
     parts = []
     for target, weight, (q, k) in zip((True, False), (w.v1, w.v2), sides):
         if k is not None:  # only counted values are evaluated
-            q, k = q[k > 0], memoryview(k[k > 0])
+            q, k = q[k > 0], k[k > 0]
         if q.size:  # a class with no rows evaluates no cost
-            with np.errstate(over="ignore"):  # a term that overflows is +inf
-                terms = memoryview(weight * rule._costs(q, target))
-            parts.append(terms if k is None else _expand(terms, k))
+            with np.errstate(over="ignore"):  # a term or summand that overflows is +inf
+                terms = weight * rule._costs(q, target)
+                if k is not None:
+                    bits = range(int(k.max()).bit_length())
+                    terms = np.concatenate([terms[(k >> i) & 1 == 1] * 2.0**i for i in bits])
+            parts.append(memoryview(terms))
     try:
         return math.fsum(itertools.chain(*parts))
     except OverflowError:

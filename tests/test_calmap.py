@@ -90,6 +90,17 @@ class TestBuild:
         with pytest.raises(ValueError):
             build_map(*_columns([(0.0, T), (1.0, T)]), (1.0, 1.0), mode="llr")
 
+    @pytest.mark.filterwarnings("error")
+    def test_weights_whose_total_overflows_are_named(self):
+        # Each class weight is finite, but the three trials weigh 3e308 in
+        # all, and a pool of one target and one non-target would read 0.0.
+        message = r"^weights 1e\+308,1e\+308 overflow the weight of 3 trials$"
+        with pytest.raises(ValueError, match=message):
+            build_map([1.0, 2.0, 3.0], [T, N, T], (1e308, 1e308))
+        for mode in ("posterior", "llr"):  # llr mode fits at unit weights
+            cmap = build_map([1.0, 2.0, 3.0], [T, N, T], (1e-308, 1e308), mode=mode)
+            assert len(cmap.knots) == 3
+
     def test_empty_and_bad_arguments(self):
         with pytest.raises(ValueError):
             build_map([], [], (1.0, 1.0))

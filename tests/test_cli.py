@@ -12,10 +12,12 @@ from pavcal import (
     apply_map,
     build_map,
     llr_calibrate,
+    logit,
     objective,
     parse_rule,
+    pav_fit,
     pav_posteriors,
-    posterior_from_llr,
+    pooled_value,
     weights_from_prior,
 )
 from pavcal import selfcheck
@@ -368,19 +370,30 @@ def _rule_args():
     return [a for name in RULE_NAMES for a in ("--rule", name)]
 
 
+# Flag sets that pick each kind of scoring weights, in both modes.
+SCORING_FLAGS = [
+    [],
+    ["--weights", "2.5,0.7"],
+    ["--prior-logodds", "-1.2"],
+    ["--mode", "llr"],
+    ["--mode", "llr", "--prior-logodds", "2"],
+]
+
+
 def _weights_for(flags, labels):
-    """The weights the CLI fits with for these flags."""
+    """The weights the CLI scores at for these flags: --weights, the prior's,
+    in llr mode the class proportions' prior, or 1,1."""
+    t1, t2 = labels.count(T), labels.count(N)
     if "--weights" in flags:
         return (2.5, 0.7)
     if "--prior-logodds" in flags:
-        t1 = labels.count(T)
-        return weights_from_prior(-1.2, t1, len(labels) - t1)
+        return weights_from_prior(float(flags[flags.index("--prior-logodds") + 1]), t1, t2)
+    if "--mode" in flags:
+        return weights_from_prior(logit(t1 / len(labels)), t1, t2)
     return (1.0, 1.0)
 
 
-@pytest.mark.parametrize(
-    "flags", [[], ["--weights", "2.5,0.7"], ["--prior-logodds", "-1.2"], ["--mode", "llr"]]
-)
+@pytest.mark.parametrize("flags", SCORING_FLAGS)
 def test_fit_objectives_equal_the_library_path(tmp_path, capsys, flags):
     rng = random.Random(5)
     rows = _labeled_rows([rng.uniform(-3.0, 3.0) for _ in range(400)], seed=6)
@@ -390,8 +403,10 @@ def test_fit_objectives_equal_the_library_path(tmp_path, capsys, flags):
     labels = [lab for _, lab in sorted(rows, key=lambda r: r[0])]
     weights = _weights_for(flags, labels)
     if "--mode" in flags:
-        cal = llr_calibrate(labels)
-        fitted = [posterior_from_llr(w, cal.prior_logodds) for w in cal.w]
+        # The unit-weight fit's blocks, valued at the scoring weights.
+        blocks = pav_fit(labels, (1.0, 1.0)).blocks
+        fitted = [pooled_value(b.m, b.n, weights.v1, weights.v2)
+                  for b in blocks for _ in range(b.size)]
     else:
         fitted = pav_posteriors(labels, weights)
     lines = out.splitlines()[1:]
@@ -496,11 +511,13 @@ def _write_tied(path, rows):
     return write(path, text)
 
 
-def test_fit_objective_equals_evaluate_reference(tmp_path, capsys):
+@pytest.mark.parametrize("flags", SCORING_FLAGS)
+def test_fit_objective_equals_evaluate_reference(tmp_path, capsys, flags):
     src = _write_tied(tmp_path / "ev.csv", _tied_rows(3000, seed=12))
-    code, fit_out, _ = run(capsys, "fit", src, "--out", str(tmp_path / "m.map"), *_rule_args())
+    fit_map = str(tmp_path / "m.map")
+    code, fit_out, _ = run(capsys, "fit", src, "--out", fit_map, *flags, *_rule_args())
     assert code == 0
-    code, ev_out, _ = run(capsys, "evaluate", src, *_rule_args())
+    code, ev_out, _ = run(capsys, "evaluate", src, *flags, *_rule_args())
     assert code == 0
     fitted = [line.partition("=")[2] for line in fit_out.splitlines()[1:]]
     reference = [line.partition("reference=")[2] for line in ev_out.splitlines()]
@@ -566,10 +583,25 @@ def test_extreme_prior_logodds_are_accepted(tmp_path, capsys, command, prior):
 def test_prior_logodds_whose_weight_underflows_is_named(tmp_path, capsys, command, prior):
     train = write(tmp_path / "t.csv", "score,label\n1,target\n2,nontarget\n3,nontarget\n4,target\n")
     argv = _command_argv(tmp_path, command, train)
-    assert run(capsys, *argv, "--prior-logodds", prior) == (
-        1, "", f"error: prior log-odds {float(prior)!r} gives a class weight of 0\n"
+    for mode in ("posterior", "llr"):  # both modes score at the prior's weights
+        assert run(capsys, *argv, "--mode", mode, "--prior-logodds", prior) == (
+            1, "", f"error: prior log-odds {float(prior)!r} gives a class weight of 0\n"
+        )
+        assert not (tmp_path / "m.map").exists()
+
+
+# A warning, which numpy prints to stderr, fails the test.
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command", ["fit", "evaluate"])
+def test_weights_whose_total_overflows_exit_1(tmp_path, capsys, command):
+    train = write(tmp_path / "t.csv", "score,label\n1,target\n2,nontarget\n3,nontarget\n")
+    argv = _command_argv(tmp_path, command, train)
+    assert run(capsys, *argv, "--weights", "1e308,1e308") == (
+        1, "", "error: weights 1e+308,1e+308 overflow the weight of 3 trials\n"
     )
     assert not (tmp_path / "m.map").exists()
+    # One target weighs 1e308, which is finite.
+    assert run(capsys, *argv, "--weights", "1e308,1e-308", "--rule", "brier")[0] == 0
 
 
 @pytest.mark.parametrize("command", ["fit", "apply", "evaluate"])

@@ -121,6 +121,22 @@ def test_posterior_from_llr():
     assert posterior_from_llr(math.inf, -2.0) == 1.0
 
 
+def test_scalar_api_rejects_a_nan_llr():
+    with pytest.raises(ValueError, match="^llr must not be NaN$"):
+        sigmoid(math.nan)
+    with pytest.raises(ValueError, match="^llr must not be NaN$"):
+        posterior_from_llr(math.nan, 0.5)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("w,prior", [(0.5, math.nan), (0.5, math.inf), (0.5, -math.inf),
+                                     (math.inf, -math.inf), (-math.inf, math.inf)])
+def test_posterior_from_llr_rejects_a_prior_that_is_not_finite(w, prior):
+    message = f"prior log-odds must be finite, got {prior!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        posterior_from_llr(w, prior)
+
+
 def _reference_sigmoid(w):
     """The scalar sigmoid that the array path replaced, kept as the reference."""
     if w >= 0.0:
@@ -140,8 +156,10 @@ def test_posteriors_match_the_scalar_reference_bit_for_bit(prior, extra):
     w = EDGE_LLRS + extra
     want = [repr(_reference_sigmoid(x + prior)) for x in w]
     assert list(map(repr, _posteriors(np.array(w), prior).tolist())) == want
-    assert [repr(posterior_from_llr(x, prior)) for x in w] == want
-    assert [repr(sigmoid(x + prior)) for x in w] == want
+    # The scalar API turns NaN down (see test_scalar_api_rejects_a_nan_llr).
+    want = [v for x, v in zip(w, want) if not math.isnan(x)]
+    assert [repr(posterior_from_llr(x, prior)) for x in w if not math.isnan(x)] == want
+    assert [repr(sigmoid(x + prior)) for x in w if not math.isnan(x)] == want
 
 
 @pytest.mark.parametrize("prior", REF_PRIORS)
@@ -178,6 +196,13 @@ def test_calibration_type_rejects_non_monotone_values():
         LlrCalibration(w=(0.0, math.nan), prior_logodds=0.0, t1=1, t2=1)
     with pytest.raises(ValueError):
         LlrCalibration(w=(0.0,), prior_logodds=0.0, t1=0, t2=1)
+
+
+def test_calibration_type_rejects_a_length_that_is_not_the_trial_count():
+    with pytest.raises(ValueError, match="^1 llr values for 10 trials$"):
+        LlrCalibration(w=(0.0,), prior_logodds=0.0, t1=5, t2=5)
+    with pytest.raises(ValueError, match="^3 llr values for 2 trials$"):
+        LlrCalibration(w=(0.0, 0.0, 0.0), prior_logodds=0.0, t1=1, t2=1)
 
 
 def test_prior_independence_over_reweighted_fits():

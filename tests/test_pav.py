@@ -56,6 +56,17 @@ def test_empty_input_rejected():
         pav_fit([], (1.0, 1.0))
 
 
+@pytest.mark.filterwarnings("error")
+def test_weights_whose_total_overflows_are_named():
+    message = r"^weights 1e\+308,1e\+308 overflow the weight of 3 trials$"
+    with pytest.raises(ValueError, match=message):
+        pav_fit([T, N, T], (1e308, 1e308))
+    # A total weight just below the largest double is accepted.
+    sol = pav_fit([T, N], (1e308, 7e307))
+    assert [blk.value for blk in sol.blocks] == [1e308 / (1e308 + 7e307)]
+    assert pav_fit([T], (1.7e308, 1.7e308)).blocks[0].value == 1.0
+
+
 def test_labels_that_are_not_labels_rejected():
     with pytest.raises(TypeError, match="label must be a Label, got 'target'"):
         pav_fit(["target", "nontarget"], (1.0, 1.0))

@@ -12,7 +12,6 @@ sorted-and-loop tie pool.
 import math
 
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from pavcal import (
@@ -28,7 +27,6 @@ from pavcal import (
 )
 from pavcal import pav, pooled_value
 from pavcal.calmap import _apply, _fit
-from pavcal.llr import _posteriors
 from pavcal.pav import _pool_counts
 from pavcal.rules import _total_cost
 from pavcal.selfcheck import STANDARD_RULES
@@ -165,18 +163,17 @@ def test_fit_matches_sorted_reference(trials, weights, mode):
     t1 = int(flags.sum())
     if mode == "llr" and not 0 < t1 < flags.size:
         return  # llr mode needs both classes
-    cmap, fitted, m, n = _fit(scores, flags, WeightPair(*weights), mode, "linear")
+    cmap, m, n = _fit(scores, flags, WeightPair(*weights), mode, "linear")
     items, ms, ns = _reference_tie_pool(*trials)
     v1, v2 = (1.0, 1.0) if mode == "llr" else weights
     starts, _, bm, bn, vals = _pool_counts(ms, ns, v1, v2)
     assert (m.tolist(), n.tolist()) == (bm, bn)
     if mode == "posterior":
-        assert repr(fitted.tolist()) == repr(vals)
+        assert repr(pooled_value(m, n, *weights).tolist()) == repr(vals)
     else:
-        assert fitted.tolist() == pytest.approx(vals, rel=1e-12, abs=1e-300)
-        # Each block's posterior is sigmoid(llr + logit(t1 / T)) of the map's llr there.
+        # Each block's llr in the map is logit(v) - logit(t1 / T) of its unit-weight value v.
         llrs = _apply(cmap, np.array([items[s] for s in starts]))
-        assert repr(fitted.tolist()) == repr(_posteriors(llrs, logit(t1 / flags.size)).tolist())
+        assert repr(llrs.tolist()) == repr([logit(v) - logit(t1 / flags.size) for v in vals])
 
 
 @given(
@@ -192,12 +189,12 @@ def test_block_sums_equal_the_objective_on_the_rows(trials, weights, mode):
     if mode == "llr" and not 0 < t1 < flags.size:
         return  # llr mode needs both classes
     w = WeightPair(*weights)
-    cmap, fitted, m, n = _fit(scores, flags, w, mode, "step")
-    rows = _apply(cmap, scores)  # each row's block value, in input order
-    if mode == "llr":
-        rows = _posteriors(rows, logit(t1 / flags.size))
+    cmap, m, n = _fit(scores, flags, w, mode, "step")
+    q = pooled_value(m, n, *weights)  # each block's posterior at w, whichever the mode
+    values = _apply(cmap, scores)  # each row's block value in the map, in input order
+    rows = q[np.searchsorted(np.unique(values), values)]
     for rule in (*STANDARD_RULES, PARABOLIC_DENSITY):
-        got = _total_cost(rule, w, (fitted, m), (fitted, n))
+        got = _total_cost(rule, w, (q, m), (q, n))
         assert repr(got) == repr(objective(rule, flags, w, rows)), rule
 
 

@@ -229,6 +229,28 @@ class TestObjective:
         assert _total_cost(Brier(), w, (q, np.array([2])), (q, np.array([3]))) == math.inf
         assert _total_cost(Brier(), w, (q, np.array([1])), (q, np.array([0]))) == 1.7e308 * 0.75
 
+    @pytest.mark.parametrize(
+        "term,count,total",
+        [
+            (8.98846567431158e307, 1, 8.98846567431158e307),  # 2**1023
+            (8.98846567431158e307, 2, math.inf),
+            (5e-324, 10**6, 10**6 * 5e-324),  # an exact subnormal
+            (0.1, 10**6 - 1, None),
+        ],
+    )
+    def test_counted_terms_sum_as_the_expanded_rows(self, term, count, total):
+        # A term t counted k times enters the sum as t * 2**i per set bit i
+        # of k: 2**1023 twice overflows, 5e-324 a million times stays exact.
+        class Unit(ScoringRule):
+            def _costs(self, q, target):
+                return np.ones(q.shape)
+
+        w, q = WeightPair(term, 1.0), np.array([0.5])
+        got = _total_cost(Unit(), w, (q, np.array([count])), (q, np.array([0])))
+        want = objective(Unit(), np.ones(count, bool), w, np.full(count, 0.5))
+        assert repr(got) == repr(want)
+        assert total is None or got == total
+
     def test_total_does_not_depend_on_trial_order(self):
         rng = random.Random(4)
         rows = [(T if rng.random() < 0.3 else N, rng.uniform(0.01, 0.99)) for _ in range(2000)]
