@@ -98,6 +98,7 @@ class LlrCalibration:
 
     def __post_init__(self) -> None:
         _class_log_odds(self.t1, self.t2)  # rejects a missing class
+        posterior_from_llr(0.0, self.prior_logodds)  # rejects a prior that is not finite
         if len(self.w) != self.t1 + self.t2:
             raise ValueError(f"{len(self.w)} llr values for {self.t1 + self.t2} trials")
         w = np.fromiter(self.w, float, len(self.w))

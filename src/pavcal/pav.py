@@ -17,9 +17,9 @@ can be deleted any more is the solution.
 The work is done by _pool_counts in two stages: vectorised prune passes
 that delete many vertices at once, for as long as each pass halves what
 is left, then the classic stack pass over whatever segments survive.
-Both compare pooled values as computed, with no epsilon, and both merge
-on equality; see _pool_counts for why the result is exact up to rounding
-and why the whole pass is O(T).
+Both compare class counts exactly, in integers, so the blocks do not
+depend on the weights; see _pool_counts for the one exception, the bound
+that keeps the counts' products exact, and why the whole pass is O(T).
 """
 
 from __future__ import annotations
@@ -51,33 +51,33 @@ def _pool_counts(
     of the block's counts.  ValueError if the weight of all trials
     overflows; as rounding is monotone, it bounds every block's weight.
 
+    A value m*v1 / (m*v1 + n*v2) rises strictly with the proportion
+    m / (m + n) at any positive weights, so two adjacent pools violate
+    (the left proportion is >= the right) exactly when m_l*n_r >= m_r*n_l.
+    Both stages test that in integers: with fewer than 6e9 trials, every
+    product of two disjoint pools' counts (at most T*T/4) is below 2**63.
+
     Prune passes.  Between two adjacent segments sits one vertex of the
-    cumulative diagram.  If the left segment's value is >= the right
-    one's, the diagram bends down (or runs straight) there, so the vertex
-    lies on or above the chord joining its neighbours; the minorant lies
-    on or below that chord, so it cannot have a corner at this vertex.
-    Deleting every such vertex at once therefore leaves the minorant
-    unchanged, and one pass is a handful of O(segments) array operations:
-    one comparison of neighbouring values, and np.add.reduceat to add up
-    the counts of each run of merged segments.  Passes run while each one
-    at least halves the segments, and a pass that deletes nothing ends
-    them, since then every value already rises strictly.  So the passes
-    start from at most T, T, T/2, T/4, ... segments and cost O(T) in all,
+    cumulative diagram.  Where they violate, the diagram bends down (or
+    runs straight), so the vertex lies on or above the chord joining its
+    neighbours; the minorant lies on or below that chord, so it has no
+    corner there, and deleting every such vertex at once leaves it as it
+    is.  One pass is the count test (a bool AND on the first pass over
+    target flags) and np.add.reduceat to add up the counts of each run of
+    merged segments.  Passes run while each one at least halves the
+    segments, and a pass that deletes nothing ends them.  So they start
+    from at most T, T, T/2, T/4, ... segments and cost O(T) in all,
     whatever the data: no more than 3T segments are visited.
 
-    Stack pass.  The survivors are then pooled left to right on a stack of
-    finished blocks: while the top block's value is >= the new block's,
-    the two merge, counts add exactly, and the value is recomputed from
-    the merged counts.  Merging on equality, not only on strict
-    violation, is what leaves the final values strictly increasing, as
-    BlockSolution requires.  Each survivor is pushed once and each merge
-    pops one block, so the stack is O(survivors), and the whole call is
-    O(T) however little the passes delete.
-
-    Values are compared as computed, with no epsilon.  A spurious merge of
-    two pools whose values tie only after rounding is harmless, and near
-    ties land within one rounding step of the exact solution whichever
-    order the merges happen in.
+    Stack pass.  The survivors are pooled left to right on a stack of
+    finished blocks, merging while the top block and the new one violate,
+    or the top's value as computed is >= the new one's; counts add
+    exactly.  The value test keeps the values strictly increasing, as
+    BlockSolution requires, where rounding far from unit weights ties two
+    values or puts them out of order: the one way the blocks can depend on
+    the weights, within one rounding step of the exact solution.  Each
+    survivor is pushed once and each merge pops one block, so the whole
+    call is O(T) however little the passes delete.
     """
     m = np.asarray(ms)
     n = np.asarray(ns)
@@ -85,18 +85,16 @@ def _pool_counts(
     if not math.isfinite(int(m.sum()) * v1 + int(n.sum()) * v2):
         raise ValueError(f"weights {v1!r},{v2!r} overflow the weight of {m.sum() + n.sum()} trials")
     seg_start = np.arange(size)
-    vals = pooled_value(m, n, v1, v2)
     halved = True  # whether the last pass left at most half the segments
     while halved:
-        rises = np.flatnonzero(vals[:-1] < vals[1:])
-        if rises.size + 1 == vals.size:
+        rises = np.flatnonzero(m[:-1] * n[1:] < m[1:] * n[:-1])
+        if rises.size + 1 == m.size:
             break
-        halved = 2 * (rises.size + 1) <= vals.size
+        halved = 2 * (rises.size + 1) <= m.size
         heads = np.concatenate(([0], rises + 1))
         seg_start = seg_start[heads]
         m = np.add.reduceat(m, heads, dtype=np.int64)
         n = np.add.reduceat(n, heads, dtype=np.int64)
-        vals = pooled_value(m, n, v1, v2)
 
     starts: list[int] = []
     bm: list[int] = []
@@ -109,7 +107,7 @@ def _pool_counts(
     )
     for start, mk, nk in survivors:
         val = pooled_value(mk, nk, v1, v2)
-        while bvals and bvals[-1] >= val:
+        while bvals and (bvals[-1] >= val or bm[-1] * nk >= mk * bn[-1]):
             bvals.pop()
             mk += bm.pop()
             nk += bn.pop()

@@ -205,6 +205,13 @@ def test_calibration_type_rejects_a_length_that_is_not_the_trial_count():
         LlrCalibration(w=(0.0, 0.0, 0.0), prior_logodds=0.0, t1=1, t2=1)
 
 
+@pytest.mark.parametrize("prior", [math.inf, -math.inf, math.nan])
+def test_calibration_type_rejects_a_prior_that_is_not_finite(prior):
+    message = f"prior log-odds must be finite, got {prior!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        LlrCalibration(w=(0.0, 0.0), prior_logodds=prior, t1=1, t2=1)
+
+
 def test_prior_independence_over_reweighted_fits():
     # Shifting the prior reweights every trial, but logit(fit) - prior
     # lands on the same LLR values regardless, including the infinities.

@@ -10,6 +10,7 @@ sorted-and-loop tie pool.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
@@ -25,7 +26,7 @@ from pavcal import (
     pav_fit,
     pav_posteriors,
 )
-from pavcal import pav, pooled_value
+from pavcal import pooled_value
 from pavcal.calmap import _apply, _fit
 from pavcal.pav import _pool_counts
 from pavcal.rules import _total_cost
@@ -104,18 +105,53 @@ def test_stack_pass_merges_on_an_exact_tie():
     weights=weight_pairs,
 )
 def test_strictly_increasing_items_come_back_unpooled(items, weights):
-    # When item values already rise strictly, no vertex can be pruned and
-    # the stack merges nothing: every item is its own block.
+    # When item proportions already rise strictly, no vertex can be pruned
+    # and the stack merges nothing: every item is its own block.  Items of
+    # equal proportion pool whatever their rounded values, so the items
+    # are keyed by their exact proportion.
     v1, v2 = weights
-    by_value = {pooled_value(m, n, v1, v2): (m, n) for m, n in items}
-    ms = [by_value[v][0] for v in sorted(by_value)]
-    ns = [by_value[v][1] for v in sorted(by_value)]
+    by_share = {Fraction(m, m + n): (m, n) for m, n in items}
+    ms = [by_share[p][0] for p in sorted(by_share)]
+    ns = [by_share[p][1] for p in sorted(by_share)]
     starts, ends, bm, bn, vals = _pool_counts(ms, ns, v1, v2)
     k = len(ms)
     assert starts == list(range(k))
     assert ends == list(range(k))
     assert bm == ms and bn == ns
-    assert vals == sorted(by_value)
+    assert vals == [pooled_value(m, n, v1, v2) for m, n in zip(ms, ns)]
+
+
+def test_pools_of_equal_proportion_pool_at_any_weights():
+    # The blocks (3, 3) and (1, 1) have one proportion, but at (0.3, 4.0)
+    # their values round one ulp apart: 0.0697674418604651 and
+    # 0.06976744186046512.  Compared by counts, they pool.
+    sol = pav_fit([T, T, N, T, N, N, T, N], (0.3, 4.0))
+    assert [(b.m, b.n) for b in sol.blocks] == [(4, 4)]
+
+
+# Up to 60 items of 1-50 trials each.
+counted_items = st.lists(
+    st.integers(1, 50).flatmap(lambda k: st.integers(0, k).map(lambda m: (m, k - m))),
+    min_size=1,
+    max_size=60,
+)
+
+
+@given(
+    items=counted_items,
+    log_ratio=st.floats(-3.0, 3.0),
+    log_v2=st.floats(-6.0, 6.0),
+)
+def test_blocks_do_not_depend_on_the_weights(items, log_ratio, log_v2):
+    # At v1 / v2 in [1e-3, 1e3] the values of distinct proportions lie far
+    # more than a rounding step apart, so the blocks are the unit-weight
+    # ones exactly.
+    v2 = 10.0**log_v2
+    v1 = v2 * 10.0**log_ratio
+    ms, ns = zip(*items)
+    starts, _, bm, bn, _ = _pool_counts(ms, ns, v1, v2)
+    unit_starts, _, unit_m, unit_n, _ = _pool_counts(ms, ns, 1.0, 1.0)
+    assert (starts, bm, bn) == (unit_starts, unit_m, unit_n)
 
 
 @given(labels=st.lists(st.sampled_from([T, N]), min_size=1, max_size=200), weights=weight_pairs)
@@ -203,20 +239,21 @@ def test_prune_passes_stop_when_they_stop_halving(monkeypatch):
     # closing non-target count pools back through all of them.  Each prune
     # pass deletes one vertex, so a prune loop run until nothing is left to
     # delete takes 1000 passes; passes that must halve the segments stop
-    # after the first.  Counted by the array calls of pooled_value.
+    # after the first.  Each pass looks for rises with one np.flatnonzero
+    # call over the segments' neighbour pairs, so those calls are counted.
     sizes = []
+    flatnonzero = np.flatnonzero
 
-    def counting(m, n, v1, v2):
-        if isinstance(m, np.ndarray):
-            sizes.append(m.size)
-        return pooled_value(m, n, v1, v2)
+    def counting(a):
+        sizes.append(a.size)
+        return flatnonzero(a)
 
-    monkeypatch.setattr(pav, "pooled_value", counting)
+    monkeypatch.setattr(np, "flatnonzero", counting)
     ms = [1] * 1000 + [0]
     ns = list(range(1000, 0, -1)) + [10**9]
     starts, ends, bm, bn, vals = _pool_counts(ms, ns, 1.0, 1.0)
     assert (starts, bm, bn) == ([0], [1000], [sum(ns)])
-    assert len(sizes) - 1 <= math.log2(len(ms)) + 1  # prune passes
+    assert len(sizes) <= math.log2(len(ms)) + 2  # prune passes
     assert sum(sizes) <= 3 * len(ms)
 
 
