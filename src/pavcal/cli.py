@@ -294,12 +294,16 @@ _WRITE_ROWS = 4096
 
 def _write_columns(out: TextIO, columns: dict[str, np.ndarray]) -> None:
     """A header line of the column names, then one line per row with each
-    value as repr writes it."""
+    value as repr writes it.  Each distinct value of a chunk's column is
+    formatted once, keyed on its bits, as -0.0 and 0.0 print differently."""
     out.write(",".join(columns) + "\n")
-    line = ",".join(["{!r}"] * len(columns)) + "\n"
+    line = ",".join(["{}"] * len(columns)) + "\n"
     size = len(next(iter(columns.values())))
     for start in range(0, size, _WRITE_ROWS):
-        chunk = [c[start : start + _WRITE_ROWS].tolist() for c in columns.values()]
+        chunk = []
+        for c in columns.values():
+            bits, which = np.unique(c[start : start + _WRITE_ROWS].view("u8"), return_inverse=True)
+            chunk.append(np.array([*map(repr, bits.view(float).tolist())], object)[which].tolist())
         out.write("".join(map(line.format, *chunk)))
 
 

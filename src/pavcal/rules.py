@@ -275,22 +275,20 @@ def objective(
     if not inside.all():  # name the first value outside [0, 1], or NaN
         raise ValueError(f"probability {q[np.argmin(inside)].item()!r} outside [0, 1]")
     flags = _target_flags(labels)
-    return _total_cost(rule, w, (q[flags], None), (q[~flags], None))
+    return _total_cost(rule, w, *(np.unique(q[f], return_counts=True) for f in (flags, ~flags)))
 
 
 def _total_cost(rule: ScoringRule, w: WeightPair, *sides: tuple) -> float:
-    """objective's sum over (values, counts or None) of targets, then non-targets: one exactly
-    rounded fsum of each term t once, or k times as t * 2**i per set bit i of its count k."""
+    """objective's sum over (values, counts) of targets, then non-targets: one exactly
+    rounded fsum of each term t counted k times, as t * 2**i per set bit i of k."""
     parts = []
     for target, weight, (q, k) in zip((True, False), (w.v1, w.v2), sides):
-        if k is not None:  # only counted values are evaluated
-            q, k = q[k > 0], k[k > 0]
+        q, k = q[k > 0], k[k > 0]  # only counted values are evaluated
         if q.size:  # a class with no rows evaluates no cost
             with np.errstate(over="ignore"):  # a term or summand that overflows is +inf
                 terms = weight * rule._costs(q, target)
-                if k is not None:
-                    bits = range(int(k.max()).bit_length())
-                    terms = np.concatenate([terms[(k >> i) & 1 == 1] * 2.0**i for i in bits])
+                bits = range(int(k.max()).bit_length())
+                terms = np.concatenate([terms[(k >> i) & 1 == 1] * 2.0**i for i in bits])
             parts.append(memoryview(terms))
     try:
         return math.fsum(itertools.chain(*parts))

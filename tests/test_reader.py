@@ -8,6 +8,7 @@ must give exactly what the csv splitter gives, or the same DataError; the
 apply writer must write what a per-row f-string writes.
 """
 
+import io
 import math
 import warnings
 from unittest import mock
@@ -273,8 +274,8 @@ def test_infinite_llrs_are_read_in_bulk(tmp_path, monkeypatch):
 # --- the chunked apply writer
 
 
-def _llr_map(tmp_path):
-    """An llr map with -inf and +inf ends, fitted through the command line."""
+def _fitted_map(tmp_path, *flags):
+    """A map fitted through the command line with these flags."""
     text = "score,label\n" + "".join(
         f"{s},{lab}\n"
         for s, lab in [(-3, "nontarget"), (-2, "nontarget"), (-1, "target"), (0, "nontarget"),
@@ -282,9 +283,8 @@ def _llr_map(tmp_path):
     )
     train = tmp_path / "train.csv"
     train.write_text(text, encoding="utf-8")
-    map_path = tmp_path / "llr.map"
-    assert main(["fit", str(train), "--mode", "llr", "--policy", "linear",
-                 "--out", str(map_path)]) == 0
+    map_path = tmp_path / "fitted.map"
+    assert main(["fit", str(train), *flags, "--out", str(map_path)]) == 0
     return str(map_path)
 
 
@@ -302,12 +302,20 @@ def _reference(cmap, scores, prior, clamp):
 
 @pytest.mark.parametrize("size", [1, cli._WRITE_ROWS - 1, cli._WRITE_ROWS, cli._WRITE_ROWS + 1])
 @pytest.mark.parametrize("flags", [[], ["--prior-logodds", "-1.5"], ["--clamp-llr", "2.5"],
-                                   ["--prior-logodds", "0.75", "--clamp-llr", "1"]])
+                                   ["--prior-logodds", "0.75", "--clamp-llr", "1"],
+                                   pytest.param(None, id="step")])
 def test_apply_writes_what_a_per_row_writer_writes(tmp_path, capsys, size, flags):
-    map_path = _llr_map(tmp_path)
-    cmap = CalibrationMap.load(map_path)
-    assert cmap.mode == "llr"
-    assert {cmap.knots[0][1], cmap.knots[-1][1]} == {-math.inf, math.inf}
+    # flags: those of apply with an llr linear map whose ends are -inf and
+    # +inf, or None for a posterior step map, which gives one value per knot.
+    if flags is None:
+        map_path, flags = _fitted_map(tmp_path, "--policy", "step"), []
+        cmap = CalibrationMap.load(map_path)
+        assert (cmap.mode, cmap.policy) == ("posterior", "step") and len(cmap.knots) > 1
+    else:
+        map_path = _fitted_map(tmp_path, "--mode", "llr", "--policy", "linear")
+        cmap = CalibrationMap.load(map_path)
+        assert cmap.mode == "llr"
+        assert {cmap.knots[0][1], cmap.knots[-1][1]} == {-math.inf, math.inf}
     rng = np.random.default_rng(size)
     scores = np.concatenate(([-5.0, 0.5, 5.0], rng.normal(0.5, 3.0, size)))[:size].tolist()
     src = tmp_path / "s.csv"
@@ -322,3 +330,30 @@ def test_apply_writes_what_a_per_row_writer_writes(tmp_path, capsys, size, flags
     capsys.readouterr()
     assert main(["apply", map_path, str(src), *flags]) == 0
     assert capsys.readouterr().out == want
+
+
+# Values whose repr is easy to get wrong: both zeros, both infinities, the
+# least subnormal, and the edges where repr switches between fixed and
+# exponent notation.
+_EDGES = [-0.0, 0.0, math.inf, -math.inf, 5e-324, -5e-324, 1e22, 1e16, 9999999999999998.0,
+          1e-4, 9.999999999999999e-05, -1e-4]
+
+
+@pytest.mark.parametrize("size", [1, cli._WRITE_ROWS - 1, cli._WRITE_ROWS + 1,
+                                  3 * cli._WRITE_ROWS + 7])
+def test_write_columns_writes_what_a_per_row_repr_writes(size):
+    rng = np.random.default_rng(size)
+    columns = {
+        # -0.0 and 0.0 first, so that every size has both in one chunk.
+        "edges": np.concatenate(([-0.0, 0.0], rng.choice(_EDGES, size)))[:size],
+        "same": np.full(size, 0.1),  # one value in every chunk
+        "distinct": np.cumsum(rng.uniform(1.0, 2.0, size)) * 1e-3,  # every value differs
+    }
+    # A chunk where every value is the same, then one where every value differs.
+    columns["mixed"] = np.where(np.arange(size) // cli._WRITE_ROWS % 2, columns["distinct"], 7.5)
+    want = "edges,same,distinct,mixed\n" + "".join(
+        f"{a!r},{b!r},{c!r},{d!r}\n" for a, b, c, d in zip(*(v.tolist() for v in columns.values()))
+    )
+    out = io.StringIO()
+    cli._write_columns(out, columns)
+    assert out.getvalue() == want

@@ -247,7 +247,10 @@ class TestObjective:
 
         w, q = WeightPair(term, 1.0), np.array([0.5])
         got = _total_cost(Unit(), w, (q, np.array([count])), (q, np.array([0])))
-        want = objective(Unit(), np.ones(count, bool), w, np.full(count, 0.5))
+        try:  # the expanded rows, one term each
+            want = math.fsum([term * 1.0] * count)
+        except OverflowError:
+            want = math.inf
         assert repr(got) == repr(want)
         assert total is None or got == total
 
@@ -380,6 +383,22 @@ class TestAgainstScalarReference:
             want = math.inf
         assert repr(objective(rule, labels, (v1, v2), qs)) == repr(want)
         assert repr(objective(rule, labels, (v1, v2), np.array(qs))) == repr(want)
+
+    @given(rule=_rules, data=st.data())
+    def test_objective_of_repeated_values_matches_the_per_row_sum(self, rule, data):
+        # At most five values, so that rows share them, drawn among the edges
+        # (both zeros, 5e-324, each threshold); weights up to 1.7e308, where
+        # a sum overflows.
+        pool = data.draw(st.lists(_probabilities(rule), min_size=1, max_size=5))
+        rows = data.draw(st.lists(st.tuples(st.sampled_from([T, N]), st.sampled_from(pool))))
+        v1, v2 = data.draw(st.tuples(st.floats(1e-3, 1.7e308), st.floats(1e-3, 1.7e308)))
+        terms = [(v1 if lab is T else v2) * _reference_cost(rule, lab, q) for lab, q in rows]
+        try:
+            want = math.fsum(terms)
+        except OverflowError:
+            want = math.inf
+        labels = [lab for lab, _ in rows]
+        assert repr(objective(rule, labels, (v1, v2), [q for _, q in rows])) == repr(want)
 
     @pytest.mark.parametrize("rule", STANDARD, ids=str)
     def test_costs_match_on_a_seeded_sweep(self, rule):
