@@ -6,8 +6,9 @@ into single items up front (a function of the score cannot separate
 them), and the monotone fit runs over the pooled items.  Every fitted
 block then contributes one knot at each end of its score span (a single
 knot if the span is one score).  Knot scores strictly increase and knot
-values never decrease, with equal values marking the two ends of one
-block.
+values never decrease.  Equal values mark the two ends of one block, and
+may also join neighbouring blocks whose values rounding ties far from
+unit weights (see pav._pool_counts).
 
 Applying a map:
 
@@ -81,9 +82,6 @@ class CalibrationMap:
                 raise ValueError(f"posterior knot value {v!r} outside [0, 1]")
             prev_s, prev_v = s, v
         object.__setattr__(self, "_knots", np.array(self.knots, float).T.copy())
-
-    def __call__(self, score: float) -> float:
-        return apply_map(self, score)
 
     def to_text(self) -> str:
         lines = [f"{_HEADER_TAG} {_FORMAT_VERSION} {self.mode} {self.policy}"]

@@ -17,9 +17,9 @@ can be deleted any more is the solution.
 The work is done by _pool_counts in two stages: vectorised prune passes
 that delete many vertices at once, for as long as each pass halves what
 is left, then the classic stack pass over whatever segments survive.
-Both compare class counts exactly, in integers, so the blocks do not
-depend on the weights; see _pool_counts for the one exception, the bound
-that keeps the counts' products exact, and why the whole pass is O(T).
+Both compare class counts exactly, in integers, so the blocks depend on
+the class counts alone and the weights only price them; see _pool_counts
+for the bound that keeps the counts' products exact, and why it is O(T).
 """
 
 from __future__ import annotations
@@ -47,9 +47,9 @@ def _pool_counts(
     a single trial, or a group of trials pooled beforehand, e.g. score
     ties); there is at least one item, and every item holds at least one
     trial.  Returns parallel block lists (start item, end item, m, n,
-    value) with strictly increasing values, each value being pooled_value
-    of the block's counts.  ValueError if the weight of all trials
-    overflows; as rounding is monotone, it bounds every block's weight.
+    value): the blocks' target proportions strictly rise, and their values
+    never decrease.  ValueError if the weight of all trials overflows; as
+    rounding is monotone, it bounds every block's weight.
 
     A value m*v1 / (m*v1 + n*v2) rises strictly with the proportion
     m / (m + n) at any positive weights, so two adjacent pools violate
@@ -70,14 +70,14 @@ def _pool_counts(
     whatever the data: no more than 3T segments are visited.
 
     Stack pass.  The survivors are pooled left to right on a stack of
-    finished blocks, merging while the top block and the new one violate,
-    or the top's value as computed is >= the new one's; counts add
-    exactly.  The value test keeps the values strictly increasing, as
-    BlockSolution requires, where rounding far from unit weights ties two
-    values or puts them out of order: the one way the blocks can depend on
-    the weights, within one rounding step of the exact solution.  Each
-    survivor is pushed once and each merge pops one block, so the whole
-    call is O(T) however little the passes delete.
+    finished blocks, merging while the top block and the new one violate;
+    counts add exactly.  Each survivor is pushed once and each merge pops
+    one block, so the whole call is O(T) however little the passes delete.
+
+    Pricing.  Each block is then priced once, by pooled_value over arrays.
+    Far from unit weights, rounding can put a value an ulp or so below its
+    left neighbour's (at unit weights one correctly rounded m / (m + n)
+    cannot), so each is lifted to the largest value on its left.
     """
     m = np.asarray(ms)
     n = np.asarray(ns)
@@ -99,27 +99,23 @@ def _pool_counts(
     starts: list[int] = []
     bm: list[int] = []
     bn: list[int] = []
-    bvals: list[float] = []
     survivors = zip(
         seg_start.tolist(),
         m.astype(np.int64, copy=False).tolist(),
         n.astype(np.int64, copy=False).tolist(),
     )
     for start, mk, nk in survivors:
-        val = pooled_value(mk, nk, v1, v2)
-        while bvals and (bvals[-1] >= val or bm[-1] * nk >= mk * bn[-1]):
-            bvals.pop()
+        while starts and bm[-1] * nk >= mk * bn[-1]:
             mk += bm.pop()
             nk += bn.pop()
             start = starts.pop()
-            val = pooled_value(mk, nk, v1, v2)
         starts.append(start)
         bm.append(mk)
         bn.append(nk)
-        bvals.append(val)
     ends = [s - 1 for s in starts[1:]]
     ends.append(size - 1)
-    return starts, ends, bm, bn, bvals
+    vals = np.maximum.accumulate(pooled_value(np.array(bm), np.array(bn), v1, v2))
+    return starts, ends, bm, bn, vals.tolist()
 
 
 def _target_flags(labels: Labels) -> np.ndarray:

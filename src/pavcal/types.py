@@ -96,11 +96,14 @@ class Block:
 
 @dataclass(frozen=True, slots=True)
 class BlockSolution:
-    """A monotone fit: contiguous blocks with strictly increasing values.
+    """A monotone fit: contiguous blocks of strictly rising target proportion.
 
     Validated on construction: the blocks partition 0..total-1 in order,
-    values strictly increase, and each value matches pooled_value(m, n,
-    v1, v2) for the stored weights (to 1e-15 relative).
+    their proportions m / (m + n) strictly rise (compared in integers),
+    their values never decrease, and each value is pooled_value(m, n, v1,
+    v2) for the stored weights (to 1e-15 relative), or its left neighbour's
+    where rounding far from unit weights put it below that, so equal values
+    may join neighbouring blocks (see pav._pool_counts).
     """
 
     blocks: tuple[Block, ...]
@@ -114,22 +117,20 @@ class BlockSolution:
             raise ValueError("blocks do not cover the trial range")
         prev = None
         for blk in self.blocks:
+            want = pooled_value(blk.m, blk.n, self.weights.v1, self.weights.v2)
             if prev is not None:
                 if blk.start != prev.end + 1:
                     raise ValueError("blocks are not contiguous")
-                if not (blk.value > prev.value):
-                    raise ValueError("block values must strictly increase")
-            want = pooled_value(blk.m, blk.n, self.weights.v1, self.weights.v2)
-            if blk.value != want and abs(blk.value - want) > 1e-15 * abs(want):
+                if prev.m * blk.n >= blk.m * prev.n:
+                    raise ValueError("block target proportions must strictly increase")
+                if blk.value < prev.value:
+                    raise ValueError("block values must not decrease")
+            lifted = prev is not None and blk.value == prev.value > want
+            if blk.value != want and abs(blk.value - want) > 1e-15 * abs(want) and not lifted:
                 raise ValueError(
                     f"block value {blk.value!r} does not match its counts (expected {want!r})"
                 )
             prev = blk
-
-    @property
-    def pool_count(self) -> int:
-        """Number of adjacent-pair pooling steps implied by the fit."""
-        return self.total - len(self.blocks)
 
 
 def _expand(values: Iterable[float], sizes: Iterable[int]) -> Iterator[float]:

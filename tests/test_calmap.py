@@ -178,6 +178,9 @@ class TestSerialization:
     def test_text_format_is_stable(self):
         cmap = build_map(*_columns([(-1.0, N), (1.0, T)]), (1.0, 1.0))
         assert cmap.to_text() == "pavcal-map v1 posterior step\n-1.0\t0.0\n1.0\t1.0\n"
+        # Blank lines between knots are skipped.
+        text = "pavcal-map v1 posterior step\n\n-1.0\t0.0\n \n1.0\t1.0\n\n"
+        assert CalibrationMap.from_text(text) == cmap
 
     def test_round_trip_is_bit_exact(self):
         rng = random.Random(3)

@@ -180,6 +180,10 @@ def test_apply_flag_mode_mismatch_exits_2(tmp_path, capsys, train_csv):
     scores = write(tmp_path / "s.csv", "score\n0\n")
     assert run(capsys, "apply", map_path, scores, "--prior-logodds", "0")[0] == 2
     assert run(capsys, "apply", map_path, scores, "--clamp-llr", "10")[0] == 2
+    run(capsys, "fit", train_csv, "--mode", "llr", "--out", map_path)
+    for limit in ("0", "-1", "nan"):
+        code, _, err = run(capsys, "apply", map_path, scores, "--clamp-llr", limit)
+        assert (code, err) == (2, "error: --clamp-llr must be positive\n"), limit
 
 
 def test_apply_llr_clamp_and_posterior_column(tmp_path, capsys):
@@ -622,3 +626,19 @@ def test_exponent_form_negative_prior_logodds(tmp_path, capsys, command, prior):
     code, _, err = run(capsys, *argv, "--prior-logodds", "-e3")
     assert code == 2
     assert "expected one argument" in err
+
+
+def test_block_values_rounded_out_of_order_are_lifted(tmp_path, capsys):
+    # Two blocks of rising proportion, 1/33279 and 3/99828, whose values
+    # at these weights round out of order: 0.9999999999994886, then
+    # 0.9999999999994885.  The second is lifted to the first.
+    labels = ["target"] + ["nontarget"] * 33_278 + ["target"] * 3 + ["nontarget"] * 99_825
+    lines = [f"{i},{label}\n" for i, label in enumerate(labels)]
+    train = write(tmp_path / "t.csv", "score,label\n" + "".join(lines))
+    map_path = tmp_path / "m.map"
+    weights = "128966366102271.88,0.0019820270764152525"
+    code, out, err = run(capsys, "fit", train, "--out", str(map_path), "--weights", weights)
+    assert (code, err) == (0, "")
+    assert out.startswith("T=133107 T1=4 T2=133103 blocks=2\n")
+    values = [float(line.split("\t")[1]) for line in map_path.read_text().splitlines()[1:]]
+    assert values == [0.9999999999994886] * 4

@@ -113,8 +113,6 @@ def test_matches_closed_form_on_random_instances(labels, wpair):
 def test_block_and_pool_counts(labels):
     sol = pav_fit(labels, (1.0, 1.0))
     assert 1 <= len(sol.blocks) <= len(labels)
-    assert sol.pool_count == len(labels) - len(sol.blocks)
-    assert 0 <= sol.pool_count <= len(labels) - 1
 
 
 @given(

@@ -137,21 +137,30 @@ counted_items = st.lists(
 )
 
 
-@given(
-    items=counted_items,
-    log_ratio=st.floats(-3.0, 3.0),
-    log_v2=st.floats(-6.0, 6.0),
+# Any weights at which the items' total weight (at most 3,000 trials) does not overflow.
+accepted_weight = st.floats(0.0, 1e300, exclude_min=True)
+accepted_weights = st.one_of(
+    st.tuples(accepted_weight, accepted_weight),
+    st.sampled_from(
+        [(1e-300, 1e300), (1e300, 1e-300), (1e20, 1.0), (1.0, 1e-16), (5e-324, 1.0), (1.0, 5e-324)]
+    ),
 )
-def test_blocks_do_not_depend_on_the_weights(items, log_ratio, log_v2):
-    # At v1 / v2 in [1e-3, 1e3] the values of distinct proportions lie far
-    # more than a rounding step apart, so the blocks are the unit-weight
-    # ones exactly.
-    v2 = 10.0**log_v2
-    v1 = v2 * 10.0**log_ratio
+
+
+@given(items=counted_items, weights=accepted_weights)
+def test_blocks_do_not_depend_on_the_weights(items, weights):
+    # Blocks are found from the class counts alone, and the values are
+    # priced after: nondecreasing, and each its block's pooled value unless
+    # rounding put it below its left neighbour's, which it then takes.
+    v1, v2 = weights
     ms, ns = zip(*items)
-    starts, _, bm, bn, _ = _pool_counts(ms, ns, v1, v2)
+    starts, _, bm, bn, vals = _pool_counts(ms, ns, v1, v2)
     unit_starts, _, unit_m, unit_n, _ = _pool_counts(ms, ns, 1.0, 1.0)
     assert (starts, bm, bn) == (unit_starts, unit_m, unit_n)
+    assert vals == sorted(vals)
+    for k, (m, n, v) in enumerate(zip(bm, bn, vals)):
+        want = pooled_value(m, n, v1, v2)
+        assert v == want or k > 0 and v == vals[k - 1] > want, (k, v, want)
 
 
 @given(labels=st.lists(st.sampled_from([T, N]), min_size=1, max_size=200), weights=weight_pairs)
@@ -227,8 +236,12 @@ def test_block_sums_equal_the_objective_on_the_rows(trials, weights, mode):
     w = WeightPair(*weights)
     cmap, m, n = _fit(scores, flags, w, mode, "step")
     q = pooled_value(m, n, *weights)  # each block's posterior at w, whichever the mode
-    values = _apply(cmap, scores)  # each row's block value in the map, in input order
-    rows = q[np.searchsorted(np.unique(values), values)]
+    # Each block's first score is a knot; a row belongs to the last block
+    # starting at or below its score.  (Map values cannot tell the blocks
+    # apart: far from unit weights neighbouring blocks may share a value.)
+    firsts = np.sort(scores)[np.cumsum(m + n) - (m + n)]
+    assert np.isin(firsts, cmap._knots[0]).all()
+    rows = q[np.searchsorted(firsts, scores, side="right") - 1]
     for rule in (*STANDARD_RULES, PARABOLIC_DENSITY):
         got = _total_cost(rule, w, (q, m), (q, n))
         assert repr(got) == repr(objective(rule, flags, w, rows)), rule

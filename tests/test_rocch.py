@@ -131,9 +131,15 @@ def test_llr_map_matches_the_hull(trials):
 
 
 def test_posterior_map_matches_the_hull(trials):
+    # The blocks are the hull's segments at any weights.  Far from unit
+    # weights, rounding may put a segment's value an ulp below its left
+    # neighbour's, which the map then lifts it to.
     scores, flags, item_scores, (segments, _, _) = trials
-    cmap, m, n = _fit(scores, flags, WeightPair(2.5, 0.7), "posterior", "step")
-    assert (m.tolist(), n.tolist()) == ([s[2] for s in segments], [s[3] for s in segments])
-    want = [pooled_value(dm, dn, 2.5, 0.7) for first, last, dm, dn in segments
-            for _ in range(last - first + 1)]
-    assert _apply(cmap, item_scores).tolist() == want
+    sizes = [last - first + 1 for first, last, _, _ in segments]
+    for weights in ((2.5, 0.7), (1e20, 1.0), (1.0, 1e-16), (1e-300, 1e300)):
+        cmap, m, n = _fit(scores, flags, WeightPair(*weights), "posterior", "step")
+        assert (m.tolist(), n.tolist()) == ([s[2] for s in segments], [s[3] for s in segments])
+        want = np.repeat([pooled_value(s[2], s[3], *weights) for s in segments], sizes)
+        got = _apply(cmap, item_scores)
+        assert (np.diff(got) >= 0.0).all(), weights
+        assert (np.abs(got - want) <= 1e-15 * want).all(), weights

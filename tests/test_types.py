@@ -43,10 +43,21 @@ def test_solution_checks_partition_and_value_order():
     BlockSolution(blocks=(b1, b2), weights=w, total=4)
     with pytest.raises(ValueError):  # gap between blocks
         BlockSolution(blocks=(b1, Block(3, 3, 1, 0, 1.0)), weights=w, total=4)
-    with pytest.raises(ValueError):  # values not strictly increasing
+    with pytest.raises(ValueError):  # target proportions not strictly rising
         BlockSolution(blocks=(Block(0, 0, 1, 0, 1.0), Block(1, 1, 1, 0, 1.0)), weights=w, total=2)
     with pytest.raises(ValueError):  # stored value contradicts the counts
         BlockSolution(blocks=(Block(0, 1, 1, 1, 0.25),), weights=w, total=2)
+    # The proportions 1/33279 and 3/99828 rise, but at these weights their
+    # pooled values round out of order; the right one may take the left's.
+    w = WeightPair(128966366102271.88, 0.0019820270764152525)
+    left = Block(0, 33_278, 1, 33_278, pooled_value(1, 33_278, w.v1, w.v2))
+    raw = pooled_value(3, 99_825, w.v1, w.v2)
+    assert raw < left.value
+    with pytest.raises(ValueError, match="must not decrease"):
+        BlockSolution((left, Block(33_279, 133_106, 3, 99_825, raw)), w, 133_107)
+    with pytest.raises(ValueError, match="does not match"):  # lifted past its neighbour
+        BlockSolution((left, Block(33_279, 133_106, 3, 99_825, 1.0)), w, 133_107)
+    BlockSolution((left, Block(33_279, 133_106, 3, 99_825, left.value)), w, 133_107)
 
 
 def test_expand_simple_blocks():
@@ -69,8 +80,8 @@ def test_block_value_matches_count_formula_exactly():
 
 @given(labels=labels_st, wpair=st.sampled_from([(1.0, 1.0), (2.5, 0.7), (0.3, 4.0)]))
 def test_expand_round_trip_recovers_boundaries(labels, wpair):
-    # Adjacent blocks always carry distinct values, so grouping equal
-    # adjacent expanded values must rebuild the same partition.
+    # At these weights adjacent blocks carry distinct values, so grouping
+    # equal adjacent expanded values must rebuild the same partition.
     sol = pav_fit(labels, wpair)
     seq = expand(sol)
     bounds = [0]
