@@ -7,8 +7,8 @@ them), and the monotone fit runs over the pooled items.  Every fitted
 block then contributes one knot at each end of its score span (a single
 knot if the span is one score).  Knot scores strictly increase and knot
 values never decrease.  Equal values mark the two ends of one block, and
-may also join neighbouring blocks whose values rounding ties far from
-unit weights (see pav._pool_counts).
+may also join neighbouring blocks whose prices rounding put out of order
+far from unit weights (see pav._price).
 
 Applying a map:
 
@@ -42,7 +42,7 @@ from typing import Sequence
 import numpy as np
 
 from .llr import _block_llrs
-from .pav import Labels, _pool_counts, _target_flags
+from .pav import Labels, _pool_counts, _price, _target_flags
 from .types import WeightPair, as_weights
 
 MODES = ("posterior", "llr")
@@ -137,17 +137,17 @@ def _fit(
     ns = np.diff(heads, append=order.size)
     ns -= ms
     del heads  # item-length, so freed before the PAV pass, not kept through it
+    starts, bm, bn = _pool_counts(ms, ns)
     v1, v2 = (1.0, 1.0) if mode == "llr" else (weights.v1, weights.v2)
-    starts, ends, bm, bn, vals = _pool_counts(ms, ns, v1, v2)
+    vals = _price(bm, bn, v1, v2).tolist()
     if mode == "llr":
-        vals = _block_llrs(vals, sum(bm), sum(bn))[0]
-    knots: list[tuple[float, float]] = []
-    for s, e, v in zip(starts, ends, vals):
-        knots.append((float(xs[s]), v))
-        if e > s:
-            knots.append((float(xs[e]), v))
+        vals = _block_llrs(vals, int(bm.sum()), int(bn.sum()))[0]
+    ends = np.append(starts[1:], xs.size) - 1
+    wide = ends > starts  # a block over more than one item has a knot at each end
+    at = np.sort(np.concatenate((starts, ends[wide])))
+    knots = zip(xs[at].tolist(), np.repeat(vals, wide + 1).tolist())
     cmap = CalibrationMap(knots=tuple(knots), mode=mode, policy=policy)
-    return cmap, np.array(bm), np.array(bn)
+    return cmap, bm, bn
 
 
 def build_map(

@@ -20,12 +20,12 @@ from typing import Callable, ContextManager, Sequence, TextIO
 
 import numpy as np
 
-from .calmap import CalibrationMap, _apply, _fit
+from .calmap import MODES, POLICIES, CalibrationMap, _apply, _fit
 from .llr import _class_log_odds, _posteriors, weights_from_prior
-from .pav import _target_flags
+from .pav import _price, _target_flags
 from .rules import Logarithmic, ScoringRule, _total_cost, objective, parse_rule
 from .selfcheck import DEFAULT_WEIGHT_PAIRS, run_selfcheck
-from .types import Label, WeightPair, pooled_value
+from .types import Label, WeightPair
 
 
 class DataError(Exception):
@@ -340,7 +340,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
     cmap, m, n = _fit(rows.scores, rows.flags, weights, args.mode, args.policy)
     cmap.save(args.out)
     print(f"T={len(rows)} T1={t1} T2={t2} blocks={m.size}")
-    q = pooled_value(m, n, weights.v1, weights.v2)  # each block's posterior at the weights
+    q = _price(m, n, weights.v1, weights.v2)  # each block's posterior at the weights
     for rule in _rules_of(args):
         print(f"objective[{rule}]={_total_cost(rule, weights, (q, m), (q, n))!r}")
     return 0
@@ -378,7 +378,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     if args.mode == "llr" and values is not None:
         values = _posteriors(values, pi)
     _, m, n = _fit(rows.scores, rows.flags, weights, args.mode, "step")
-    q = pooled_value(m, n, weights.v1, weights.v2)
+    q = _price(m, n, weights.v1, weights.v2)
     for rule in _rules_of(args):
         ref_obj = _total_cost(rule, weights, (q, m), (q, n))
         line = f"rule={rule} reference={ref_obj!r}"
@@ -420,7 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
     # The flags fit and evaluate share.
     labeled = argparse.ArgumentParser(add_help=False)
     labeled.add_argument("input", help="CSV with columns score,label")
-    labeled.add_argument("--mode", choices=("posterior", "llr"), default="posterior")
+    labeled.add_argument("--mode", choices=MODES, default="posterior")
     wgroup = labeled.add_mutually_exclusive_group()
     wgroup.add_argument("--weights", type=_parse_weight_pair, metavar="V1,V2")
     wgroup.add_argument("--prior-logodds", type=_finite_float, metavar="PI")
@@ -431,7 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     fit = sub.add_parser("fit", parents=[labeled], help="fit a calibration map from labeled scores")
     fit.add_argument("--out", required=True, help="path for the fitted map")
-    fit.add_argument("--policy", choices=("step", "linear"), default="step")
+    fit.add_argument("--policy", choices=POLICIES, default="step")
     fit.set_defaults(func=cmd_fit)
 
     apply_p = sub.add_parser("apply", help="apply a fitted map to scores")

@@ -18,8 +18,9 @@ The work is done by _pool_counts in two stages: vectorised prune passes
 that delete many vertices at once, for as long as each pass halves what
 is left, then the classic stack pass over whatever segments survive.
 Both compare class counts exactly, in integers, so the blocks depend on
-the class counts alone and the weights only price them; see _pool_counts
-for the bound that keeps the counts' products exact, and why it is O(T).
+the class counts alone and the weights only price them, in _price; see
+_pool_counts for the bound that keeps the counts' products exact, and
+why it is O(T).
 """
 
 from __future__ import annotations
@@ -36,20 +37,16 @@ from .types import Block, BlockSolution, Label, WeightPair, as_weights, expand, 
 Labels = Sequence[Label] | np.ndarray  # or a 1-D bool array of target flags
 
 def _pool_counts(
-    ms: Sequence[int] | np.ndarray,
-    ns: Sequence[int] | np.ndarray,
-    v1: float,
-    v2: float,
-) -> tuple[list[int], list[int], list[int], list[int], list[float]]:
-    """Pool pre-counted items into the monotone block solution.
+    ms: Sequence[int] | np.ndarray, ns: Sequence[int] | np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Pool pre-counted items into the monotone block partition.
 
     ms[k] / ns[k] are the target / non-target counts of item k (an item is
     a single trial, or a group of trials pooled beforehand, e.g. score
     ties); there is at least one item, and every item holds at least one
-    trial.  Returns parallel block lists (start item, end item, m, n,
-    value): the blocks' target proportions strictly rise, and their values
-    never decrease.  ValueError if the weight of all trials overflows; as
-    rounding is monotone, it bounds every block's weight.
+    trial.  Returns int64 arrays of each block's start item, target count
+    and non-target count: the blocks' target proportions strictly rise.
+    No weight enters, so the blocks are the same at every weight pair.
 
     A value m*v1 / (m*v1 + n*v2) rises strictly with the proportion
     m / (m + n) at any positive weights, so two adjacent pools violate
@@ -73,18 +70,10 @@ def _pool_counts(
     finished blocks, merging while the top block and the new one violate;
     counts add exactly.  Each survivor is pushed once and each merge pops
     one block, so the whole call is O(T) however little the passes delete.
-
-    Pricing.  Each block is then priced once, by pooled_value over arrays.
-    Far from unit weights, rounding can put a value an ulp or so below its
-    left neighbour's (at unit weights one correctly rounded m / (m + n)
-    cannot), so each is lifted to the largest value on its left.
     """
     m = np.asarray(ms)
     n = np.asarray(ns)
-    size = m.shape[0]
-    if not math.isfinite(int(m.sum()) * v1 + int(n.sum()) * v2):
-        raise ValueError(f"weights {v1!r},{v2!r} overflow the weight of {m.sum() + n.sum()} trials")
-    seg_start = np.arange(size)
+    seg_start = np.arange(m.shape[0])
     halved = True  # whether the last pass left at most half the segments
     while halved:
         rises = np.flatnonzero(m[:-1] * n[1:] < m[1:] * n[:-1])
@@ -112,10 +101,19 @@ def _pool_counts(
         starts.append(start)
         bm.append(mk)
         bn.append(nk)
-    ends = [s - 1 for s in starts[1:]]
-    ends.append(size - 1)
-    vals = np.maximum.accumulate(pooled_value(np.array(bm), np.array(bn), v1, v2))
-    return starts, ends, bm, bn, vals.tolist()
+    return np.array(starts, np.int64), np.array(bm, np.int64), np.array(bn, np.int64)
+
+
+def _price(m: np.ndarray, n: np.ndarray, v1: float, v2: float) -> np.ndarray:
+    """Each block's value at the weights: its pooled_value, lifted to the
+    largest value on its left where rounding far from unit weights put it
+    an ulp or so below (at unit weights one correctly rounded m / (m + n)
+    cannot).  The one place block values are computed.  ValueError if the
+    weight of all trials overflows; as rounding is monotone, it bounds
+    every block's."""
+    if not math.isfinite(int(m.sum()) * v1 + int(n.sum()) * v2):
+        raise ValueError(f"weights {v1!r},{v2!r} overflow the weight of {m.sum() + n.sum()} trials")
+    return np.maximum.accumulate(pooled_value(m, n, v1, v2))
 
 
 def _target_flags(labels: Labels) -> np.ndarray:
@@ -149,11 +147,10 @@ def pav_fit(labels: Labels, weights: WeightPair | tuple[float, float]) -> BlockS
     if not total:
         raise ValueError("pav_fit needs at least one trial")
     flags = _target_flags(labels)
-    starts, ends, bm, bn, vals = _pool_counts(flags, ~flags, w.v1, w.v2)
-    blocks = tuple(
-        Block(start=s, end=e, m=m, n=n, value=v)
-        for s, e, m, n, v in zip(starts, ends, bm, bn, vals)
-    )
+    starts, m, n = _pool_counts(flags, ~flags)
+    ends = np.append(starts[1:], total) - 1
+    columns = (starts, ends, m, n, _price(m, n, w.v1, w.v2))
+    blocks = tuple(map(Block, *map(np.ndarray.tolist, columns)))
     return BlockSolution(blocks=blocks, weights=w, total=total)
 
 

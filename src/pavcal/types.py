@@ -100,10 +100,10 @@ class BlockSolution:
 
     Validated on construction: the blocks partition 0..total-1 in order,
     their proportions m / (m + n) strictly rise (compared in integers),
-    their values never decrease, and each value is pooled_value(m, n, v1,
-    v2) for the stored weights (to 1e-15 relative), or its left neighbour's
-    where rounding far from unit weights put it below that, so equal values
-    may join neighbouring blocks (see pav._pool_counts).
+    their values never decrease, and each value is exactly the larger of
+    pooled_value(m, n, v1, v2) at the stored weights and its left
+    neighbour's value, as pav._price lifts it, so equal values may join
+    neighbouring blocks.
     """
 
     blocks: tuple[Block, ...]
@@ -125,8 +125,8 @@ class BlockSolution:
                     raise ValueError("block target proportions must strictly increase")
                 if blk.value < prev.value:
                     raise ValueError("block values must not decrease")
-            lifted = prev is not None and blk.value == prev.value > want
-            if blk.value != want and abs(blk.value - want) > 1e-15 * abs(want) and not lifted:
+                want = max(want, prev.value)
+            if blk.value != want:
                 raise ValueError(
                     f"block value {blk.value!r} does not match its counts (expected {want!r})"
                 )

@@ -642,3 +642,21 @@ def test_block_values_rounded_out_of_order_are_lifted(tmp_path, capsys):
     assert out.startswith("T=133107 T1=4 T2=133103 blocks=2\n")
     values = [float(line.split("\t")[1]) for line in map_path.read_text().splitlines()[1:]]
     assert values == [0.9999999999994886] * 4
+    # fit prices its objective with the lifted values the map stores, so
+    # it is what the map's own output scores, and evaluate of that output
+    # sits exactly on the floor.
+    cmap = CalibrationMap.load(str(map_path))
+    calibrated = [apply_map(cmap, float(i)) for i in range(len(labels))]
+    flags = [Label.parse(label) for label in labels]
+    floor = objective(parse_rule("log"), flags, tuple(map(float, weights.split(","))), calibrated)
+    assert floor == 7730.171243776125
+    assert f"objective[log]={floor!r}\n" in out
+    code, out, err = run(capsys, "apply", str(map_path), train, "--out", str(tmp_path / "c.csv"))
+    assert (code, out, err) == (0, "", "")
+    scored = (tmp_path / "c.csv").read_text().splitlines()[1:]
+    rows = [f"{line},{label}\n" for line, label in zip(scored, labels)]
+    ev = write(tmp_path / "ev.csv", "score,calibrated,label\n" + "".join(rows))
+    code, out, err = run(capsys, "evaluate", ev, "--calibrated", "--weights", weights,
+                         "--rule", "log", "--rule", "brier")
+    assert (code, err) == (0, "")
+    assert [line.split()[-1] for line in out.splitlines()] == ["ratio=1.0"] * 2

@@ -10,9 +10,12 @@ sorted-and-loop tie pool.
 """
 
 import math
+import re
+import sys
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from pavcal import (
@@ -28,7 +31,7 @@ from pavcal import (
 )
 from pavcal import pooled_value
 from pavcal.calmap import _apply, _fit
-from pavcal.pav import _pool_counts
+from pavcal.pav import _pool_counts, _price
 from pavcal.rules import _total_cost
 from pavcal.selfcheck import STANDARD_RULES
 
@@ -113,12 +116,10 @@ def test_strictly_increasing_items_come_back_unpooled(items, weights):
     by_share = {Fraction(m, m + n): (m, n) for m, n in items}
     ms = [by_share[p][0] for p in sorted(by_share)]
     ns = [by_share[p][1] for p in sorted(by_share)]
-    starts, ends, bm, bn, vals = _pool_counts(ms, ns, v1, v2)
-    k = len(ms)
-    assert starts == list(range(k))
-    assert ends == list(range(k))
-    assert bm == ms and bn == ns
-    assert vals == [pooled_value(m, n, v1, v2) for m, n in zip(ms, ns)]
+    starts, bm, bn = _pool_counts(ms, ns)
+    assert starts.tolist() == list(range(len(ms)))
+    assert bm.tolist() == ms and bn.tolist() == ns
+    assert _price(bm, bn, v1, v2).tolist() == [pooled_value(m, n, v1, v2) for m, n in zip(ms, ns)]
 
 
 def test_pools_of_equal_proportion_pool_at_any_weights():
@@ -149,18 +150,25 @@ accepted_weights = st.one_of(
 
 @given(items=counted_items, weights=accepted_weights)
 def test_blocks_do_not_depend_on_the_weights(items, weights):
-    # Blocks are found from the class counts alone, and the values are
-    # priced after: nondecreasing, and each its block's pooled value unless
-    # rounding put it below its left neighbour's, which it then takes.
+    # Blocks are found from the class counts alone, so pav_fit finds the
+    # unit-weight blocks at any weights.  _price then prices them:
+    # nondecreasing, and each its block's pooled value unless rounding put
+    # that below its left neighbour's value, which it then takes.
     v1, v2 = weights
-    ms, ns = zip(*items)
-    starts, _, bm, bn, vals = _pool_counts(ms, ns, v1, v2)
-    unit_starts, _, unit_m, unit_n, _ = _pool_counts(ms, ns, 1.0, 1.0)
-    assert (starts, bm, bn) == (unit_starts, unit_m, unit_n)
+    labels = [lab for m, n in items for lab in [T] * m + [N] * n]
+    spans = [[(b.start, b.m, b.n) for b in pav_fit(labels, w).blocks] for w in (weights, (1, 1))]
+    assert spans[0] == spans[1]
+    _, bm, bn = _pool_counts(*zip(*items))
+    vals = _price(bm, bn, v1, v2).tolist()
     assert vals == sorted(vals)
-    for k, (m, n, v) in enumerate(zip(bm, bn, vals)):
-        want = pooled_value(m, n, v1, v2)
-        assert v == want or k > 0 and v == vals[k - 1] > want, (k, v, want)
+    for k, (m, n, v) in enumerate(zip(bm.tolist(), bn.tolist(), vals)):
+        assert v == max([pooled_value(m, n, v1, v2), *vals[k - 1 : k]]), (k, v)
+    total = len(labels)
+    if total > 1:  # the weight of two trials at the largest double overflows
+        big = sys.float_info.max
+        message = f"weights {big!r},{big!r} overflow the weight of {total} trials"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            _price(bm, bn, big, big)
 
 
 @given(labels=st.lists(st.sampled_from([T, N]), min_size=1, max_size=200), weights=weight_pairs)
@@ -211,14 +219,14 @@ def test_fit_matches_sorted_reference(trials, weights, mode):
     cmap, m, n = _fit(scores, flags, WeightPair(*weights), mode, "linear")
     items, ms, ns = _reference_tie_pool(*trials)
     v1, v2 = (1.0, 1.0) if mode == "llr" else weights
-    starts, _, bm, bn, vals = _pool_counts(ms, ns, v1, v2)
-    assert (m.tolist(), n.tolist()) == (bm, bn)
-    if mode == "posterior":
-        assert repr(pooled_value(m, n, *weights).tolist()) == repr(vals)
-    else:
+    starts, bm, bn = _pool_counts(ms, ns)
+    assert (m.tolist(), n.tolist()) == (bm.tolist(), bn.tolist())
+    vals = _price(bm, bn, v1, v2).tolist()
+    if mode == "llr":
         # Each block's llr in the map is logit(v) - logit(t1 / T) of its unit-weight value v.
-        llrs = _apply(cmap, np.array([items[s] for s in starts]))
-        assert repr(llrs.tolist()) == repr([logit(v) - logit(t1 / flags.size) for v in vals])
+        vals = [logit(v) - logit(t1 / flags.size) for v in vals]
+    got = _apply(cmap, np.array([items[s] for s in starts.tolist()]))
+    assert repr(got.tolist()) == repr(vals)
 
 
 @given(
@@ -235,7 +243,7 @@ def test_block_sums_equal_the_objective_on_the_rows(trials, weights, mode):
         return  # llr mode needs both classes
     w = WeightPair(*weights)
     cmap, m, n = _fit(scores, flags, w, mode, "step")
-    q = pooled_value(m, n, *weights)  # each block's posterior at w, whichever the mode
+    q = _price(m, n, *weights)  # each block's posterior at w, whichever the mode
     # Each block's first score is a knot; a row belongs to the last block
     # starting at or below its score.  (Map values cannot tell the blocks
     # apart: far from unit weights neighbouring blocks may share a value.)
@@ -264,8 +272,8 @@ def test_prune_passes_stop_when_they_stop_halving(monkeypatch):
     monkeypatch.setattr(np, "flatnonzero", counting)
     ms = [1] * 1000 + [0]
     ns = list(range(1000, 0, -1)) + [10**9]
-    starts, ends, bm, bn, vals = _pool_counts(ms, ns, 1.0, 1.0)
-    assert (starts, bm, bn) == ([0], [1000], [sum(ns)])
+    starts, bm, bn = _pool_counts(ms, ns)
+    assert (starts.tolist(), bm.tolist(), bn.tolist()) == ([0], [1000], [sum(ns)])
     assert len(sizes) <= math.log2(len(ms)) + 2  # prune passes
     assert sum(sizes) <= 3 * len(ms)
 
@@ -273,9 +281,10 @@ def test_prune_passes_stop_when_they_stop_halving(monkeypatch):
 @given(trials=tied_trials, weights=weight_pairs, policy=st.sampled_from(["step", "linear"]))
 def test_build_map_knots_match_sorted_reference(trials, weights, policy):
     scores, ms, ns = _reference_tie_pool(*trials)
-    starts, ends, _, _, vals = _pool_counts(ms, ns, *weights)
+    starts, bm, bn = _pool_counts(ms, ns)
+    ends = [s - 1 for s in starts[1:].tolist()] + [len(ms) - 1]
     want = []
-    for s, e, v in zip(starts, ends, vals):
+    for s, e, v in zip(starts.tolist(), ends, _price(bm, bn, *weights).tolist()):
         want.append((scores[s], v))
         if e > s:
             want.append((scores[e], v))

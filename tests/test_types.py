@@ -58,6 +58,16 @@ def test_solution_checks_partition_and_value_order():
     with pytest.raises(ValueError, match="does not match"):  # lifted past its neighbour
         BlockSolution((left, Block(33_279, 133_106, 3, 99_825, 1.0)), w, 133_107)
     BlockSolution((left, Block(33_279, 133_106, 3, 99_825, left.value)), w, 133_107)
+    # Each value is exactly its price, or its left neighbour's value where
+    # that is larger: one step off is turned down, first block or not.
+    w = WeightPair(1.0, 1.0)
+    third = Block(0, 2, 1, 2, 1 / 3)
+    for value in (math.nextafter(1 / 3, 0.0), math.nextafter(1 / 3, 1.0)):
+        with pytest.raises(ValueError, match="does not match"):
+            BlockSolution((Block(0, 2, 1, 2, value),), w, 3)
+    with pytest.raises(ValueError, match="does not match"):
+        BlockSolution((third, Block(3, 3, 1, 0, math.nextafter(1.0, 0.0))), w, 4)
+    BlockSolution((third, Block(3, 3, 1, 0, 1.0)), w, 4)
 
 
 def test_expand_simple_blocks():
