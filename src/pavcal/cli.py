@@ -60,22 +60,29 @@ def _is_number(text: str) -> bool:
 
 @dataclass(frozen=True)
 class _Rows:
-    """A CSV file's data rows by column; target flags and values only if asked for."""
+    """A CSV file's data rows by column; target flags, values and score
+    texts only if asked for.  texts[i] is the field score i was read from:
+    a str, or latin-1 bytes from loadtxt."""
 
     scores: np.ndarray
     flags: np.ndarray | None
     values: np.ndarray | None
+    texts: list[str] | np.ndarray | None = None
 
     def __len__(self) -> int:
         return self.scores.size
 
 
 def _read_csv(
-    path: str, labeled: bool = False, calibrated: str | None = None, llrs: bool = False
+    path: str,
+    labeled: bool = False,
+    calibrated: str | None = None,
+    llrs: bool = False,
+    texts: bool = False,
 ) -> tuple[dict[str, int] | None, _Rows]:
     """The header and the data rows of a CSV file (see _columns for the
     header).  The calibrated column holds probabilities in [0, 1], or with
-    llrs any LLR but NaN.
+    llrs any LLR but NaN.  With texts the rows keep each score's text.
 
     A plain file is split into columns by one np.loadtxt pass, any other
     file by the csv module.  The same checks then run on either split,
@@ -84,7 +91,7 @@ def _read_csv(
     names = ["score", "label"] if labeled else ["score"]
     if calibrated:
         names.append(calibrated.lower())
-    header, columns, field = _bulk_read(path, names) or _read_lines(path, names)
+    header, columns, field = _bulk_read(path, names, texts) or _read_lines(path, names)
     scores = _numbers(columns, 0, field, "score")
     flags = _target_column(columns[1], field) if len(names) > 1 else None
     values = None
@@ -95,7 +102,9 @@ def _read_csv(
         if outside[i] and not llrs:
             lineno, _ = field(i, 2)
             raise DataError(f"line {lineno}: calibrated value {values[i].item()!r} outside [0, 1]")
-    return header, _Rows(scores, flags, values)
+    # With texts, the score texts: the csv module's, or the bulk reader's last column.
+    cells = (columns[0] if isinstance(columns[0], list) else columns[-1]) if texts else None
+    return header, _Rows(scores, flags, values, cells)
 
 
 def _columns(fields: list[str], names: list[str]) -> tuple[dict[str, int] | None, list[int]]:
@@ -159,19 +168,27 @@ def _target_column(labels: list[str] | np.ndarray, field: Field) -> np.ndarray:
     return flags
 
 
-# The fields of loadtxt's structured row, in the order of _read_csv's names;
-# loadtxt cuts a longer label to its field, so one that fills it may be cut.
+# The fields of loadtxt's structured row, in the order of _read_csv's names,
+# then the score's text if asked for.  loadtxt cuts a longer text to its
+# field, so a label or a score text that fills it may be cut.  No score
+# text that repr (24 bytes at most) or np.savetxt's %.18e (26) writes fills
+# its field.
+_TEXT_BYTES = 27
 _BULK_FIELDS = [("score", "f8"), ("label", "S10"), ("calibrated", "f8")]
 _NONBLANK = re.compile(rb"\S")
 
 
-def _bulk_read(path: str, names: list[str]) -> tuple[dict[str, int] | None, list, Field] | None:
+def _bulk_read(
+    path: str, names: list[str], texts: bool = False
+) -> tuple[dict[str, int] | None, list, Field] | None:
     """_read_csv's split of a plain file by one np.loadtxt call: the header,
-    the named columns as float64 and S10 arrays, and the field locator.
-    None for a file it cannot split: one with a quote, a NUL or \\x1c-\\x1f
-    byte, a bare CR, a line longer than a csv field may be, a blank first
-    line, a missing column or no data rows; one loadtxt cannot read; and
-    one with a label that is not spelled exactly and fills its field."""
+    the named columns as float64 and S10 arrays, with texts the score
+    column's texts too as a last column, cut to _TEXT_BYTES, and the field
+    locator.  None for a file it cannot split: one with a quote, a NUL or
+    \\x1c-\\x1f byte, a bare CR, a line longer than a csv field may be, a
+    blank first line, a missing column or no data rows; one loadtxt cannot
+    read; and one with a label that is not spelled exactly and fills its
+    field."""
     try:
         with open(path, "rb") as fh:
             data = fh.read()
@@ -195,11 +212,14 @@ def _bulk_read(path: str, names: list[str]) -> tuple[dict[str, int] | None, list
     if -1 in cols or skip and not _NONBLANK.search(data, len(first) + 1):
         return None
     del data
+    fields, usecols = _BULK_FIELDS[: len(names)], cols
+    if texts:  # the score column once more, as text, in the same pass
+        fields, usecols = fields + [("text", f"S{_TEXT_BYTES}")], cols + cols[:1]
     try:
         with open(path, "r", encoding="utf-8-sig") as fh:
             table = np.loadtxt(
-                fh, np.dtype(_BULK_FIELDS[: len(names)]), comments=None, delimiter=",",
-                skiprows=skip, usecols=cols, ndmin=1, quotechar=None,
+                fh, np.dtype(fields), comments=None, delimiter=",",
+                skiprows=skip, usecols=usecols, ndmin=1, quotechar=None,
             )
     except (OSError, ValueError):
         return None
@@ -212,6 +232,8 @@ def _bulk_read(path: str, names: list[str]) -> tuple[dict[str, int] | None, list
         columns.append(labels)
     if len(names) > 2:
         columns.append(np.ascontiguousarray(table["calibrated"]))
+    if texts:
+        columns.append(table["text"])
 
     def field(i: int, k: int) -> tuple[int, str]:
         # Data row i is the file's (skip + i)th line that is not empty, as
@@ -287,24 +309,47 @@ def _open_out(path: str | None) -> ContextManager[TextIO]:
         raise DataError(f"cannot write {path}: {exc}")
 
 
-# Rows per chunk the apply writer formats at a time: enough to spend its time
-# in repr, few enough that no full-length list or string is ever built.
+# Rows per chunk that apply maps, prices and writes at a time: enough that
+# numpy's cost per call is small, few enough that no full-length temporary,
+# list or string is ever built.
 _WRITE_ROWS = 4096
 
 
-def _write_columns(out: TextIO, columns: dict[str, np.ndarray]) -> None:
-    """A header line of the column names, then one line per row with each
-    value as repr writes it.  Each distinct value of a chunk's column is
-    formatted once, keyed on its bits, as -0.0 and 0.0 print differently."""
-    out.write(",".join(columns) + "\n")
-    line = ",".join(["{}"] * len(columns)) + "\n"
-    size = len(next(iter(columns.values())))
-    for start in range(0, size, _WRITE_ROWS):
-        chunk = []
-        for c in columns.values():
-            bits, which = np.unique(c[start : start + _WRITE_ROWS].view("u8"), return_inverse=True)
-            chunk.append(np.array([*map(repr, bits.view(float).tolist())], object)[which].tolist())
-        out.write("".join(map(line.format, *chunk)))
+def _write_columns(
+    out: TextIO, texts: list[str], w: np.ndarray, prior: float | None, clamp: float | None
+) -> None:
+    """One line per row, joined and written as one string: the row's score
+    text, then its calibrated value w, clipped to [-clamp, clamp] if clamp
+    is given, and with a prior its posterior, each as repr writes it.  Each
+    distinct value of w is priced and formatted once, keyed on its bits, as
+    -0.0 and 0.0 print differently."""
+    bits, which = np.unique(w.view("u8"), return_inverse=True)
+    distinct = bits.view(float)
+    columns = [distinct if clamp is None else np.clip(distinct, -clamp, clamp)]
+    if prior is not None:
+        columns.append(_posteriors(distinct, prior))
+    tails = ["".join([f",{v!r}" for v in row]) + "\n" for row in zip(*(c.tolist() for c in columns))]
+    out.write("".join(map(str.__add__, texts, np.array(tails, object)[which].tolist())))
+
+
+def _text_cells(texts: list[str] | np.ndarray, scores: np.ndarray) -> list[str]:
+    """The score cells apply writes: each text without the blanks float
+    ignores, which are those strip removes from a number's text, if it is
+    plain, else its score as repr writes it.  A text is plain if it is
+    ASCII, holds no "_" and, blanks included, is shorter than _TEXT_BYTES,
+    so that it is a decimal number to any CSV reader and loadtxt did not
+    cut it.  loadtxt's bytes are latin-1."""
+    if isinstance(texts, np.ndarray):
+        texts = b"\n".join(texts.tolist()).decode("latin-1").split("\n")
+    cells = list(map(str.strip, texts))
+    # One check of a chunk's joined texts: a check per row measured 1 MB
+    # more peak RSS on the benchmark's apply-llr-100k.
+    joined = "".join(texts)
+    if not joined.isascii() or "_" in joined or max(map(len, texts)) >= _TEXT_BYTES:
+        for i, text in enumerate(texts):
+            if not text.isascii() or "_" in text or len(text) >= _TEXT_BYTES:
+                cells[i] = repr(scores[i].item())
+    return cells
 
 
 def _rules_of(args: argparse.Namespace) -> list[ScoringRule]:
@@ -358,16 +403,14 @@ def cmd_apply(args: argparse.Namespace) -> int:
             raise UsageError("--clamp-llr only applies to llr maps")
     if args.clamp_llr is not None and not args.clamp_llr > 0.0:
         raise UsageError("--clamp-llr must be positive")
-    scores = _read_csv(args.input)[1].scores
-    calibrated = _apply(cmap, scores)
-    columns = {"score": scores, "calibrated": calibrated}
-    if cmap.mode == "llr" and args.prior_logodds is not None:
-        columns["posterior"] = _posteriors(calibrated, args.prior_logodds)
-    if args.clamp_llr is not None:
-        columns["calibrated"] = np.clip(calibrated, -args.clamp_llr, args.clamp_llr)
-
+    rows = _read_csv(args.input, texts=True)[1]
+    prior, clamp = args.prior_logodds, args.clamp_llr
     with _open_out(args.out) as out:
-        _write_columns(out, columns)
+        out.write("score,calibrated\n" if prior is None else "score,calibrated,posterior\n")
+        for start in range(0, len(rows), _WRITE_ROWS):
+            part = slice(start, start + _WRITE_ROWS)
+            w = _apply(cmap, rows.scores[part])
+            _write_columns(out, _text_cells(rows.texts[part], rows.scores[part]), w, prior, clamp)
     return 0
 
 

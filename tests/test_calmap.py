@@ -223,6 +223,36 @@ class TestSerialization:
         with pytest.raises(ValueError):
             CalibrationMap.from_text(text)
 
+    # Maps with faulty knots and what names the first faulty knot's first
+    # fault: score not finite, scores not rising, values falling or NaN,
+    # then a posterior value outside [0, 1].
+    KNOT_FAULTS = [
+        ("posterior", [(0.0, 0.5), (math.nan, 0.6)], "knot score must be finite, got nan"),
+        ("llr", [(0.0, 0.0), (-math.inf, math.nan)], "knot score must be finite, got -inf"),
+        ("llr", [(0.0, 0.0), (0.0, 1.0)], "knot scores must strictly increase"),
+        ("posterior", [(0.0, 0.5), (-1.0, 0.4)], "knot scores must strictly increase"),
+        ("posterior", [(0.0, 0.5), (1.0, 0.4)], "knot values must be nondecreasing"),
+        ("llr", [(0.0, math.nan)], "knot values must be nondecreasing"),
+        ("llr", [(0.0, -1.0), (1.0, math.nan), (0.5, 2.0)], "knot values must be nondecreasing"),
+        ("posterior", [(0.0, 0.5), (1.0, math.nan)], "knot values must be nondecreasing"),
+        ("posterior", [(0.0, -0.0), (1.0, 1.5), (1.0, 0.5)], r"posterior knot value 1.5 outside"),
+        ("posterior", [(0.0, -math.inf)], r"posterior knot value -inf outside"),
+    ]
+
+    @pytest.mark.parametrize("mode, knots, message", KNOT_FAULTS)
+    def test_the_first_faulty_knot_is_named(self, mode, knots, message):
+        with pytest.raises(ValueError, match=f"^{message}"):
+            CalibrationMap(knots=tuple(knots), mode=mode, policy="step")
+
+    def test_infinite_llr_values_and_signed_zeros_are_valid_knots(self):
+        CalibrationMap(knots=((0.0, -math.inf), (1.0, math.inf)), mode="llr", policy="linear")
+        CalibrationMap(knots=((-1.0, -0.0), (0.0, 0.0), (1.0, 1.0)), mode="posterior", policy="step")
+
+    def test_knots_spelled_as_text_are_refused(self):
+        # to_text would write them quoted, which from_text does not read.
+        with pytest.raises(TypeError):
+            CalibrationMap(knots=(("1", "0.5"),), mode="posterior", policy="step")
+
     def test_save_and_load(self, tmp_path):
         cmap = build_map(*_columns([(-1.0, N), (1.0, T)]), (1.0, 1.0), policy="linear")
         path = tmp_path / "cal.map"

@@ -4,8 +4,9 @@ _read_csv splits a plain file into columns with one np.loadtxt pass
 (cli._bulk_read) and any other file line by line with the csv module
 (cli._read_lines); one set of column checks then runs on either split and
 names the line of the first fault.  Read through the bulk splitter, a file
-must give exactly what the csv splitter gives, or the same DataError; the
-apply writer must write what a per-row f-string writes.
+must give exactly what the csv splitter gives, or the same DataError; apply
+must echo each score's text, and write each other value as a per-row
+f-string writes it.
 """
 
 import io
@@ -15,7 +16,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from pavcal import CalibrationMap, Label, apply_map, posterior_from_llr
 from pavcal import cli
@@ -29,7 +30,7 @@ NAMES = {
 }
 READS = {
     "fit": {"labeled": True},
-    "apply": {},
+    "apply": {"texts": True},
     "evaluate": {"labeled": True, "calibrated": "calibrated"},
     "evaluate-llr": {"labeled": True, "calibrated": "calibrated", "llrs": True},
 }
@@ -40,18 +41,20 @@ def _bits(values):
 
 
 def _outcome(path, read):
-    """_read_csv's result, with floats as bits, or its DataError's text."""
+    """_read_csv's result, with floats as bits and score texts as the cells
+    apply writes, or its DataError's text."""
     try:
         header, rows = cli._read_csv(path, **read)
     except cli.DataError as exc:
         return str(exc)
     flags = None if rows.flags is None else (rows.flags.dtype.str, rows.flags.tolist())
-    return header, _bits(rows.scores), flags, _bits(rows.values), len(rows)
+    texts = None if rows.texts is None else cli._text_cells(rows.texts, rows.scores)
+    return header, _bits(rows.scores), flags, _bits(rows.values), texts, len(rows)
 
 
 def _by_lines(path, read):
     """_outcome with the bulk splitter turning every file down."""
-    with mock.patch.object(cli, "_bulk_read", lambda path, names: None):
+    with mock.patch.object(cli, "_bulk_read", lambda path, names, texts: None):
         return _outcome(path, read)
 
 
@@ -288,16 +291,20 @@ def _fitted_map(tmp_path, *flags):
     return str(map_path)
 
 
-def _reference(cmap, scores, prior, clamp):
-    lines = ["score,calibrated\n" if prior is None else "score,calibrated,posterior\n"]
-    for s in scores:
-        w = apply_map(cmap, s)
-        c = w if clamp is None else max(-clamp, min(clamp, w))
-        if prior is None:
-            lines.append(f"{s!r},{c!r}\n")
-        else:
-            lines.append(f"{s!r},{c!r},{posterior_from_llr(w, prior)!r}\n")
-    return "".join(lines)
+def _row(cell, w, prior, clamp):
+    """apply's line for a score cell and its calibrated value w."""
+    c = w if clamp is None else max(-clamp, min(clamp, w))
+    if prior is None:
+        return f"{cell},{c!r}\n"
+    return f"{cell},{c!r},{posterior_from_llr(w, prior)!r}\n"
+
+
+def _reference(cmap, scores, prior, clamp, cells=None):
+    """apply's output, row by row: each score as repr writes it, or as its
+    cell if cells are given."""
+    head = "score,calibrated\n" if prior is None else "score,calibrated,posterior\n"
+    cells = cells or map(repr, scores)
+    return head + "".join(_row(c, apply_map(cmap, s), prior, clamp) for s, c in zip(scores, cells))
 
 
 @pytest.mark.parametrize("size", [1, cli._WRITE_ROWS - 1, cli._WRITE_ROWS, cli._WRITE_ROWS + 1])
@@ -351,9 +358,165 @@ def test_write_columns_writes_what_a_per_row_repr_writes(size):
     }
     # A chunk where every value is the same, then one where every value differs.
     columns["mixed"] = np.where(np.arange(size) // cli._WRITE_ROWS % 2, columns["distinct"], 7.5)
-    want = "edges,same,distinct,mixed\n" + "".join(
-        f"{a!r},{b!r},{c!r},{d!r}\n" for a, b, c, d in zip(*(v.tolist() for v in columns.values()))
-    )
-    out = io.StringIO()
-    cli._write_columns(out, columns)
-    assert out.getvalue() == want
+    texts = [f"t{k}" for k in range(size)]
+    for w in columns.values():
+        for prior, clamp in [(None, None), (-1.5, None), (None, 2.5), (0.75, 1e-3)]:
+            want = "".join(_row(t, x, prior, clamp) for t, x in zip(texts, w.tolist()))
+            out = io.StringIO()
+            for k in range(0, size, cli._WRITE_ROWS):
+                part = slice(k, k + cli._WRITE_ROWS)
+                cli._write_columns(out, texts[part], w[part], prior, clamp)
+            assert out.getvalue() == want
+
+
+def _finite_doubles(seed, size):
+    """Doubles from random bit patterns, a quarter of them subnormal, with
+    the non-finite ones replaced by zeros of either sign."""
+    rng = np.random.default_rng(seed)
+    bits = rng.integers(0, 2**64, size, dtype=np.uint64)
+    bits[rng.random(size) < 0.25] &= np.uint64(0x800F_FFFF_FFFF_FFFF)  # exponent field 0
+    values = bits.view(float)
+    values[~np.isfinite(values)] = 0.0
+    values[rng.random(size) < 0.25] *= -1.0
+    return values
+
+
+@settings(max_examples=12)
+@given(seed=st.integers(0, 2**32 - 1),
+       size=st.integers(cli._WRITE_ROWS - 2, cli._WRITE_ROWS + 2),
+       spliced=st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=40))
+def test_apply_echoes_repr_written_doubles_as_a_per_row_writer_writes(
+    tmp_path_factory, seed, size, spliced
+):
+    tmp_path = tmp_path_factory.mktemp("apply")
+    map_path = _fitted_map(tmp_path, "--mode", "llr", "--policy", "linear")
+    scores = _finite_doubles(seed, size)
+    # Half the rows near the knots, so that the ramps between them are used.
+    near = np.random.default_rng(seed).normal(0.5, 3.0, size)
+    scores = np.where(np.arange(size) % 2, scores, near).tolist()
+    scores[: len(spliced)] = spliced[:size]
+    src = tmp_path / "s.csv"
+    src.write_text("".join(f"{s!r}\n" for s in scores), encoding="utf-8")
+    assert cli._bulk_read(str(src), ["score"], True) is not None
+    flags = ["--prior-logodds", "-0.5", "--clamp-llr", "2"]
+    out = tmp_path / "out.csv"
+    assert main(["apply", map_path, str(src), "--out", str(out), *flags]) == 0
+    want = _reference(CalibrationMap.load(map_path), scores, -0.5, 2.0)
+    assert out.read_bytes() == want.encode("utf-8")
+
+
+# Score spellings that float reads, each with the cell apply writes for it:
+# the text without its blanks if the text is plain ASCII, else repr's text.
+SPELLINGS = [("1.50", "1.50"), ("1e3", "1e3"), ("1E3", "1E3"), ("+2.5", "+2.5"),
+             (" 0.25 ", "0.25"), ("\t-0", "-0"), (".5", ".5"), ("5.", "5."), ("-0.0", "-0.0"),
+             ("\u00a00.75\u00a0", "0.75"), ("\u00a01.250", "1.25"),
+             ("-2.2250738585072014e-308", "-2.2250738585072014e-308")]  # that fills 24 bytes
+# Spellings that np.loadtxt turns down, so only the line reader sees them.
+LINE_SPELLINGS = [("1_0", "10.0"), ("\u0661", "1.0"), ("\uff11.5", "1.5"), ("\u20032.5", "2.5")]
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n"], ids=["lf", "crlf"])
+@pytest.mark.parametrize("bulk", [True, False], ids=["bulk", "by-lines"])
+def test_apply_echoes_each_score_spelling(tmp_path, capsys, monkeypatch, end, bulk):
+    map_path = _fitted_map(tmp_path, "--mode", "llr", "--policy", "linear")
+    spellings = SPELLINGS if bulk else SPELLINGS + LINE_SPELLINGS
+    texts, cells = zip(*spellings)
+    path = _write(tmp_path, "score" + end + "".join(text + end for text in texts))
+    if bulk:
+        assert cli._bulk_read(path, ["score"], True) is not None
+        monkeypatch.setattr(cli, "_read_lines", _no_line_reader)
+    else:
+        assert cli._bulk_read(path, ["score"], True) is None
+    _echoes(capsys, map_path, path, texts, cells)
+    assert all(x == x.strip() and x.isascii() for x in cells)
+
+
+def _echoes(capsys, map_path, path, texts, cells):
+    """Assert that apply writes cells, one per text, as each row's score
+    and every other cell as the per-row reference does."""
+    capsys.readouterr()
+    assert main(["apply", map_path, path, "--prior-logodds", "0.5", "--clamp-llr", "1.5"]) == 0
+    got = capsys.readouterr().out
+    cmap = CalibrationMap.load(map_path)
+    assert got == _reference(cmap, list(map(float, texts)), 0.5, 1.5, cells)
+    assert [line.split(",")[0] for line in got.splitlines()[1:]] == list(cells)
+
+
+def test_quoted_scores_are_echoed_from_the_line_reader(tmp_path, capsys):
+    map_path = _fitted_map(tmp_path, "--mode", "llr", "--policy", "linear")
+    path = _write(tmp_path, 'score\n"1.5"\n" 2.5 "\n-3\n')
+    assert cli._bulk_read(path, ["score"], True) is None
+    _echoes(capsys, map_path, path, ["1.5", " 2.5 ", "-3"], ["1.5", "2.5", "-3"])
+
+
+@pytest.mark.parametrize("bulk", [True, False], ids=["bulk", "by-lines"])
+def test_long_score_texts_stay_on_the_bulk_path(tmp_path, capsys, monkeypatch, bulk):
+    # np.savetxt's default %.18e spells a negative score in 25 bytes, or 26
+    # with a 3-digit exponent: echoed.  A text of 27 bytes or more, blanks
+    # included, may have been cut by the bulk reader: written by repr.
+    map_path = _fitted_map(tmp_path, "--mode", "llr", "--policy", "linear")
+    scores = [-0.5, 0.25, -1e-100 / 3, 1e300, -math.pi / 7e10, -1e-100 / 3, 0.1, 2.5]
+    texts = ["%.18e" % s for s in scores[:4]] + ["%.20g" % s for s in scores[4:7]] + [" " * 30 + "2.5"]
+    assert [len(text) for text in texts] == [25, 24, 26, 25, 25, 27, 22, 33]
+    cells = [text.strip() if len(text) < 27 else repr(s) for text, s in zip(texts, scores)]
+    assert cells[5::2] == [repr(-1e-100 / 3), "2.5"]
+    path = _write(tmp_path, "".join(text + "\n" for text in texts))
+    assert cli._bulk_read(path, ["score"], True) is not None
+    if bulk:
+        monkeypatch.setattr(cli, "_read_lines", _no_line_reader)
+    else:
+        monkeypatch.setattr(cli, "_bulk_read", lambda path, names, texts: None)
+    _echoes(capsys, map_path, path, texts, cells)
+
+
+def test_a_savetxt_file_of_negative_scores_is_read_in_bulk(tmp_path, monkeypatch):
+    rng, size = np.random.default_rng(5), 300
+    scores = -rng.uniform(1.0, 10.0, size) * 10.0 ** rng.integers(-300, 300, size)
+    path = tmp_path / "in.csv"
+    np.savetxt(path, scores)
+    texts = path.read_text().splitlines()
+    assert max(map(len, texts)) == 26
+    map_path = _fitted_map(tmp_path, "--mode", "llr", "--policy", "linear")
+    monkeypatch.setattr(cli, "_read_lines", _no_line_reader)
+    out = tmp_path / "out.csv"
+    assert main(["apply", map_path, str(path), "--out", str(out)]) == 0
+    want = _reference(CalibrationMap.load(map_path), scores.tolist(), None, None, texts)
+    assert out.read_text(encoding="utf-8") == want
+
+
+@pytest.mark.parametrize("command", ["fit", "apply", "evaluate"])
+def test_only_apply_reads_the_score_texts(tmp_path, monkeypatch, command):
+    asked, bulk_read = [], cli._bulk_read
+
+    def spy(path, names, texts):
+        asked.append(texts)
+        return bulk_read(path, names, texts)
+
+    path = _write(tmp_path, "score,label,calibrated\n0,target,0.5\n1,nontarget,0.25\n")
+    argv = _argv(tmp_path, command, path)
+    monkeypatch.setattr(cli, "_bulk_read", spy)
+    assert main(argv) == 0
+    assert asked == [command == "apply"]
+
+
+def test_apply_reads_a_plain_file_in_bulk_and_maps_it_chunk_by_chunk(tmp_path, monkeypatch):
+    # If loadtxt turned down the score column read twice, apply would fall
+    # back to the line reader, here a failure.
+    size = 2 * cli._WRITE_ROWS + 5
+    scores = np.random.default_rng(3).normal(0.5, 3.0, size).tolist()
+    path = _write(tmp_path, "score\n" + "".join(f"{s!r}\n" for s in scores))
+    map_path = _fitted_map(tmp_path, "--mode", "llr", "--policy", "linear")
+    monkeypatch.setattr(cli, "_read_lines", _no_line_reader)
+    sizes = []
+
+    def apply(cmap, xs):
+        sizes.append(xs.size)
+        return calmap_apply(cmap, xs)
+
+    calmap_apply = cli._apply
+    monkeypatch.setattr(cli, "_apply", apply)
+    out = tmp_path / "out.csv"
+    assert main(["apply", map_path, path, "--out", str(out), "--prior-logodds", "1"]) == 0
+    assert sizes == [cli._WRITE_ROWS, cli._WRITE_ROWS, 5]
+    want = _reference(CalibrationMap.load(map_path), scores, 1.0, None)
+    assert out.read_text(encoding="utf-8") == want
