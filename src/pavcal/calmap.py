@@ -128,7 +128,7 @@ def _fit(
     ignores weights), and each block's target count and non-target count,
     in score order.  Exact score ties pool into one item, -0.0 and 0.0 as
     0.0, so the map does not depend on row order."""
-    order = np.argsort(scores, kind="stable")
+    order = np.argsort(scores)  # not stable: tied scores pool into one item, in any order
     xs = scores[order]
     xs += 0.0  # -0.0 becomes 0.0; every other score stays as it is
     heads = np.flatnonzero(np.concatenate(([True], xs[1:] != xs[:-1])))

@@ -97,13 +97,31 @@ class LlrCalibration:
     t2: int
 
     def __post_init__(self) -> None:
+        self._check(self.w)
+
+    def _check(self, steps: Sequence[float]) -> None:
+        """ValueError unless both classes are present, the prior is finite, w holds
+        one value per trial, and steps (w, or the values it repeats) never decrease."""
         _class_log_odds(self.t1, self.t2)  # rejects a missing class
         posterior_from_llr(0.0, self.prior_logodds)  # rejects a prior that is not finite
         if len(self.w) != self.t1 + self.t2:
             raise ValueError(f"{len(self.w)} llr values for {self.t1 + self.t2} trials")
-        w = np.fromiter(self.w, float, len(self.w))
-        if np.isnan(w).any() or (w[1:] < w[:-1]).any():
+        x = np.fromiter(steps, float, len(steps))
+        if np.isnan(x).any() or (x[1:] < x[:-1]).any():
             raise ValueError("llr values must be nondecreasing")
+
+    @classmethod
+    def _from_blocks(
+        cls, llrs: list[float], sizes: list[int], prior_logodds: float, t1: int, t2: int
+    ) -> LlrCalibration:
+        """w repeats each block's llr over its size >= 1 trials, so it is ordered
+        exactly when the llrs are: they are checked in its place, not every trial."""
+        cal = object.__new__(cls)
+        w = tuple(_expand(llrs, sizes))
+        for name, value in zip(("w", "prior_logodds", "t1", "t2"), (w, prior_logodds, t1, t2)):
+            object.__setattr__(cal, name, value)
+        cal._check(llrs)
+        return cal
 
 
 def llr_calibrate(labels: Labels) -> LlrCalibration:
@@ -119,8 +137,7 @@ def llr_calibrate(labels: Labels) -> LlrCalibration:
     t1 = sum(blk.m for blk in blocks)
     t2 = solution.total - t1
     llrs, offset = _block_llrs([blk.value for blk in blocks], t1, t2)
-    w = tuple(_expand(llrs, [blk.size for blk in blocks]))
-    return LlrCalibration(w=w, prior_logodds=offset, t1=t1, t2=t2)
+    return LlrCalibration._from_blocks(llrs, [blk.size for blk in blocks], offset, t1, t2)
 
 
 def posterior_from_llr(w: float, prior_logodds: float) -> float:

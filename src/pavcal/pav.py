@@ -123,9 +123,9 @@ def _target_flags(labels: Labels) -> np.ndarray:
         if labels.ndim != 1:
             raise TypeError(f"target flags must be a 1-D array, got shape {labels.shape}")
         return labels
-    size = len(labels)
-    flags = np.fromiter(map(operator.is_, labels, itertools.repeat(Label.TARGET)), bool, size)
-    if operator.countOf(labels, Label.NONTARGET) != size - np.count_nonzero(flags):
+    is_target = map(operator.is_, labels, itertools.repeat(Label.TARGET))
+    flags = np.frombuffer(bytearray(is_target), bool)  # a bytearray, so the array is writable
+    if operator.countOf(labels, Label.NONTARGET) != flags.size - np.count_nonzero(flags):
         bad = next(lab for lab in labels if not isinstance(lab, Label))
         raise TypeError(f"label must be a Label, got {bad!r}")
     return flags

@@ -20,6 +20,7 @@ from pavcal import (
     pav_fit,
     pav_posteriors,
 )
+from pavcal.pav import _target_flags
 from pavcal.selfcheck import STANDARD_RULES
 
 T = Label.TARGET
@@ -102,3 +103,34 @@ def test_anything_but_labels_or_1d_bool_flags_raises_type_error(bad):
     for call in calls:
         with pytest.raises(TypeError):
             call()
+
+
+def _assert_flags_of(labels):
+    got = _target_flags(labels)
+    assert got.dtype == bool and got.ndim == 1
+    assert got.tolist() == [lab is T for lab in labels]
+    assert got.flags.writeable
+    return got
+
+
+@pytest.mark.parametrize(
+    "container", [list, tuple, lambda labs: np.array(labs, dtype=object)],
+    ids=["list", "tuple", "object-array"],
+)
+def test_flags_are_each_label_is_target(container):
+    _assert_flags_of(container([T, N, N, T, T, N]))
+
+
+@given(labels=st.lists(st.sampled_from([T, N]), max_size=300))
+def test_flags_of_drawn_labels(labels):
+    flags = _assert_flags_of(labels)
+    flags[:] = True  # writable, and not shared with a later call
+    assert _target_flags(labels).tolist() == [lab is T for lab in labels]
+
+
+def test_no_labels_give_empty_flags_and_the_fits_name_the_missing_trial():
+    assert _assert_flags_of([]).shape == (0,)
+    with pytest.raises(ValueError, match="at least one trial"):
+        pav_fit([], (1.0, 1.0))
+    with pytest.raises(ValueError, match="at least one trial"):
+        build_map([], [], (1.0, 1.0))

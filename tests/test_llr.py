@@ -230,3 +230,32 @@ def test_prior_independence_over_reweighted_fits():
                     assert got == want
                 else:
                     assert got == pytest.approx(want, abs=1e-9)
+
+
+@pytest.mark.parametrize("llrs", [[1.0, 0.0], [0.0, math.nan]], ids=["decreasing", "nan"])
+def test_llr_calibrate_checks_its_block_values(monkeypatch, llrs):
+    # The order is checked on the block values only, so it must still be
+    # checked there: a faulty pair of block llrs is turned down.
+    monkeypatch.setattr("pavcal.llr._block_llrs", lambda values, t1, t2: (llrs, 0.0))
+    with pytest.raises(ValueError, match="^llr values must be nondecreasing$"):
+        llr_calibrate([N, T, T])  # two blocks, of 1 and 2 trials
+
+
+_mixed = st.lists(st.tuples(st.sampled_from([T, N]), st.integers(1, 5)), min_size=1, max_size=30)
+_mixed = _mixed.map(lambda runs: [lab for lab, k in runs for _ in range(k)] + [T, N])
+_one_block = st.tuples(st.integers(1, 20), st.integers(1, 20))
+_one_block = _one_block.map(lambda ab: [T] * ab[0] + [N] * ab[1])
+
+
+@given(
+    labels=st.one_of(_mixed, _one_block),
+    lead=st.sampled_from([[], [N]]),  # a leading non-target gives a -inf end
+    tail=st.sampled_from([[], [T]]),  # a trailing target gives a +inf end
+)
+def test_llr_calibrate_equals_the_checked_constructor(labels, lead, tail):
+    labels = lead + labels + tail
+    cal = llr_calibrate(labels)
+    built = LlrCalibration(w=cal.w, prior_logodds=cal.prior_logodds, t1=cal.t1, t2=cal.t2)
+    assert cal == built
+    assert repr(cal) == repr(built)
+    assert type(cal.w) is tuple and len(cal.w) == len(labels)
