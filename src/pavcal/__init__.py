@@ -6,59 +6,39 @@ score-sorted trials, and evaluates calibrators against that optimum under
 any rule from the binary proper scoring family.
 """
 
-from .calmap import CalibrationMap, apply_map, build_map
-from .llr import (
-    LlrCalibration,
-    llr_calibrate,
-    logit,
-    posterior_from_llr,
-    sigmoid,
-    weights_from_prior,
-)
-from .oracle import grid_minimizer, maxmin_oracle
-from .pav import pav_fit, pav_posteriors
-from .rules import (
-    Brier,
-    CostAt,
-    CustomDensity,
-    DiracMixture,
-    Logarithmic,
-    ScoringRule,
-    expected_cost,
-    objective,
-    parse_rule,
-)
-from .types import Block, BlockSolution, Label, WeightPair, expand, pooled_value
+import importlib
+import sys
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Block",
-    "BlockSolution",
-    "Brier",
-    "CalibrationMap",
-    "CostAt",
-    "CustomDensity",
-    "DiracMixture",
-    "Label",
-    "LlrCalibration",
-    "Logarithmic",
-    "ScoringRule",
-    "WeightPair",
-    "apply_map",
-    "build_map",
-    "expand",
-    "expected_cost",
-    "grid_minimizer",
-    "llr_calibrate",
-    "logit",
-    "maxmin_oracle",
-    "objective",
-    "parse_rule",
-    "pav_fit",
-    "pav_posteriors",
-    "pooled_value",
-    "posterior_from_llr",
-    "sigmoid",
-    "weights_from_prior",
-]
+# The public names of each submodule.  A name, or a submodule, is imported
+# on its first lookup (PEP 562), so `import pavcal` loads no numpy.
+_NAMES = {
+    "calmap": "CalibrationMap apply_map build_map",
+    "llr": "LlrCalibration llr_calibrate logit posterior_from_llr sigmoid weights_from_prior",
+    "oracle": "grid_minimizer maxmin_oracle",
+    "pav": "pav_fit pav_posteriors",
+    "rules": "Brier CostAt CustomDensity DiracMixture Logarithmic ScoringRule "
+    "expected_cost objective parse_rule",
+    "types": "Block BlockSolution Label WeightPair expand pooled_value",
+}
+_SUBMODULE = {name: module for module, names in _NAMES.items() for name in names.split()}
+__all__ = sorted(_SUBMODULE)
+
+
+def __getattr__(name: str):
+    if name not in _SUBMODULE and name not in _NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(f"{__name__}.{_SUBMODULE.get(name, name)}")
+    # Bind the public names of every submodule loaded by now, as the eager
+    # imports did, so that a lookup that skips __getattr__
+    # (inspect.getattr_static) finds them too.
+    for key, sub in _SUBMODULE.items():
+        loaded = sys.modules.get(f"{__name__}.{sub}")
+        if key not in globals() and hasattr(loaded, key):
+            globals()[key] = getattr(loaded, key)
+    return globals()[name] if name in _SUBMODULE else module
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

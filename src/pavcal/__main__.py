@@ -1,5 +1,16 @@
+import os
 import sys
 
-from .cli import main
 
-sys.exit(main())
+def main() -> int:
+    """The pavcal command.  pavcal makes no BLAS call, and OpenBLAS starting
+    its thread pool took about 70 of numpy's 250 ms import on a 2-core
+    host, so one thread is asked for unless the user set a number."""
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    from . import cli
+
+    return cli.main()
+
+
+if __name__ == "__main__":
+    sys.exit(main())

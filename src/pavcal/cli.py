@@ -24,7 +24,6 @@ from .calmap import MODES, POLICIES, CalibrationMap, _apply, _fit
 from .llr import _class_log_odds, _posteriors, weights_from_prior
 from .pav import _price, _target_flags
 from .rules import Logarithmic, ScoringRule, _total_cost, objective, parse_rule
-from .selfcheck import DEFAULT_WEIGHT_PAIRS, run_selfcheck
 from .types import Label, WeightPair
 
 
@@ -227,8 +226,8 @@ def _bulk_read(
     if len(names) > 1:
         labels = table["label"]
         unspelled = labels[(labels != b"target") & (labels != b"nontarget")]
-        if (np.char.str_len(unspelled) == labels.itemsize).any():
-            return None  # a label that loadtxt may have cut
+        if unspelled.view("u1")[labels.itemsize - 1 :: labels.itemsize].any():
+            return None  # a label that fills its field, last byte not NUL: loadtxt may have cut it
         columns.append(labels)
     if len(names) > 2:
         columns.append(np.ascontiguousarray(table["calibrated"]))
@@ -437,6 +436,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_selfcheck(args: argparse.Namespace) -> int:
+    from .selfcheck import DEFAULT_WEIGHT_PAIRS, run_selfcheck  # loaded for this command only
+
     if min(args.max_len, args.instances, args.candidates) < 1:
         raise UsageError("--max-len, --instances and --candidates must be positive")
     if args.seed < 0:

@@ -41,7 +41,7 @@ from .types import Label, WeightPair, as_weights
 _INF = math.inf
 
 # Quadrature knobs for CustomDensity: absolute tolerance of each cost
-# integral, and the margin by which a singular endpoint is excluded.
+# integral, and the margin next to each end within which it runs on a log scale.
 _QUAD_ABS_TOL = 1e-10
 _ENDPOINT_MARGIN = 1e-12
 _NORMALIZATION_TOL = 1e-6
@@ -167,9 +167,10 @@ class CustomDensity(ScoringRule):
     The density itself is validated lazily on first use: it must be
     nonnegative on a grid sampled inside the open interval (0, 1), where a
     density singular at an end is still finite, and integrate to 1 within
-    1e-6.  Quadrature targets 1e-10 absolute error and keeps a 1e-12
-    margin from a singular endpoint; failure to converge, or an
-    arithmetic error raised by the density, raises ValueError.
+    1e-6.  Quadrature targets 1e-10 absolute error, and within 1e-12 of
+    an end integrates over the log of eta (or of 1 - eta), where a cost
+    like -ln q stays smooth; failure to converge, or an arithmetic error
+    raised by the density, raises ValueError.
     """
 
     def __init__(
@@ -228,13 +229,20 @@ class CustomDensity(ScoringRule):
         if q == 0.0 and not self.integrable_at_zero:
             return _INF
         rho = self.density
-        return self._quad(lambda e: rho(e) / e, max(q, _ENDPOINT_MARGIN), 1.0)
+        cost = self._quad(lambda e: rho(e) / e, max(q, _ENDPOINT_MARGIN), 1.0)
+        # Below the margin in u = ln(eta), where rho(eta) / eta d eta = rho(e^u) du;
+        # q = 0 is taken as the smallest double, and on the other side 1 - q = 0 too.
+        lo = math.log(q or math.ulp(0.0))
+        return cost + self._quad(lambda u: rho(math.exp(u)), lo, math.log(_ENDPOINT_MARGIN))
 
     def _nontarget_cost(self, q: float) -> float:
         if q == 1.0 and not self.integrable_at_one:
             return _INF
-        rho = self.density
-        return self._quad(lambda e: rho(e) / (1.0 - e), 0.0, min(q, 1.0 - _ENDPOINT_MARGIN))
+        rho, top = self.density, 1.0 - _ENDPOINT_MARGIN
+        cost = self._quad(lambda e: rho(e) / (1.0 - e), 0.0, min(q, top))
+        # Above it in v = -ln(1 - eta), where rho(eta) / (1 - eta) d eta = rho(1 - e^-v) dv.
+        hi = -math.log((1.0 - q) or math.ulp(0.0))
+        return cost + self._quad(lambda v: rho(-math.expm1(-v)), -math.log(1.0 - top), hi)
 
     def __str__(self) -> str:
         return "custom"

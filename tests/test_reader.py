@@ -11,6 +11,8 @@ f-string writes it.
 
 import io
 import math
+import subprocess
+import sys
 import warnings
 from unittest import mock
 
@@ -90,6 +92,14 @@ def test_a_plain_file_takes_the_bulk_read(tmp_path):
         read = READS["evaluate"]
         assert _outcome(path, read) == _by_lines(path, read)
         assert cli._read_csv(path, **read)[1].scores.size == 50
+
+
+def test_the_cut_label_check_loads_no_numpy_char(tmp_path):
+    path = _write(tmp_path, "score,label\n0,Target\n1,nontarget\n")
+    code = (f"import sys; from pavcal import cli; assert cli._bulk_read({path!r}, ['score', 'label'])"
+            "; assert 'numpy.char' not in sys.modules")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
 
 
 # Valid files the csv splitter splits that the bulk splitter must leave to

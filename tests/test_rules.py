@@ -105,6 +105,20 @@ class TestCustomDensity:
         assert rule.cost(T, 0.0) == math.inf
         assert rule.cost(N, 1.0) == math.inf
 
+    @pytest.mark.parametrize("q", [1e-13, 1e-20, 1e-100, 1e-300])
+    def test_uniform_density_below_the_endpoint_margin(self, q):
+        rule = CustomDensity(lambda e: 1.0, integrable_at_zero=False, integrable_at_one=False)
+        assert rule.cost(T, q) == pytest.approx(Logarithmic().cost(T, q), rel=1e-9)
+
+    # The linear integral up to the margin next to 1 is off by about 5e-8,
+    # which QUADPACK reports as a roundoff warning.
+    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+    @pytest.mark.parametrize("gap", [1e-13, 1e-15])
+    def test_uniform_density_above_the_endpoint_margin(self, gap):
+        rule = CustomDensity(lambda e: 1.0, integrable_at_zero=False, integrable_at_one=False)
+        q = 1.0 - gap
+        assert rule.cost(N, q) == pytest.approx(Logarithmic().cost(N, q), rel=1e-6)
+
     def test_parabolic_density_reproduces_brier(self):
         rule = CustomDensity(
             lambda e: 6.0 * e * (1.0 - e), integrable_at_zero=True, integrable_at_one=True
