@@ -121,13 +121,11 @@ class CalibrationMap:
             return cls.from_text(fh.read())
 
 
-def _fit(
-    scores: np.ndarray, flags: np.ndarray, weights: WeightPair, mode: str, policy: str
-) -> tuple[CalibrationMap, np.ndarray, np.ndarray]:
-    """Fit a map to finite scores and their target flags: the map (llr mode
-    ignores weights), and each block's target count and non-target count,
-    in score order.  Exact score ties pool into one item, -0.0 and 0.0 as
-    0.0, so the map does not depend on row order."""
+def _fit(scores: np.ndarray, flags: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The fit to finite scores and their target flags: each item's score, and
+    each block's start item, target count and non-target count, in score order.
+    Exact score ties pool into one item, -0.0 and 0.0 as 0.0, so the fit does
+    not depend on row order.  No weight enters: _map prices the blocks."""
     order = np.argsort(scores)  # not stable: tied scores pool into one item, in any order
     xs = scores[order]
     xs += 0.0  # -0.0 becomes 0.0; every other score stays as it is
@@ -136,18 +134,20 @@ def _fit(
     ms = np.add.reduceat(flags[order], heads, dtype=np.int64)
     ns = np.diff(heads, append=order.size)
     ns -= ms
-    del heads  # item-length, so freed before the PAV pass, not kept through it
-    starts, bm, bn = _pool_counts(ms, ns)
-    v1, v2 = (1.0, 1.0) if mode == "llr" else (weights.v1, weights.v2)
-    vals = _price(bm, bn, v1, v2).tolist()
-    if mode == "llr":
-        vals = _block_llrs(vals, int(bm.sum()), int(bn.sum()))[0]
+    del heads, order  # freed before the PAV pass, not kept through it
+    return (xs, *_pool_counts(ms, ns))
+
+
+def _map(fit: tuple, weights: WeightPair, mode: str, policy: str) -> CalibrationMap:
+    """The map of a fit: each block priced at the weights, or in llr mode its
+    LLR, which does not depend on them; a knot at each end of its span."""
+    xs, starts, m, n = fit
+    vals = _block_llrs(m, n)[0] if mode == "llr" else _price(m, n, weights.v1, weights.v2).tolist()
     ends = np.append(starts[1:], xs.size) - 1
     wide = ends > starts  # a block over more than one item has a knot at each end
     at = np.sort(np.concatenate((starts, ends[wide])))
     knots = zip(xs[at].tolist(), np.repeat(vals, wide + 1).tolist())
-    cmap = CalibrationMap(knots=tuple(knots), mode=mode, policy=policy)
-    return cmap, bm, bn
+    return CalibrationMap(knots=tuple(knots), mode=mode, policy=policy)
 
 
 def build_map(
@@ -173,7 +173,7 @@ def build_map(
     i = int(np.argmax(~np.isfinite(xs)))  # the first score that is not finite, if any
     if not math.isfinite(xs[i]):
         raise ValueError(f"trial score must be finite, got {xs[i].item()!r}")
-    return _fit(xs, flags, as_weights(weights), mode, policy)[0]
+    return _map(_fit(xs, flags), as_weights(weights), mode, policy)
 
 
 def _apply(cmap: CalibrationMap, scores: np.ndarray) -> np.ndarray:

@@ -20,7 +20,7 @@ from typing import Callable, ContextManager, Sequence, TextIO
 
 import numpy as np
 
-from .calmap import MODES, POLICIES, CalibrationMap, _apply, _fit
+from .calmap import MODES, POLICIES, CalibrationMap, _apply, _fit, _map
 from .llr import _class_log_odds, _posteriors, weights_from_prior
 from .pav import _price, _target_flags
 from .rules import Logarithmic, ScoringRule, _total_cost, objective, parse_rule
@@ -106,14 +106,19 @@ def _read_csv(
     return header, _Rows(scores, flags, values, cells)
 
 
-def _columns(fields: list[str], names: list[str]) -> tuple[dict[str, int] | None, list[int]]:
+def _columns(fields: list[str], names: list[str], lineno: int) -> tuple[dict | None, list[int]]:
     """The header and the index of each named column, given the fields of a
-    file's first non-blank row.  The row is a header when its first field
-    is not numeric, and names match it case-insensitively; without one the
-    columns are score, label, calibrated.  A name the header lacks is -1."""
+    file's first non-blank row, on line lineno.  The row is a header when its
+    first field is not numeric, and names match it case-insensitively;
+    without one the columns are score, label, calibrated.  A name the header
+    lacks is -1, and one it holds twice is a DataError."""
     if _is_number(fields[0].strip()):
         return None, list(range(len(names)))
-    header = {name.strip().lower(): i for i, name in enumerate(fields)}
+    keys = [name.strip().lower() for name in fields]
+    for name in names:
+        if keys.count(name) > 1:
+            raise DataError(f"line {lineno}: the header names column {name!r} more than once")
+    header = {key: i for i, key in enumerate(keys)}
     return header, [header.get(n, -1) for n in names]
 
 
@@ -206,7 +211,7 @@ def _bulk_read(
     # A blank first line has no named column, and loadtxt turns down bytes
     # that are not UTF-8.
     fields = first.decode("utf-8-sig", "replace").removesuffix("\r").split(",")
-    header, cols = _columns(fields, names)
+    header, cols = _columns(fields, names, 1)
     skip = 0 if header is None else 1
     if -1 in cols or skip and not _NONBLANK.search(data, len(first) + 1):
         return None
@@ -268,7 +273,7 @@ def _read_lines(path: str, names: list[str]) -> tuple[dict[str, int] | None, lis
                 if not any(map(str.strip, row)):
                     continue
                 if cols is None:
-                    header, cols = _columns(row, names)
+                    header, cols = _columns(row, names, reader.line_num)
                     if header is not None:
                         continue
                 rows.append(row)
@@ -381,8 +386,9 @@ def _read_labeled(
 def cmd_fit(args: argparse.Namespace) -> int:
     rows, t1, t2 = _read_labeled(args)
     weights = _scoring_weights(args, t1, t2)[0]
-    cmap, m, n = _fit(rows.scores, rows.flags, weights, args.mode, args.policy)
-    cmap.save(args.out)
+    fit = _fit(rows.scores, rows.flags)
+    _map(fit, weights, args.mode, args.policy).save(args.out)
+    m, n = fit[2:]
     print(f"T={len(rows)} T1={t1} T2={t2} blocks={m.size}")
     q = _price(m, n, weights.v1, weights.v2)  # each block's posterior at the weights
     for rule in _rules_of(args):
@@ -419,7 +425,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     values = rows.values
     if args.mode == "llr" and values is not None:
         values = _posteriors(values, pi)
-    _, m, n = _fit(rows.scores, rows.flags, weights, args.mode, "step")
+    m, n = _fit(rows.scores, rows.flags)[2:]
     q = _price(m, n, weights.v1, weights.v2)
     for rule in _rules_of(args):
         ref_obj = _total_cost(rule, weights, (q, m), (q, n))

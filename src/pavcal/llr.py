@@ -39,9 +39,9 @@ def logit(p: float) -> float:
 
 
 def _posteriors(w: np.ndarray, prior_logodds: float) -> np.ndarray:
-    """sigmoid(w + prior_logodds) elementwise, by the scalar formula's IEEE operations:
-    math.exp is mapped, not np.exp, as the two differ in the last bit on some inputs.
-    A memoryview of an array yields Python floats one at a time, with no list."""
+    """sigmoid(w + prior_logodds) elementwise.  math.exp is mapped, not np.exp, whose
+    kernel numpy picks by CPU: the two differ in the last bit on some inputs, so the
+    bits would depend on the host.  A memoryview yields Python floats, with no list."""
     x = np.asarray(w, dtype=float) + prior_logodds
     e = np.fromiter(map(math.exp, memoryview(-np.abs(x))), float, x.size)
     up = x >= 0.0
@@ -60,10 +60,11 @@ def _class_log_odds(t1: int, t2: int) -> float:
     return logit(t1 / (t1 + t2))
 
 
-def _block_llrs(values: Sequence[float], t1: int, t2: int) -> tuple[list[float], float]:
-    """logit(v) - offset for each unit-weight block value v, and that offset."""
-    offset = _class_log_odds(t1, t2)
-    return [logit(v) - offset for v in values], offset
+def _block_llrs(m: np.ndarray, n: np.ndarray) -> tuple[list[float], float]:
+    """Each block's llr from its counts, logit(v) - offset of its unit-weight value v,
+    and the offset, the class log-odds; ValueError unless both classes are present."""
+    offset = _class_log_odds(int(m.sum()), int(n.sum()))
+    return [logit(v) - offset for v in pav._price(m, n, 1.0, 1.0).tolist()], offset
 
 
 def weights_from_prior(prior_logodds: float, t1: int, t2: int) -> WeightPair:
@@ -111,14 +112,14 @@ class LlrCalibration:
             raise ValueError("llr values must be nondecreasing")
 
     @classmethod
-    def _from_blocks(
-        cls, llrs: list[float], sizes: list[int], prior_logodds: float, t1: int, t2: int
-    ) -> LlrCalibration:
-        """w repeats each block's llr over its size >= 1 trials, so it is ordered
-        exactly when the llrs are: they are checked in its place, not every trial."""
+    def _from_blocks(cls, m: np.ndarray, n: np.ndarray) -> LlrCalibration:
+        """The calibration of blocks of m targets and n non-targets each, in score
+        order.  w repeats each block's llr over its trials, so it is ordered exactly
+        when the llrs are: they are checked in its place, not every trial."""
+        llrs, offset = _block_llrs(m, n)
         cal = object.__new__(cls)
-        w = tuple(_expand(llrs, sizes))
-        for name, value in zip(("w", "prior_logodds", "t1", "t2"), (w, prior_logodds, t1, t2)):
+        w = tuple(_expand(llrs, (m + n).tolist()))
+        for name, value in zip(cls.__slots__, (w, offset, int(m.sum()), int(n.sum()))):
             object.__setattr__(cal, name, value)
         cal._check(llrs)
         return cal
@@ -130,14 +131,13 @@ def llr_calibrate(labels: Labels) -> LlrCalibration:
     Requires at least one trial of each class.  Values may include -inf
     and +inf at the ends of the sequence.
     """
+    flags = pav._target_flags(labels)
+    if not flags.size:
+        raise ValueError("llr_calibrate needs at least one trial")
     # Called through the module, so that a wrapper installed on
-    # pav.pav_fit (the benchmark's tracer) sees this call too.
-    solution = pav.pav_fit(labels, WeightPair(1.0, 1.0))
-    blocks = solution.blocks
-    t1 = sum(blk.m for blk in blocks)
-    t2 = solution.total - t1
-    llrs, offset = _block_llrs([blk.value for blk in blocks], t1, t2)
-    return LlrCalibration._from_blocks(llrs, [blk.size for blk in blocks], offset, t1, t2)
+    # pav._pool_counts (the benchmark's tracer) sees this call too.
+    _, m, n = pav._pool_counts(flags, ~flags)
+    return LlrCalibration._from_blocks(m, n)
 
 
 def posterior_from_llr(w: float, prior_logodds: float) -> float:

@@ -14,13 +14,9 @@ deletes vertices of the diagram that cannot be vertices of the minorant,
 by pooling the two segments that meet there; what is left when no vertex
 can be deleted any more is the solution.
 
-The work is done by _pool_counts in two stages: vectorised prune passes
-that delete many vertices at once, for as long as each pass halves what
-is left, then the classic stack pass over whatever segments survive.
-Both compare class counts exactly, in integers, so the blocks depend on
-the class counts alone and the weights only price them, in _price; see
-_pool_counts for the bound that keeps the counts' products exact, and
-why it is O(T).
+The work is done by _pool_counts, in O(T), comparing class counts exactly
+in integers, so the blocks depend on the class counts alone and the
+weights only price them, in _price.
 """
 
 from __future__ import annotations
@@ -132,16 +128,10 @@ def _target_flags(labels: Labels) -> np.ndarray:
 
 
 def pav_fit(labels: Labels, weights: WeightPair | tuple[float, float]) -> BlockSolution:
-    """Fit the monotone solution for a label sequence in score order.
-
-    Args:
-        labels: nonempty Labels (or bool target flags), ascending-score order.
-        weights: per-class trial weights (v1 targets, v2 non-targets).
-
-    Returns:
-        BlockSolution whose expansion is the optimal nondecreasing value
-        sequence under every rule of the proper-scoring family at once.
-    """
+    """The monotone fit to nonempty Labels (or bool target flags) in ascending
+    score order, at per-class trial weights (v1 targets, v2 non-targets): a
+    BlockSolution whose expansion is the optimal nondecreasing value sequence
+    under every rule of the proper-scoring family at once."""
     w = as_weights(weights)
     total = len(labels)
     if not total:

@@ -40,10 +40,9 @@ from .types import Label, WeightPair, as_weights
 
 _INF = math.inf
 
-# Quadrature knobs for CustomDensity: absolute tolerance of each cost
-# integral, and the margin next to each end within which it runs on a log scale.
+# Quadrature knobs for CustomDensity: the absolute and relative tolerance
+# each cost integral asks for.
 _QUAD_ABS_TOL = 1e-10
-_ENDPOINT_MARGIN = 1e-12
 _NORMALIZATION_TOL = 1e-6
 
 
@@ -68,7 +67,8 @@ class Logarithmic(ScoringRule):
     """rho = 1: cost is the negative log of the probability given to the truth."""
 
     def _costs(self, q: np.ndarray, target: bool) -> np.ndarray:
-        # math.log, not np.log: the two differ in the last bit on some inputs.
+        # math.log, not np.log: numpy picks its kernel by CPU, and on some
+        # inputs it differs from the C library's in the last bit.
         x = q.copy() if target else 1.0 - q
         zero = x == 0.0
         x[zero] = 1.0  # any value math.log accepts; these costs are +inf
@@ -167,10 +167,10 @@ class CustomDensity(ScoringRule):
     The density itself is validated lazily on first use: it must be
     nonnegative on a grid sampled inside the open interval (0, 1), where a
     density singular at an end is still finite, and integrate to 1 within
-    1e-6.  Quadrature targets 1e-10 absolute error, and within 1e-12 of
-    an end integrates over the log of eta (or of 1 - eta), where a cost
-    like -ln q stays smooth; failure to converge, or an arithmetic error
-    raised by the density, raises ValueError.
+    1e-6.  Quadrature targets 1e-10 error, over the log of eta (or of 1 - eta)
+    on the half of (0, 1) next to a cost's singular end, where costs such as
+    -ln q stay smooth.  An error estimate above 1e-6 * max(1, cost), or an
+    arithmetic error raised by the density, raises ValueError.
     """
 
     def __init__(
@@ -216,7 +216,7 @@ class CustomDensity(ScoringRule):
             )
         except ArithmeticError as exc:
             raise ValueError(f"density could not be evaluated: {exc!r}") from exc
-        if not math.isfinite(val) or err > 1e-6:
+        if not math.isfinite(val) or err > 1e-6 * max(1.0, abs(val)):
             raise ValueError("cost quadrature did not converge")
         return val if val > 0.0 else 0.0
 
@@ -229,20 +229,20 @@ class CustomDensity(ScoringRule):
         if q == 0.0 and not self.integrable_at_zero:
             return _INF
         rho = self.density
-        cost = self._quad(lambda e: rho(e) / e, max(q, _ENDPOINT_MARGIN), 1.0)
-        # Below the margin in u = ln(eta), where rho(eta) / eta d eta = rho(e^u) du;
+        cost = self._quad(lambda e: rho(e) / e, max(q, 0.5), 1.0)
+        # Below 1/2 in u = ln(eta), where rho(eta) / eta d eta = rho(e^u) du;
         # q = 0 is taken as the smallest double, and on the other side 1 - q = 0 too.
         lo = math.log(q or math.ulp(0.0))
-        return cost + self._quad(lambda u: rho(math.exp(u)), lo, math.log(_ENDPOINT_MARGIN))
+        return cost + self._quad(lambda u: rho(math.exp(u)), lo, math.log(0.5))
 
     def _nontarget_cost(self, q: float) -> float:
         if q == 1.0 and not self.integrable_at_one:
             return _INF
-        rho, top = self.density, 1.0 - _ENDPOINT_MARGIN
-        cost = self._quad(lambda e: rho(e) / (1.0 - e), 0.0, min(q, top))
-        # Above it in v = -ln(1 - eta), where rho(eta) / (1 - eta) d eta = rho(1 - e^-v) dv.
+        rho = self.density
+        cost = self._quad(lambda e: rho(e) / (1.0 - e), 0.0, min(q, 0.5))
+        # Above 1/2 in v = -ln(1 - eta), where rho(eta) / (1 - eta) d eta = rho(1 - e^-v) dv.
         hi = -math.log((1.0 - q) or math.ulp(0.0))
-        return cost + self._quad(lambda v: rho(-math.expm1(-v)), -math.log(1.0 - top), hi)
+        return cost + self._quad(lambda v: rho(-math.expm1(-v)), math.log(2.0), hi)
 
     def __str__(self) -> str:
         return "custom"

@@ -312,9 +312,9 @@ def test_selfcheck_seed_must_not_be_negative(capsys):
     assert (code, out, err) == (2, "", "error: --seed must not be negative\n")
 
 
-def _small_selfcheck(capsys):
+def _small_selfcheck(capsys, *flags):
     code, out, _ = run(capsys, "selfcheck", "--max-len", "4", "--instances", "3",
-                       "--candidates", "20")
+                       "--candidates", "20", *flags)
     return code, out.splitlines()
 
 
@@ -341,6 +341,19 @@ def test_selfcheck_counts_a_suite_that_raises_as_failed(capsys, monkeypatch):
     assert "[FAIL] map-round-trip: raised RuntimeError: boom" in lines
     assert sum(line.startswith("[PASS] ") for line in lines) == 3
     assert lines[-1] == "selfcheck: FAIL"
+
+
+@pytest.mark.parametrize("ok", [True, False], ids=["passing", "failing"])
+def test_selfcheck_times_fits_with_perf_only(capsys, monkeypatch, ok):
+    # A stub in place of the timing suite, which takes seconds and depends on the host.
+    monkeypatch.setattr(selfcheck, "check_performance", lambda seed: (ok, "stub"))
+    code, lines = _small_selfcheck(capsys)
+    assert code == 0
+    assert not any("performance" in line for line in lines), lines
+    code, lines = _small_selfcheck(capsys, "--perf")
+    assert code == (0 if ok else 3)
+    assert f"[{'PASS' if ok else 'FAIL'}] performance: stub" in lines
+    assert lines[-1] == f"selfcheck: {'PASS' if ok else 'FAIL'}"
 
 
 def test_cli_import_does_not_load_scipy():

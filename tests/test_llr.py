@@ -236,7 +236,7 @@ def test_prior_independence_over_reweighted_fits():
 def test_llr_calibrate_checks_its_block_values(monkeypatch, llrs):
     # The order is checked on the block values only, so it must still be
     # checked there: a faulty pair of block llrs is turned down.
-    monkeypatch.setattr("pavcal.llr._block_llrs", lambda values, t1, t2: (llrs, 0.0))
+    monkeypatch.setattr("pavcal.llr._block_llrs", lambda m, n: (llrs, 0.0))
     with pytest.raises(ValueError, match="^llr values must be nondecreasing$"):
         llr_calibrate([N, T, T])  # two blocks, of 1 and 2 trials
 

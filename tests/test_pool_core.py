@@ -30,7 +30,7 @@ from pavcal import (
     pav_posteriors,
 )
 from pavcal import pooled_value
-from pavcal.calmap import _apply, _fit
+from pavcal.calmap import _apply, _fit, _map
 from pavcal.pav import _pool_counts, _price
 from pavcal.rules import _total_cost
 from pavcal.selfcheck import STANDARD_RULES
@@ -216,11 +216,12 @@ def test_fit_matches_sorted_reference(trials, weights, mode):
     t1 = int(flags.sum())
     if mode == "llr" and not 0 < t1 < flags.size:
         return  # llr mode needs both classes
-    cmap, m, n = _fit(scores, flags, WeightPair(*weights), mode, "linear")
+    fit = _fit(scores, flags)
+    cmap = _map(fit, WeightPair(*weights), mode, "linear")
     items, ms, ns = _reference_tie_pool(*trials)
     v1, v2 = (1.0, 1.0) if mode == "llr" else weights
     starts, bm, bn = _pool_counts(ms, ns)
-    assert (m.tolist(), n.tolist()) == (bm.tolist(), bn.tolist())
+    assert repr([a.tolist() for a in fit]) == repr([items] + [a.tolist() for a in (starts, bm, bn)])
     vals = _price(bm, bn, v1, v2).tolist()
     if mode == "llr":
         # Each block's llr in the map is logit(v) - logit(t1 / T) of its unit-weight value v.
@@ -242,7 +243,8 @@ def test_block_sums_equal_the_objective_on_the_rows(trials, weights, mode):
     if mode == "llr" and not 0 < t1 < flags.size:
         return  # llr mode needs both classes
     w = WeightPair(*weights)
-    cmap, m, n = _fit(scores, flags, w, mode, "step")
+    fit = _fit(scores, flags)
+    cmap, (m, n) = _map(fit, w, mode, "step"), fit[2:]
     q = _price(m, n, *weights)  # each block's posterior at w, whichever the mode
     # Each block's first score is a knot; a row belongs to the last block
     # starting at or below its score.  (Map values cannot tell the blocks

@@ -200,6 +200,33 @@ def test_faulty_files_are_declined_and_named_by_their_line(tmp_path, capsys, cas
     assert cli._bulk_read(path, NAMES[command]) is None
 
 
+# Headers that name a column fit reads twice, matched case-insensitively,
+# and that name.  The file is turned down rather than one column taken, as
+# readers differ: pandas and R take the first.
+NAMED_TWICE = {
+    "score twice": ("score,label,score\n0,target,1\n1,nontarget,2\n", "score"),
+    "label in another case": ("score,label,Label\n0,target,nontarget\n1,nontarget,target\n",
+                              "label"),
+}
+
+
+@pytest.mark.parametrize("quoted", [False, True], ids=["plain", "one quoted field"])
+@pytest.mark.parametrize("case", NAMED_TWICE.values(), ids=NAMED_TWICE)
+def test_a_column_named_twice_is_a_fault_of_the_header_line(tmp_path, capsys, monkeypatch,
+                                                           case, quoted):
+    text, name = case
+    if quoted:  # which the bulk splitter leaves to the csv splitter
+        text = text.replace("\n0,", '\n"0",', 1)
+    message = f"line 1: the header names column {name!r} more than once"
+    path = _named(tmp_path, capsys, "fit", text, message)
+    if quoted:
+        assert cli._bulk_read(path, NAMES["fit"]) is None
+    else:
+        monkeypatch.setattr(cli, "_read_lines", _no_line_reader)
+        assert main(_argv(tmp_path, "fit", path)) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
 # Faulty files the bulk splitter splits, so the checks name the line
 # without the csv splitter.
 FAULTS_IN_BULK = {

@@ -19,7 +19,7 @@ import pytest
 from scipy.spatial import ConvexHull
 
 from pavcal import WeightPair, llr_calibrate, pooled_value
-from pavcal.calmap import _apply, _fit
+from pavcal.calmap import _apply, _fit, _map
 
 SIZE = 1_000_000
 
@@ -125,20 +125,22 @@ def test_llr_calibrate_matches_the_hull(trials):
 
 def test_llr_map_matches_the_hull(trials):
     scores, flags, item_scores, (segments, t1, t2) = trials
-    cmap, m, n = _fit(scores, flags, WeightPair(1.0, 1.0), "llr", "step")
-    assert (m.tolist(), n.tolist()) == ([s[2] for s in segments], [s[3] for s in segments])
+    fit = _fit(scores, flags)
+    assert [a.tolist() for a in fit[2:]] == [[s[2] for s in segments], [s[3] for s in segments]]
+    cmap = _map(fit, WeightPair(1.0, 1.0), "llr", "step")
     _assert_llrs_agree(_apply(cmap, item_scores), _hull_llrs(segments, t1, t2))
 
 
 def test_posterior_map_matches_the_hull(trials):
-    # The blocks are the hull's segments at any weights.  Far from unit
-    # weights, rounding may put a segment's value an ulp below its left
-    # neighbour's, which the map then lifts it to.
+    # The blocks are the hull's segments, and weights only price them.  Far
+    # from unit weights, rounding may put a segment's value an ulp below its
+    # left neighbour's, which the map then lifts it to.
     scores, flags, item_scores, (segments, _, _) = trials
     sizes = [last - first + 1 for first, last, _, _ in segments]
+    fit = _fit(scores, flags)
+    assert [a.tolist() for a in fit[2:]] == [[s[2] for s in segments], [s[3] for s in segments]]
     for weights in ((2.5, 0.7), (1e20, 1.0), (1.0, 1e-16), (1e-300, 1e300)):
-        cmap, m, n = _fit(scores, flags, WeightPair(*weights), "posterior", "step")
-        assert (m.tolist(), n.tolist()) == ([s[2] for s in segments], [s[3] for s in segments])
+        cmap = _map(fit, WeightPair(*weights), "posterior", "step")
         want = np.repeat([pooled_value(s[2], s[3], *weights) for s in segments], sizes)
         got = _apply(cmap, item_scores)
         assert (np.diff(got) >= 0.0).all(), weights

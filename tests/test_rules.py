@@ -110,14 +110,11 @@ class TestCustomDensity:
         rule = CustomDensity(lambda e: 1.0, integrable_at_zero=False, integrable_at_one=False)
         assert rule.cost(T, q) == pytest.approx(Logarithmic().cost(T, q), rel=1e-9)
 
-    # The linear integral up to the margin next to 1 is off by about 5e-8,
-    # which QUADPACK reports as a roundoff warning.
-    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
     @pytest.mark.parametrize("gap", [1e-13, 1e-15])
     def test_uniform_density_above_the_endpoint_margin(self, gap):
         rule = CustomDensity(lambda e: 1.0, integrable_at_zero=False, integrable_at_one=False)
         q = 1.0 - gap
-        assert rule.cost(N, q) == pytest.approx(Logarithmic().cost(N, q), rel=1e-6)
+        assert rule.cost(N, q) == pytest.approx(Logarithmic().cost(N, q), rel=1e-12)
 
     def test_parabolic_density_reproduces_brier(self):
         rule = CustomDensity(
@@ -152,6 +149,20 @@ class TestCustomDensity:
             assert math.isfinite(cost) and cost > 0.0
         assert rule.cost(T, 0.0) == math.inf
         assert rule.cost(N, 1.0) == math.inf
+
+    @pytest.mark.parametrize("q", [1e-12, 1e-11, 1e-6, 1.0 - 1e-6])
+    def test_arcsine_density_matches_its_closed_form(self, q):
+        # Costs near 6e5 at q = 1e-12, so the quadrature must judge its error
+        # relative to the cost; the abs term is its own absolute target.
+        rule = CustomDensity(
+            lambda e: 1.0 / (math.pi * math.sqrt(e * (1.0 - e))),
+            integrable_at_zero=False,
+            integrable_at_one=False,
+        )
+        target = 2.0 / math.pi * math.sqrt((1.0 - q) / q)
+        nontarget = 2.0 / math.pi * math.sqrt(q / (1.0 - q))
+        assert rule.cost(T, q) == pytest.approx(target, rel=1e-9, abs=1e-10)
+        assert rule.cost(N, q) == pytest.approx(nontarget, rel=1e-9, abs=1e-10)
 
     def test_density_arithmetic_errors_become_value_errors(self):
         # Positive wherever it is defined, but 1/0 at the probe eta = 0.5.
