@@ -17,10 +17,10 @@ _NAMES = {
     "calmap": "CalibrationMap apply_map build_map",
     "llr": "LlrCalibration llr_calibrate logit posterior_from_llr sigmoid weights_from_prior",
     "oracle": "grid_minimizer maxmin_oracle",
-    "pav": "pav_fit pav_posteriors",
+    "pav": "BlockSolution pav_fit pav_posteriors",
     "rules": "Brier CostAt CustomDensity DiracMixture Logarithmic ScoringRule "
     "expected_cost objective parse_rule",
-    "types": "Block BlockSolution Label WeightPair expand pooled_value",
+    "types": "Label WeightPair pooled_value",
 }
 _SUBMODULE = {name: module for module, names in _NAMES.items() for name in names.split()}
 __all__ = sorted(_SUBMODULE)

@@ -528,7 +528,3 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (DataError, UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, UsageError) else 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -1,30 +1,25 @@
 """Log-likelihood-ratio calibration on top of the monotone fit.
 
-The monotone fit returns posterior probabilities, which bake in the class
-proportions of the training set.  Subtracting the prior log-odds in logit
-space leaves a log-likelihood ratio, and that quantity does not depend on
-which prior was used for the fit: reweighting trials by any prior shifts
-every fitted value by exactly that prior's log-odds.  llr_calibrate
-therefore fits with unit weights and removes the empirical log-odds
-logit(t1 / (t1 + t2)).
-
-Both infinities are legitimate outputs here: a trial pooled only with
-non-targets genuinely carries -inf evidence under the monotone model.
-Clamping, if a consumer needs it, is the consumer's decision (the command
+A fit's posteriors bake in the training set's class proportions, and
+reweighting the trials by any prior shifts the logit of every fitted value
+by exactly that prior's log-odds.  So llr_calibrate fits at unit weights and
+subtracts the empirical log-odds logit(t1 / (t1 + t2)), which leaves LLRs
+that no prior enters.  A block of non-targets only carries -inf evidence,
+one of targets only +inf; clamping is the consumer's choice (the command
 line offers --clamp-llr).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+import operator
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import pav
 from .pav import Labels
-from .types import WeightPair, _expand
+from .types import WeightPair
 
 
 def logit(p: float) -> float:
@@ -68,13 +63,10 @@ def _block_llrs(m: np.ndarray, n: np.ndarray) -> tuple[list[float], float]:
 
 
 def weights_from_prior(prior_logodds: float, t1: int, t2: int) -> WeightPair:
-    """Per-trial weights that make a fit behave as if the prior were pi.
-
-    Targets get sigmoid(pi)/t1 each and non-targets (1-sigmoid(pi))/t2,
-    so each class's total weight matches the prior probability it should
-    carry.  The prior must be finite, both counts at least 1, and neither
-    weight may underflow to 0, as it does for a prior beyond about +-745.
-    """
+    """Per-trial weights pi/t1 for targets and (1 - pi)/t2 for non-targets, with
+    pi = sigmoid(prior_logodds), so each class weighs what the prior gives it.
+    ValueError unless the prior is finite, t1, t2 >= 1, and neither weight
+    underflows to 0, as it does for a prior beyond about +-745."""
     pi = posterior_from_llr(0.0, prior_logodds)  # rejects a prior that is not finite
     _class_log_odds(t1, t2)  # rejects a missing class
     # 1 - pi cancels to 0 once pi rounds to 1, above a prior of about 36.7.
@@ -86,58 +78,41 @@ def weights_from_prior(prior_logodds: float, t1: int, t2: int) -> WeightPair:
 
 @dataclass(frozen=True, slots=True)
 class LlrCalibration:
-    """Fitted per-trial log-likelihood ratios, in score order.
+    """The prior-free calibration of blocks of m targets and n non-targets each,
+    in score order, checked by pav._check_counts; ValueError unless both classes
+    are present.  w holds each trial's log-likelihood ratio, its block's llr
+    repeated; prior_logodds is the class log-odds that was subtracted, so
+    sigmoid(w[t] + prior_logodds) recovers the unit-weight posterior fit; t1
+    and t2 count the targets and non-targets."""
 
-    prior_logodds records the empirical log-odds that was subtracted, so
-    sigmoid(w[t] + prior_logodds) recovers the unit-weight posterior fit.
-    """
-
-    w: tuple[float, ...]
-    prior_logodds: float
-    t1: int
-    t2: int
+    m: tuple[int, ...]
+    n: tuple[int, ...]
+    w: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    prior_logodds: float = field(init=False)
+    t1: int = field(init=False)
+    t2: int = field(init=False)
 
     def __post_init__(self) -> None:
-        self._check(self.w)
-
-    def _check(self, steps: Sequence[float]) -> None:
-        """ValueError unless both classes are present, the prior is finite, w holds
-        one value per trial, and steps (w, or the values it repeats) never decrease."""
-        _class_log_odds(self.t1, self.t2)  # rejects a missing class
-        posterior_from_llr(0.0, self.prior_logodds)  # rejects a prior that is not finite
-        if len(self.w) != self.t1 + self.t2:
-            raise ValueError(f"{len(self.w)} llr values for {self.t1 + self.t2} trials")
-        x = np.fromiter(steps, float, len(steps))
-        if np.isnan(x).any() or (x[1:] < x[:-1]).any():
+        m, n = pav._check_counts(self.m, self.n)
+        llrs, offset = _block_llrs(np.array(m, np.int64), np.array(n, np.int64))
+        # w repeats each block's llr, so it is ordered exactly when the llrs are.
+        if not all(map(operator.le, llrs, llrs[1:])):
             raise ValueError("llr values must be nondecreasing")
-
-    @classmethod
-    def _from_blocks(cls, m: np.ndarray, n: np.ndarray) -> LlrCalibration:
-        """The calibration of blocks of m targets and n non-targets each, in score
-        order.  w repeats each block's llr over its trials, so it is ordered exactly
-        when the llrs are: they are checked in its place, not every trial."""
-        llrs, offset = _block_llrs(m, n)
-        cal = object.__new__(cls)
-        w = tuple(_expand(llrs, (m + n).tolist()))
-        for name, value in zip(cls.__slots__, (w, offset, int(m.sum()), int(n.sum()))):
-            object.__setattr__(cal, name, value)
-        cal._check(llrs)
-        return cal
+        w = tuple(pav._expand(llrs, map(operator.add, m, n)))
+        fields = {"m": m, "n": n, "w": w, "prior_logodds": offset, "t1": sum(m), "t2": sum(n)}
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
 
 
 def llr_calibrate(labels: Labels) -> LlrCalibration:
     """Prior-independent monotone LLR assignment for labels in score order.
-
-    Requires at least one trial of each class.  Values may include -inf
-    and +inf at the ends of the sequence.
-    """
+    Needs a trial of each class; w may hold -inf and +inf at its ends."""
     flags = pav._target_flags(labels)
     if not flags.size:
         raise ValueError("llr_calibrate needs at least one trial")
-    # Called through the module, so that a wrapper installed on
-    # pav._pool_counts (the benchmark's tracer) sees this call too.
+    # Through the module, so that a wrapper on pav._pool_counts (a tracer) sees it.
     _, m, n = pav._pool_counts(flags, ~flags)
-    return LlrCalibration._from_blocks(m, n)
+    return LlrCalibration(m, n)
 
 
 def posterior_from_llr(w: float, prior_logodds: float) -> float:

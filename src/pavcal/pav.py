@@ -1,21 +1,12 @@
-"""Weighted pool-adjacent-violators fit for binary labels.
+"""Weighted pool-adjacent-violators fit for binary labels in ascending score order.
 
-Trials are assumed already ordered by ascending classifier score.  The fit
-assigns each trial a value in [0, 1], nondecreasing along the sequence,
-minimizing every weighted proper-scoring-rule objective simultaneously.
-The solution is a partition into maximal blocks; each block's value is the
-weighted proportion of its target count, m*v1 / (m*v1 + n*v2).
-
-Geometrically (Barlow et al. 1972), walk the items in order and plot the
-cumulative (total weight, target weight) diagram: the fitted values are
-the slopes of its greatest convex minorant, and the blocks are the
-stretches between the minorant's vertices.  Every pass in this module
-deletes vertices of the diagram that cannot be vertices of the minorant,
-by pooling the two segments that meet there; what is left when no vertex
-can be deleted any more is the solution.
-
-The work is done by _pool_counts, in O(T), comparing class counts exactly
-in integers, so the blocks depend on the class counts alone and the
+The fit gives each trial a value in [0, 1], nondecreasing along the
+sequence, that minimizes every weighted proper-scoring-rule objective at
+once.  It is a partition into maximal blocks, the stretches between the
+vertices of the greatest convex minorant of the cumulative (total weight,
+target weight) diagram (Barlow et al. 1972); a block's value is its
+weighted target proportion m*v1 / (m*v1 + n*v2).  The blocks depend on the
+class counts alone, which _pool_counts compares exactly in integers; the
 weights only price them, in _price.
 """
 
@@ -24,48 +15,34 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from typing import Sequence
+from dataclasses import dataclass, field
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .types import Block, BlockSolution, Label, WeightPair, as_weights, expand, pooled_value
+from .types import Label, WeightPair, as_weights, pooled_value
 
 Labels = Sequence[Label] | np.ndarray  # or a 1-D bool array of target flags
 
 def _pool_counts(
     ms: Sequence[int] | np.ndarray, ns: Sequence[int] | np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Pool pre-counted items into the monotone block partition.
+    """Pool items of ms[k] targets and ns[k] non-targets (at least one item, each
+    holding a trial) into the monotone block partition: int64 arrays of each
+    block's start item, target count and non-target count, whose proportions
+    strictly rise.  No weight enters, so the blocks hold at every weight pair.
 
-    ms[k] / ns[k] are the target / non-target counts of item k (an item is
-    a single trial, or a group of trials pooled beforehand, e.g. score
-    ties); there is at least one item, and every item holds at least one
-    trial.  Returns int64 arrays of each block's start item, target count
-    and non-target count: the blocks' target proportions strictly rise.
-    No weight enters, so the blocks are the same at every weight pair.
-
-    A value m*v1 / (m*v1 + n*v2) rises strictly with the proportion
-    m / (m + n) at any positive weights, so two adjacent pools violate
-    (the left proportion is >= the right) exactly when m_l*n_r >= m_r*n_l.
-    Both stages test that in integers: with fewer than 6e9 trials, every
+    Two adjacent pools violate (left proportion >= right) exactly when
+    m_l*n_r >= m_r*n_l, tested in integers: with fewer than 6e9 trials every
     product of two disjoint pools' counts (at most T*T/4) is below 2**63.
 
-    Prune passes.  Between two adjacent segments sits one vertex of the
-    cumulative diagram.  Where they violate, the diagram bends down (or
-    runs straight), so the vertex lies on or above the chord joining its
-    neighbours; the minorant lies on or below that chord, so it has no
-    corner there, and deleting every such vertex at once leaves it as it
-    is.  One pass is the count test (a bool AND on the first pass over
-    target flags) and np.add.reduceat to add up the counts of each run of
-    merged segments.  Passes run while each one at least halves the
-    segments, and a pass that deletes nothing ends them.  So they start
-    from at most T, T, T/2, T/4, ... segments and cost O(T) in all,
-    whatever the data: no more than 3T segments are visited.
-
-    Stack pass.  The survivors are pooled left to right on a stack of
-    finished blocks, merging while the top block and the new one violate;
-    counts add exactly.  Each survivor is pushed once and each merge pops
-    one block, so the whole call is O(T) however little the passes delete.
+    Prune passes pool every violating pair of neighbouring segments at once:
+    the diagram's vertex between them lies on or above the chord of its
+    neighbours, so it is no corner of the minorant.  Passes run while each
+    one at least halves the segments, and a pass that pools nothing ends
+    them, so they visit at most T + T + T/2 + T/4 + ... = 3T segments.  A
+    stack pass then pools the survivors left to right; each is pushed once
+    and each merge pops one, so the whole call is O(T) whatever the data.
     """
     m = np.asarray(ms)
     n = np.asarray(ns)
@@ -127,26 +104,69 @@ def _target_flags(labels: Labels) -> np.ndarray:
     return flags
 
 
+def _check_counts(m: Iterable[int], n: Iterable[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Block counts m (targets) and n (non-targets) in score order, as tuples of
+    ints.  TypeError for a count that is not an int; ValueError unless the two
+    columns are equally long and nonempty, no count is negative, every block
+    holds a trial, the target proportions strictly rise, and there are fewer
+    than about 6e9 trials, as _pool_counts needs, so every count fits int64."""
+    m, n = tuple(map(operator.index, m)), tuple(map(operator.index, n))
+    if not m or len(m) != len(n):
+        raise ValueError(f"block counts need equal nonempty columns, got {len(m)} and {len(n)}")
+    if min(m + n) < 0 or 0 in map(operator.add, m, n):
+        raise ValueError("block counts must be nonnegative, and each block must hold a trial")
+    total = sum(m) + sum(n)
+    if total * total >= 2**65:
+        raise ValueError(f"{total} trials are too many to compare their counts in int64")
+    if any(map(operator.ge, map(operator.mul, m, n[1:]), map(operator.mul, m[1:], n))):
+        raise ValueError("block target proportions must strictly rise")
+    return m, n
+
+
+def _expand(values: Iterable[float], sizes: Iterable[int]) -> Iterator[float]:
+    """Each block's value once per trial, lazily, to fill the caller's own container."""
+    return itertools.chain.from_iterable(map(itertools.repeat, values, sizes))
+
+
+@dataclass(frozen=True, slots=True)
+class BlockSolution:
+    """A monotone fit: blocks of m targets and n non-targets each, in score
+    order, checked by _check_counts.  values holds each block's _price at the
+    weights, so equal values may join neighbouring blocks; total counts the
+    trials."""
+
+    m: tuple[int, ...]
+    n: tuple[int, ...]
+    weights: WeightPair
+    values: tuple[float, ...] = field(init=False)
+    total: int = field(init=False)
+
+    def __post_init__(self) -> None:
+        m, n = _check_counts(self.m, self.n)
+        w = as_weights(self.weights)
+        values = tuple(_price(np.array(m, np.int64), np.array(n, np.int64), w.v1, w.v2).tolist())
+        fields = {"m": m, "n": n, "weights": w, "values": values, "total": sum(m) + sum(n)}
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+
 def pav_fit(labels: Labels, weights: WeightPair | tuple[float, float]) -> BlockSolution:
     """The monotone fit to nonempty Labels (or bool target flags) in ascending
-    score order, at per-class trial weights (v1 targets, v2 non-targets): a
-    BlockSolution whose expansion is the optimal nondecreasing value sequence
-    under every rule of the proper-scoring family at once."""
+    score order, at per-class trial weights (v1 targets, v2 non-targets): its
+    expansion is the optimal nondecreasing value sequence under every rule of
+    the proper-scoring family at once."""
     w = as_weights(weights)
-    total = len(labels)
-    if not total:
-        raise ValueError("pav_fit needs at least one trial")
     flags = _target_flags(labels)
-    starts, m, n = _pool_counts(flags, ~flags)
-    ends = np.append(starts[1:], total) - 1
-    columns = (starts, ends, m, n, _price(m, n, w.v1, w.v2))
-    blocks = tuple(map(Block, *map(np.ndarray.tolist, columns)))
-    return BlockSolution(blocks=blocks, weights=w, total=total)
+    if not flags.size:
+        raise ValueError("pav_fit needs at least one trial")
+    _, m, n = _pool_counts(flags, ~flags)
+    return BlockSolution(m, n, w)
 
 
 def pav_posteriors(labels: Labels, weights: WeightPair | tuple[float, float]) -> list[float]:
     """Per-trial fitted values of pav_fit, expanded."""
-    return expand(pav_fit(labels, weights))
+    sol = pav_fit(labels, weights)
+    return list(_expand(sol.values, map(operator.add, sol.m, sol.n)))
 
 
-__all__ = ["pav_fit", "pav_posteriors"]
+__all__ = ["BlockSolution", "pav_fit", "pav_posteriors"]

@@ -171,6 +171,12 @@ class CustomDensity(ScoringRule):
     on the half of (0, 1) next to a cost's singular end, where costs such as
     -ln q stay smooth.  An error estimate above 1e-6 * max(1, cost), or an
     arithmetic error raised by the density, raises ValueError.
+
+    Near eta = 1 the density is called with eta, whose 1 - eta has lost its
+    digits.  With the arcsine density the target cost raises ValueError from
+    q = 1 - 1e-9; the non-target cost is up to 2e-8 relative off from
+    1 - 1e-9 to 1 - 1e-11, with scipy's IntegrationWarning, and raises
+    ValueError from 1 - 1e-12.
     """
 
     def __init__(

@@ -422,9 +422,9 @@ def test_fit_objectives_equal_the_library_path(tmp_path, capsys, flags):
     weights = _weights_for(flags, labels)
     if "--mode" in flags:
         # The unit-weight fit's blocks, valued at the scoring weights.
-        blocks = pav_fit(labels, (1.0, 1.0)).blocks
-        fitted = [pooled_value(b.m, b.n, weights.v1, weights.v2)
-                  for b in blocks for _ in range(b.size)]
+        sol = pav_fit(labels, (1.0, 1.0))
+        fitted = [pooled_value(m, n, weights.v1, weights.v2)
+                  for m, n in zip(sol.m, sol.n) for _ in range(m + n)]
     else:
         fitted = pav_posteriors(labels, weights)
     lines = out.splitlines()[1:]

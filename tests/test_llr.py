@@ -190,26 +190,13 @@ def test_llrs_are_nondecreasing(labels):
 
 
 def test_calibration_type_rejects_non_monotone_values():
-    with pytest.raises(ValueError):
-        LlrCalibration(w=(0.5, 0.0), prior_logodds=0.0, t1=1, t2=1)
-    with pytest.raises(ValueError):
-        LlrCalibration(w=(0.0, math.nan), prior_logodds=0.0, t1=1, t2=1)
-    with pytest.raises(ValueError):
-        LlrCalibration(w=(0.0,), prior_logodds=0.0, t1=0, t2=1)
-
-
-def test_calibration_type_rejects_a_length_that_is_not_the_trial_count():
-    with pytest.raises(ValueError, match="^1 llr values for 10 trials$"):
-        LlrCalibration(w=(0.0,), prior_logodds=0.0, t1=5, t2=5)
-    with pytest.raises(ValueError, match="^3 llr values for 2 trials$"):
-        LlrCalibration(w=(0.0, 0.0, 0.0), prior_logodds=0.0, t1=1, t2=1)
-
-
-@pytest.mark.parametrize("prior", [math.inf, -math.inf, math.nan])
-def test_calibration_type_rejects_a_prior_that_is_not_finite(prior):
-    message = f"prior log-odds must be finite, got {prior!r}"
-    with pytest.raises(ValueError, match=re.escape(message)):
-        LlrCalibration(w=(0.0, 0.0), prior_logodds=prior, t1=1, t2=1)
+    # Block counts whose target proportions do not strictly rise, and one class.
+    with pytest.raises(ValueError, match="^block target proportions must strictly rise$"):
+        LlrCalibration((1, 0), (0, 1))
+    with pytest.raises(ValueError, match="^block target proportions must strictly rise$"):
+        LlrCalibration((1, 1), (1, 1))
+    with pytest.raises(ValueError, match="^both classes are needed, got 0 targets and 1 non-targets$"):
+        LlrCalibration((0,), (1,))
 
 
 def test_prior_independence_over_reweighted_fits():
@@ -255,7 +242,9 @@ _one_block = _one_block.map(lambda ab: [T] * ab[0] + [N] * ab[1])
 def test_llr_calibrate_equals_the_checked_constructor(labels, lead, tail):
     labels = lead + labels + tail
     cal = llr_calibrate(labels)
-    built = LlrCalibration(w=cal.w, prior_logodds=cal.prior_logodds, t1=cal.t1, t2=cal.t2)
-    assert cal == built
-    assert repr(cal) == repr(built)
+    built = LlrCalibration(cal.m, cal.n)
+    assert cal == built and cal.w == built.w
+    assert repr(cal) == repr(built) and "w=" not in repr(cal)
     assert type(cal.w) is tuple and len(cal.w) == len(labels)
+    assert (cal.t1, cal.t2) == (labels.count(T), labels.count(N))
+    assert cal.prior_logodds == logit(cal.t1 / len(labels))

@@ -26,9 +26,9 @@ def test_public_names_are_their_submodules_objects():
         import pavcal
 
         assert pavcal.__all__ == [
-            "Block", "BlockSolution", "Brier", "CalibrationMap", "CostAt", "CustomDensity",
+            "BlockSolution", "Brier", "CalibrationMap", "CostAt", "CustomDensity",
             "DiracMixture", "Label", "LlrCalibration", "Logarithmic", "ScoringRule",
-            "WeightPair", "apply_map", "build_map", "expand", "expected_cost",
+            "WeightPair", "apply_map", "build_map", "expected_cost",
             "grid_minimizer", "llr_calibrate", "logit", "maxmin_oracle", "objective",
             "parse_rule", "pav_fit", "pav_posteriors", "pooled_value", "posterior_from_llr",
             "sigmoid", "weights_from_prior",

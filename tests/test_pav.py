@@ -19,7 +19,6 @@ from pavcal import (
     Label,
     Logarithmic,
     WeightPair,
-    expand,
     maxmin_oracle,
     objective,
     pav_fit,
@@ -63,8 +62,8 @@ def test_weights_whose_total_overflows_are_named():
         pav_fit([T, N, T], (1e308, 1e308))
     # A total weight just below the largest double is accepted.
     sol = pav_fit([T, N], (1e308, 7e307))
-    assert [blk.value for blk in sol.blocks] == [1e308 / (1e308 + 7e307)]
-    assert pav_fit([T], (1.7e308, 1.7e308)).blocks[0].value == 1.0
+    assert sol.values == (1e308 / (1e308 + 7e307),)
+    assert pav_fit([T], (1.7e308, 1.7e308)).values == (1.0,)
 
 
 def test_labels_that_are_not_labels_rejected():
@@ -78,8 +77,8 @@ def test_equal_values_merge_into_one_block():
     # (T, N, T, N): every pooling step hits an exact tie at 0.5; merging
     # on equality must collapse the whole thing into a single block.
     sol = pav_fit([T, N, T, N], (1.0, 1.0))
-    assert len(sol.blocks) == 1
-    assert expand(sol) == [0.5, 0.5, 0.5, 0.5]
+    assert (sol.m, sol.n, sol.values) == ((2,), (2,), (0.5,))
+    assert pav_posteriors([T, N, T, N], (1.0, 1.0)) == [0.5, 0.5, 0.5, 0.5]
     assert maxmin_oracle([T, N, T, N], (1.0, 1.0)) == [0.5] * 4
 
 
@@ -112,7 +111,7 @@ def test_matches_closed_form_on_random_instances(labels, wpair):
 @given(labels=st.lists(st.sampled_from([T, N]), min_size=1, max_size=80))
 def test_block_and_pool_counts(labels):
     sol = pav_fit(labels, (1.0, 1.0))
-    assert 1 <= len(sol.blocks) <= len(labels)
+    assert 1 <= len(sol.m) == len(sol.n) == len(sol.values) <= len(labels)
 
 
 @given(

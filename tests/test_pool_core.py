@@ -94,8 +94,8 @@ def test_stack_pass_merges_on_an_exact_tie():
         labels += [T] + [N] * gap
     labels += [N] * 21
     sol = pav_fit(labels, (1.0, 1.0))
-    assert [(b.m, b.n) for b in sol.blocks] == [(1, g) for g in range(12, 7, -1)] + [(7, 49)]
-    assert sol.blocks[-1].value == 0.125
+    assert list(zip(sol.m, sol.n)) == [(1, g) for g in range(12, 7, -1)] + [(7, 49)]
+    assert sol.values[-1] == 0.125
     _assert_matches_oracle(labels, (1.0, 1.0))
 
 
@@ -127,7 +127,7 @@ def test_pools_of_equal_proportion_pool_at_any_weights():
     # their values round one ulp apart: 0.0697674418604651 and
     # 0.06976744186046512.  Compared by counts, they pool.
     sol = pav_fit([T, T, N, T, N, N, T, N], (0.3, 4.0))
-    assert [(b.m, b.n) for b in sol.blocks] == [(4, 4)]
+    assert (sol.m, sol.n) == ((4,), (4,))
 
 
 # Up to 60 items of 1-50 trials each.
@@ -156,8 +156,8 @@ def test_blocks_do_not_depend_on_the_weights(items, weights):
     # that below its left neighbour's value, which it then takes.
     v1, v2 = weights
     labels = [lab for m, n in items for lab in [T] * m + [N] * n]
-    spans = [[(b.start, b.m, b.n) for b in pav_fit(labels, w).blocks] for w in (weights, (1, 1))]
-    assert spans[0] == spans[1]
+    counts = [(sol.m, sol.n) for sol in (pav_fit(labels, w) for w in (weights, (1, 1)))]
+    assert counts[0] == counts[1]
     _, bm, bn = _pool_counts(*zip(*items))
     vals = _price(bm, bn, v1, v2).tolist()
     assert vals == sorted(vals)
@@ -175,11 +175,14 @@ def test_blocks_do_not_depend_on_the_weights(items, weights):
 def test_blocks_carry_exact_counts_and_values(labels, weights):
     sol = pav_fit(labels, weights)
     v1, v2 = sol.weights.v1, sol.weights.v2
-    for blk in sol.blocks:
-        span = labels[blk.start : blk.end + 1]
-        assert blk.m == sum(1 for lab in span if lab is T)
-        assert type(blk.m) is int and type(blk.n) is int
-        assert blk.value == pooled_value(blk.m, blk.n, v1, v2)
+    start = 0
+    for m, n, value in zip(sol.m, sol.n, sol.values):
+        span = labels[start : start + m + n]
+        start += m + n
+        assert m == sum(1 for lab in span if lab is T)
+        assert type(m) is int and type(n) is int
+        assert value == pooled_value(m, n, v1, v2)
+    assert start == sol.total == len(labels)
 
 
 def _reference_tie_pool(scores, labels):

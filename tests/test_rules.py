@@ -164,6 +164,22 @@ class TestCustomDensity:
         assert rule.cost(T, q) == pytest.approx(target, rel=1e-9, abs=1e-10)
         assert rule.cost(N, q) == pytest.approx(nontarget, rel=1e-9, abs=1e-10)
 
+    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+    def test_arcsine_density_near_one_is_a_documented_limit(self):
+        # The density sees eta, whose 1 - eta has lost its digits there.
+        rule = CustomDensity(
+            lambda e: 1.0 / (math.pi * math.sqrt(e * (1.0 - e))),
+            integrable_at_zero=False,
+            integrable_at_one=False,
+        )
+        with pytest.raises(ValueError, match="^density could not be evaluated: ZeroDivisionError"):
+            rule.cost(T, 1.0 - 1e-9)
+        for q in (1.0 - 1e-9, 1.0 - 1e-10, 1.0 - 1e-11):  # up to 2e-8 relative off
+            nontarget = 2.0 / math.pi * math.sqrt(q / (1.0 - q))
+            assert rule.cost(N, q) == pytest.approx(nontarget, rel=1e-7)
+        with pytest.raises(ValueError, match="^cost quadrature did not converge$"):
+            rule.cost(N, 1.0 - 1e-12)
+
     def test_density_arithmetic_errors_become_value_errors(self):
         # Positive wherever it is defined, but 1/0 at the probe eta = 0.5.
         rule = CustomDensity(
