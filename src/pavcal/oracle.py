@@ -37,10 +37,10 @@ def maxmin_oracle(labels: Labels, weights: WeightPair | tuple[float, float]) -> 
     beyond 1e-12 (which would indicate a broken build).
     """
     w = as_weights(weights)
-    T = len(labels)
+    flags = _target_flags(labels)
+    T = flags.size
     if T == 0:
         raise ValueError("maxmin_oracle needs at least one trial")
-    flags = _target_flags(labels)
     # M[i] / N[i]: targets / non-targets among the first i trials.
     M = np.concatenate(([0], np.cumsum(flags, dtype=np.int64)))
     N = np.concatenate(([0], np.cumsum(~flags, dtype=np.int64)))
@@ -74,11 +74,12 @@ def grid_minimizer(
 ) -> list[float]:
     """Exhaustive objective minimizer over nondecreasing grid sequences.
 
-    The grid is {k / (grid_size - 1)}.  Refuses len(labels) > 8 or
+    The grid is {k / (grid_size - 1)}.  Refuses more than 8 labels or
     grid_size > 21; the enumeration is combinatorial.  Ties are broken
     toward the lexicographically first sequence.
     """
-    T = len(labels)
+    flags = _target_flags(labels)
+    T = flags.size
     if T == 0:
         raise ValueError("grid_minimizer needs at least one trial")
     if T > 8:
@@ -90,7 +91,7 @@ def grid_minimizer(
     # Per-trial weighted cost of placing that trial at each grid value.
     pairs = ((True, w.v1), (False, w.v2))
     side = {target: (v * rule._costs(np.array(grid), target)).tolist() for target, v in pairs}
-    table = [side[flag] for flag in _target_flags(labels).tolist()]
+    table = [side[flag] for flag in flags.tolist()]
     best: tuple[int, ...] | None = None
     best_obj = None
     for combo in itertools.combinations_with_replacement(range(grid_size), T):

@@ -22,7 +22,43 @@ import numpy as np
 
 from .types import Label, WeightPair, as_weights, pooled_value
 
-Labels = Sequence[Label] | np.ndarray  # or a 1-D bool array of target flags
+Labels = Iterable[Label] | np.ndarray  # or a 1-D bool array of target flags
+
+_HANDOVER = 4096  # segments few enough to leave to the stack pass
+
+
+def _prune(m: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The prune passes of _pool_counts over its items: each survivor segment's
+    start item, target count and non-target count, as int64 arrays.  A bool m
+    holds single trials' target flags, and n is then taken to be ~m.
+
+    A pass pools every violating pair of neighbouring segments at once: the
+    diagram's vertex between them lies on or above the chord of its
+    neighbours, so it is no corner of the minorant.  The first pass always
+    runs; on single trials it starts a segment at each non-target -> target
+    step, since only there do two trials rise.  Further passes run while more
+    than _HANDOVER segments remain, each pools something, and the segments
+    they visit, counting the first pass's items, stay within 3 per item."""
+    size, single = m.size, m.dtype == bool
+    rises = m[1:] > m[:-1] if single else m[:-1] * n[1:] < m[1:] * n[:-1]
+    seg_start = np.concatenate(([0], np.flatnonzero(rises) + 1))
+    m = np.add.reduceat(m, seg_start, dtype=np.int64)
+    if single:  # a segment's trials less its targets
+        n = np.diff(seg_start, append=size) - m
+    else:
+        n = np.add.reduceat(n, seg_start, dtype=np.int64)
+    visits = size
+    while m.size > _HANDOVER and visits + m.size <= 3 * size:
+        visits += m.size
+        rises = np.flatnonzero(m[:-1] * n[1:] < m[1:] * n[:-1])
+        if rises.size + 1 == m.size:
+            break
+        heads = np.concatenate(([0], rises + 1))
+        seg_start = seg_start[heads]
+        m = np.add.reduceat(m, heads)
+        n = np.add.reduceat(n, heads)
+    return seg_start, m, n
+
 
 def _pool_counts(
     ms: Sequence[int] | np.ndarray, ns: Sequence[int] | np.ndarray
@@ -31,42 +67,23 @@ def _pool_counts(
     holding a trial) into the monotone block partition: int64 arrays of each
     block's start item, target count and non-target count, whose proportions
     strictly rise.  No weight enters, so the blocks hold at every weight pair.
+    Bool ms are single trials' target flags, with ns their complement.
 
     Two adjacent pools violate (left proportion >= right) exactly when
     m_l*n_r >= m_r*n_l, tested in integers: with fewer than 6e9 trials every
     product of two disjoint pools' counts (at most T*T/4) is below 2**63.
 
-    Prune passes pool every violating pair of neighbouring segments at once:
-    the diagram's vertex between them lies on or above the chord of its
-    neighbours, so it is no corner of the minorant.  Passes run while each
-    one at least halves the segments, and a pass that pools nothing ends
-    them, so they visit at most T + T + T/2 + T/4 + ... = 3T segments.  A
-    stack pass then pools the survivors left to right; each is pushed once
-    and each merge pops one, so the whole call is O(T) whatever the data.
+    The vectorised prune passes of _prune visit at most 3 segments per item,
+    and hand over at most 4096 segments unless a pass pooled nothing (then
+    every survivor is a block) or the visits ran out.  A stack pass then
+    pools the survivors left to right; each is pushed once and each merge
+    pops one, so the whole call is O(T) whatever the data.
     """
-    m = np.asarray(ms)
-    n = np.asarray(ns)
-    seg_start = np.arange(m.shape[0])
-    halved = True  # whether the last pass left at most half the segments
-    while halved:
-        rises = np.flatnonzero(m[:-1] * n[1:] < m[1:] * n[:-1])
-        if rises.size + 1 == m.size:
-            break
-        halved = 2 * (rises.size + 1) <= m.size
-        heads = np.concatenate(([0], rises + 1))
-        seg_start = seg_start[heads]
-        m = np.add.reduceat(m, heads, dtype=np.int64)
-        n = np.add.reduceat(n, heads, dtype=np.int64)
-
+    seg_start, m, n = _prune(np.asarray(ms), np.asarray(ns))
     starts: list[int] = []
     bm: list[int] = []
     bn: list[int] = []
-    survivors = zip(
-        seg_start.tolist(),
-        m.astype(np.int64, copy=False).tolist(),
-        n.astype(np.int64, copy=False).tolist(),
-    )
-    for start, mk, nk in survivors:
+    for start, mk, nk in zip(seg_start.tolist(), m.tolist(), n.tolist()):
         while starts and bm[-1] * nk >= mk * bn[-1]:
             mk += bm.pop()
             nk += bn.pop()
@@ -91,14 +108,21 @@ def _price(m: np.ndarray, n: np.ndarray, v1: float, v2: float) -> np.ndarray:
 
 def _target_flags(labels: Labels) -> np.ndarray:
     """Bool array, True where the label is Label.TARGET; TypeError on a non-Label.
-    The one Label-to-flag conversion: a 1-D bool array is returned as it is."""
-    if isinstance(labels, np.ndarray) and labels.dtype == bool:
+    The one Label-to-flag conversion.  A 1-D bool array is returned as it is, a
+    list or tuple of Labels is read where it is, and any other iterable of them
+    (a 1-D object array, a deque, an iterator) is read into a list once.  The
+    targets are found by identity and the rest counted by ==, so an object
+    equal to Label.NONTARGET, such as unittest.mock.ANY, passes as one."""
+    if isinstance(labels, np.ndarray):
         if labels.ndim != 1:
-            raise TypeError(f"target flags must be a 1-D array, got shape {labels.shape}")
-        return labels
+            raise TypeError(f"labels must be a 1-D array, got shape {labels.shape}")
+        if labels.dtype == bool:
+            return labels
+    if not isinstance(labels, (list, tuple)):
+        labels = list(labels)
     is_target = map(operator.is_, labels, itertools.repeat(Label.TARGET))
     flags = np.frombuffer(bytearray(is_target), bool)  # a bytearray, so the array is writable
-    if operator.countOf(labels, Label.NONTARGET) != flags.size - np.count_nonzero(flags):
+    if labels.count(Label.NONTARGET) != flags.size - np.count_nonzero(flags):
         bad = next(lab for lab in labels if not isinstance(lab, Label))
         raise TypeError(f"label must be a Label, got {bad!r}")
     return flags

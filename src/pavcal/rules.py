@@ -281,14 +281,14 @@ def objective(
     +inf when any term is infinite or the total overflows.  Does not
     require p to be monotone; callers score arbitrary candidate assignments.
     """
+    flags = _target_flags(labels)
     q = np.asarray(p, dtype=float)
-    if q.shape != (len(labels),):
-        raise ValueError(f"values of shape {q.shape} do not match {len(labels)} labels")
+    if q.shape != flags.shape:
+        raise ValueError(f"values of shape {q.shape} do not match {flags.size} labels")
     w = as_weights(weights)
     inside = (q >= 0.0) & (q <= 1.0)
     if not inside.all():  # name the first value outside [0, 1], or NaN
         raise ValueError(f"probability {q[np.argmin(inside)].item()!r} outside [0, 1]")
-    flags = _target_flags(labels)
     return _total_cost(rule, w, *(np.unique(q[f], return_counts=True) for f in (flags, ~flags)))
 
 

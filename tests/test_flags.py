@@ -3,8 +3,12 @@
 Every routine that takes labels turns them into target flags through one
 conversion, which returns a 1-D bool array (True = target) as it is.  So
 the Labels and their flags must give identical results, compared by
-repr, and anything else must still raise TypeError.
+repr, as must the Labels read once from an iterator; anything else, in
+any container, must still raise TypeError.
 """
+
+from collections import deque
+from unittest.mock import ANY
 
 import numpy as np
 import pytest
@@ -82,27 +86,52 @@ def test_build_map(labels, weights, seed, mode, policy):
     assert repr(got.knots) == repr(build_map(scores, labels, weights, mode, policy).knots)
 
 
-NOT_FLAGS = [
-    np.array([1, 0, 1]),  # ints, not bools
-    np.array([[True], [False], [True]]),  # 2-D
-    [True, False, True],  # Python bools, not Labels
-]
+# Each makes three entries afresh, since an iterator can be read only once.
+NOT_FLAGS = {
+    "int-array": lambda: np.array([1, 0, 1]),  # ints, not bools
+    "2d-bool-array": lambda: np.array([[True], [False], [True]]),
+    "bool-list": lambda: [True, False, True],  # Python bools, not Labels
+    "str-in-tuple": lambda: (T, "target", N),
+    "none-in-object-array": lambda: np.array([T, None, N], dtype=object),
+    "2d-object-array": lambda: np.array([[T, N], [N, T], [T, T]], dtype=object),
+    "int-in-deque": lambda: deque([T, N, 1]),
+    "bool-in-generator": lambda: (lab for lab in [N, True, T]),
+}
+
+# The seven routines that take labels, each called on three of them.
+LABEL_TAKERS = {
+    "pav_fit": lambda labels: pav_fit(labels, (2.5, 0.7)),
+    "pav_posteriors": lambda labels: pav_posteriors(labels, (2.5, 0.7)),
+    "llr_calibrate": lambda labels: llr_calibrate(labels),
+    "objective": lambda labels: objective(STANDARD_RULES[0], labels, (1.0, 1.0), [0.5] * 3),
+    "maxmin_oracle": lambda labels: maxmin_oracle(labels, (1.0, 1.0)),
+    "grid_minimizer": lambda labels: grid_minimizer(STANDARD_RULES[0], labels, (1.0, 1.0), 5),
+    "build_map": lambda labels: build_map([0.0, 1.0, 2.0], labels, (1.0, 1.0)).knots,
+}
 
 
-@pytest.mark.parametrize("bad", NOT_FLAGS, ids=["int-array", "2d-bool-array", "bool-list"])
+@pytest.mark.parametrize("bad", NOT_FLAGS.values(), ids=NOT_FLAGS)
 def test_anything_but_labels_or_1d_bool_flags_raises_type_error(bad):
-    calls = [
-        lambda: pav_fit(bad, (1.0, 1.0)),
-        lambda: pav_posteriors(bad, (1.0, 1.0)),
-        lambda: llr_calibrate(bad),
-        lambda: objective(STANDARD_RULES[0], bad, (1.0, 1.0), [0.5] * 3),
-        lambda: maxmin_oracle(bad, (1.0, 1.0)),
-        lambda: grid_minimizer(STANDARD_RULES[0], bad, (1.0, 1.0), 5),
-        lambda: build_map([0.0, 1.0, 2.0], bad, (1.0, 1.0)),
-    ]
-    for call in calls:
+    for call in LABEL_TAKERS.values():
         with pytest.raises(TypeError):
-            call()
+            call(bad())
+
+
+ONE_SHOT = {"iterator": iter, "generator": lambda labels: (lab for lab in labels)}
+
+
+@pytest.mark.parametrize("labels", [[T, N, T], [N, N, T], [T, T, N]], ids=["TNT", "NNT", "TTN"])
+@pytest.mark.parametrize("one_shot", ONE_SHOT.values(), ids=ONE_SHOT)
+@pytest.mark.parametrize("name", LABEL_TAKERS)
+def test_one_shot_labels_give_the_list_result(name, one_shot, labels):
+    call = LABEL_TAKERS[name]
+    assert repr(call(one_shot(labels))) == repr(call(labels))
+
+
+def test_an_object_equal_to_nontarget_passes_as_one():
+    # Non-targets are counted by ==, and ANY equals every object.
+    assert _target_flags([T, ANY, N]).tolist() == [True, False, False]
+    assert pav_fit([T, ANY, N], (1.0, 1.0)).n == (2,)
 
 
 def _assert_flags_of(labels):
@@ -114,8 +143,8 @@ def _assert_flags_of(labels):
 
 
 @pytest.mark.parametrize(
-    "container", [list, tuple, lambda labs: np.array(labs, dtype=object)],
-    ids=["list", "tuple", "object-array"],
+    "container", [list, tuple, lambda labs: np.array(labs, dtype=object), deque],
+    ids=["list", "tuple", "object-array", "deque"],
 )
 def test_flags_are_each_label_is_target(container):
     _assert_flags_of(container([T, N, N, T, T, N]))

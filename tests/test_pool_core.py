@@ -5,14 +5,18 @@ and finishes with a stack pass, so these tests aim at the cases where
 either stage could go wrong: weights far from 1 or within one ulp of each
 other, label patterns that the prune passes barely shrink, and inputs
 where the passes have nothing to delete.  The reference is always
-something computed another way: the max-min closed form, or a plain
-sorted-and-loop tie pool.
+something computed another way: the max-min closed form, a plain
+sorted-and-loop tie pool, or scipy's isotonic regression at scale.  The
+passes' own bounds, on the segments they hand to the stack and the
+segments they visit, are checked on periodic label motifs.
 """
 
+import itertools
 import math
 import re
 import sys
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -31,7 +35,7 @@ from pavcal import (
 )
 from pavcal import pooled_value
 from pavcal.calmap import _apply, _fit, _map
-from pavcal.pav import _pool_counts, _price
+from pavcal.pav import _pool_counts, _price, _prune
 from pavcal.rules import _total_cost
 from pavcal.selfcheck import STANDARD_RULES
 
@@ -295,3 +299,93 @@ def test_build_map_knots_match_sorted_reference(trials, weights, policy):
             want.append((scores[e], v))
     cmap = build_map(*trials, weights, policy=policy)
     assert repr(cmap.knots) == repr(tuple(want))
+
+
+def _motif(motif, size):
+    """size single trials' target flags: motif, a string of T and N, repeated."""
+    return np.resize(np.array([c == "T" for c in motif]), size)
+
+
+def _rise_then_fall(k, size):
+    """The groups T N^(k+1), ..., T N^2 repeated: k rises in value, then a fall."""
+    return _motif("".join("T" + "N" * gap for gap in range(k + 1, 1, -1)), size)
+
+
+def _one_merge_per_pass(size):
+    """Targets at gaps K, ..., 1, then enough non-targets to pool back through
+    them all: each prune pass could delete one vertex only."""
+    head = "".join("T" + "N" * gap for gap in range(math.isqrt(size) - 1, 0, -1))
+    flags = np.zeros(size, bool)
+    flags[: len(head)] = _motif(head, len(head))
+    return flags
+
+
+SHAPES = {
+    "NT": lambda size: _motif("NT", size),
+    "TTNTNN": lambda size: _motif("TTNTNN", size),
+    **{
+        f"rise-{k}-then-fall": lambda size, k=k: _rise_then_fall(k, size)
+        for k in (2, 4, 7, 16, 50)
+    },
+    "one-merge-per-pass": _one_merge_per_pass,
+}
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_blocks_at_scale_match_scipy_isotonic_regression(shape):
+    # A third implementation, on the trials' flags as floats at unit weights;
+    # loaded here only, as the package itself never needs it.
+    from scipy.optimize import isotonic_regression
+
+    flags = SHAPES[shape](200_000)
+    starts, m, n = _pool_counts(flags, ~flags)
+    want = isotonic_regression(flags.astype(float))
+    assert np.abs(np.repeat(_price(m, n, 1.0, 1.0), m + n) - want.x).max() <= 2.2e-16
+    # scipy pools in floating point, so two pools of one proportion can
+    # round an ulp apart and stay split (on rise-50-then-fall they do).
+    # Proportions of at most 2e5 trials that differ do so by 1/4e10 or more.
+    heads = want.blocks[:-1]
+    apart = np.diff(want.x[heads]) > 2.2e-16
+    assert starts.tolist() == heads[np.concatenate(([True], apart))].tolist()
+
+
+def _assert_prune_bounds(flags):
+    # The prune passes hand over at most 4096 segments, or only blocks, and
+    # visit at most 3 segments per trial: each pass looks for rises with one
+    # np.flatnonzero call over its segments' neighbour pairs.
+    sizes = []
+    flatnonzero = np.flatnonzero
+
+    def counting(a):
+        sizes.append(a.size)
+        return flatnonzero(a)
+
+    with mock.patch.object(np, "flatnonzero", counting):
+        survivors = _prune(flags, ~flags)[0].size
+    assert survivors <= max(4096, _pool_counts(flags, ~flags)[0].size)
+    assert sum(sizes) <= 3 * flags.size
+
+
+MOTIFS = ["".join(m) for k in range(1, 9) for m in itertools.product("TN", repeat=k)]
+
+
+def test_prune_bounds_on_every_short_motif():
+    # 2**16 trials: a motif of 8 with one non-target -> target step leaves
+    # 8192 segments after the first pass.
+    for motif in MOTIFS:
+        _assert_prune_bounds(_motif(motif, 2**16))
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_prune_bounds_on_each_shape(shape):
+    _assert_prune_bounds(SHAPES[shape](2**17))
+
+
+@settings(max_examples=30)
+@given(
+    runs=st.lists(
+        st.tuples(st.sampled_from(MOTIFS), st.integers(1, 2048)), min_size=1, max_size=16
+    )
+)
+def test_prune_bounds_on_concatenated_motifs(runs):
+    _assert_prune_bounds(np.concatenate([_motif(motif, len(motif) * k) for motif, k in runs]))
