@@ -23,7 +23,7 @@ import numpy as np
 from .calmap import MODES, POLICIES, CalibrationMap, _apply, _fit, _map
 from .llr import _class_log_odds, _posteriors, weights_from_prior
 from .pav import _price, _target_flags
-from .rules import Logarithmic, ScoringRule, _total_cost, objective, parse_rule
+from .rules import Logarithmic, ScoringRule, _total_cost, parse_rule
 from .types import Label, WeightPair
 
 
@@ -422,16 +422,16 @@ def cmd_apply(args: argparse.Namespace) -> int:
 def cmd_evaluate(args: argparse.Namespace) -> int:
     rows, t1, t2 = _read_labeled(args, args.calibrated)
     weights, pi = _scoring_weights(args, t1, t2)
-    values = rows.values
-    if args.mode == "llr" and values is not None:
-        values = _posteriors(values, pi)
+    if rows.values is not None:  # checked by the reader; _posteriors gives values in [0, 1]
+        values = _posteriors(rows.values, pi) if args.mode == "llr" else rows.values
+        sides = [np.unique(values[f], return_counts=True) for f in (rows.flags, ~rows.flags)]
     m, n = _fit(rows.scores, rows.flags)[2:]
     q = _price(m, n, weights.v1, weights.v2)
     for rule in _rules_of(args):
         ref_obj = _total_cost(rule, weights, (q, m), (q, n))
         line = f"rule={rule} reference={ref_obj!r}"
-        if values is not None:
-            cal_obj = objective(rule, rows.flags, weights, values)
+        if rows.values is not None:
+            cal_obj = _total_cost(rule, weights, *sides)
             if ref_obj == 0.0:
                 ratio = 1.0 if cal_obj == 0.0 else math.inf
             else:

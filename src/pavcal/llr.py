@@ -55,18 +55,19 @@ def _class_log_odds(t1: int, t2: int) -> float:
     return logit(t1 / (t1 + t2))
 
 
-def _block_llrs(m: np.ndarray, n: np.ndarray) -> tuple[list[float], float]:
+def _block_llrs(m: np.ndarray, n: np.ndarray) -> tuple[tuple[float, ...], float]:
     """Each block's llr from its counts, logit(v) - offset of its unit-weight value v,
     and the offset, the class log-odds; ValueError unless both classes are present."""
     offset = _class_log_odds(int(m.sum()), int(n.sum()))
-    return [logit(v) - offset for v in pav._price(m, n, 1.0, 1.0).tolist()], offset
+    return tuple(logit(v) - offset for v in pav._price(m, n, 1.0, 1.0).tolist()), offset
 
 
 def weights_from_prior(prior_logodds: float, t1: int, t2: int) -> WeightPair:
     """Per-trial weights pi/t1 for targets and (1 - pi)/t2 for non-targets, with
     pi = sigmoid(prior_logodds), so each class weighs what the prior gives it.
-    ValueError unless the prior is finite, t1, t2 >= 1, and neither weight
-    underflows to 0, as it does for a prior beyond about +-745."""
+    TypeError unless t1 and t2 are ints; ValueError unless both are >= 1, the
+    prior is finite, and neither weight underflows to 0 (a prior past about +-745)."""
+    t1, t2 = operator.index(t1), operator.index(t2)
     pi = posterior_from_llr(0.0, prior_logodds)  # rejects a prior that is not finite
     _class_log_odds(t1, t2)  # rejects a missing class
     # 1 - pi cancels to 0 once pi rounds to 1, above a prior of about 36.7.
@@ -80,14 +81,14 @@ def weights_from_prior(prior_logodds: float, t1: int, t2: int) -> WeightPair:
 class LlrCalibration:
     """The prior-free calibration of blocks of m targets and n non-targets each,
     in score order, checked by pav._check_counts; ValueError unless both classes
-    are present.  w holds each trial's log-likelihood ratio, its block's llr
-    repeated; prior_logodds is the class log-odds that was subtracted, so
-    sigmoid(w[t] + prior_logodds) recovers the unit-weight posterior fit; t1
-    and t2 count the targets and non-targets."""
+    are present.  Built in O(blocks).  llrs holds each block's log-likelihood ratio
+    and w each trial's, in a new tuple on each access (keep one to index in a loop);
+    sigmoid(llr + prior_logodds) recovers the unit-weight posterior fit, where
+    prior_logodds is the class log-odds subtracted; t1 and t2 count the classes."""
 
     m: tuple[int, ...]
     n: tuple[int, ...]
-    w: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    llrs: tuple[float, ...] = field(init=False)
     prior_logodds: float = field(init=False)
     t1: int = field(init=False)
     t2: int = field(init=False)
@@ -95,13 +96,15 @@ class LlrCalibration:
     def __post_init__(self) -> None:
         m, n = pav._check_counts(self.m, self.n)
         llrs, offset = _block_llrs(np.array(m, np.int64), np.array(n, np.int64))
-        # w repeats each block's llr, so it is ordered exactly when the llrs are.
         if not all(map(operator.le, llrs, llrs[1:])):
             raise ValueError("llr values must be nondecreasing")
-        w = tuple(pav._expand(llrs, map(operator.add, m, n)))
-        fields = {"m": m, "n": n, "w": w, "prior_logodds": offset, "t1": sum(m), "t2": sum(n)}
+        fields = {"m": m, "n": n, "llrs": llrs, "prior_logodds": offset, "t1": sum(m), "t2": sum(n)}
         for name, value in fields.items():
             object.__setattr__(self, name, value)
+
+    @property
+    def w(self) -> tuple[float, ...]:
+        return tuple(pav._expand(self.llrs, map(operator.add, self.m, self.n)))
 
 
 def llr_calibrate(labels: Labels) -> LlrCalibration:
@@ -111,8 +114,7 @@ def llr_calibrate(labels: Labels) -> LlrCalibration:
     if not flags.size:
         raise ValueError("llr_calibrate needs at least one trial")
     # Through the module, so that a wrapper on pav._pool_counts (a tracer) sees it.
-    _, m, n = pav._pool_counts(flags, ~flags)
-    return LlrCalibration(m, n)
+    return LlrCalibration(*pav._pool_counts(flags)[1:])
 
 
 def posterior_from_llr(w: float, prior_logodds: float) -> float:

@@ -30,7 +30,7 @@ _HANDOVER = 4096  # segments few enough to leave to the stack pass
 def _prune(m: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The prune passes of _pool_counts over its items: each survivor segment's
     start item, target count and non-target count, as int64 arrays.  A bool m
-    holds single trials' target flags, and n is then taken to be ~m.
+    holds single trials' target flags, and n is then not read.
 
     A pass pools every violating pair of neighbouring segments at once: the
     diagram's vertex between them lies on or above the chord of its
@@ -61,13 +61,13 @@ def _prune(m: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nda
 
 
 def _pool_counts(
-    ms: Sequence[int] | np.ndarray, ns: Sequence[int] | np.ndarray
+    ms: Sequence[int] | np.ndarray, ns: Sequence[int] | np.ndarray = ()
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Pool items of ms[k] targets and ns[k] non-targets (at least one item, each
     holding a trial) into the monotone block partition: int64 arrays of each
     block's start item, target count and non-target count, whose proportions
     strictly rise.  No weight enters, so the blocks hold at every weight pair.
-    Bool ms are single trials' target flags, with ns their complement.
+    Bool ms are single trials' target flags, and ns is then not read.
 
     Two adjacent pools violate (left proportion >= right) exactly when
     m_l*n_r >= m_r*n_l, tested in integers: with fewer than 6e9 trials every
@@ -183,8 +183,7 @@ def pav_fit(labels: Labels, weights: WeightPair | tuple[float, float]) -> BlockS
     flags = _target_flags(labels)
     if not flags.size:
         raise ValueError("pav_fit needs at least one trial")
-    _, m, n = _pool_counts(flags, ~flags)
-    return BlockSolution(m, n, w)
+    return BlockSolution(*_pool_counts(flags)[1:], w)
 
 
 def pav_posteriors(labels: Labels, weights: WeightPair | tuple[float, float]) -> list[float]:

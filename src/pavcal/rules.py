@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 import re
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -103,8 +104,11 @@ class CostAt(ScoringRule):
     threshold: float
 
     def __post_init__(self) -> None:
-        t = self.threshold
-        if not (isinstance(t, (int, float)) and 0.0 < t < 1.0):
+        if not isinstance(self.threshold, numbers.Real):
+            raise TypeError(f"threshold must be a real number, got {self.threshold!r}")
+        t = float(self.threshold)
+        object.__setattr__(self, "threshold", t)
+        if not 0.0 < t < 1.0:
             raise ValueError(f"threshold must lie strictly inside (0, 1), got {t!r}")
 
     def _costs(self, q: np.ndarray, target: bool) -> np.ndarray:

@@ -1,6 +1,7 @@
 import math
 import random
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -67,6 +68,14 @@ def test_weights_from_prior_rejects_bad_input():
         weights_from_prior(math.nan, 10, 10)
     with pytest.raises(ValueError):
         weights_from_prior(0.0, 0, 10)
+
+
+def test_weights_from_prior_takes_int_counts():
+    # A count that is not an int is turned down, not divided by.
+    for t1, t2 in ((1.5, 1), (2.0, 1), (1, 2.0)):
+        with pytest.raises(TypeError):
+            weights_from_prior(0.0, t1, t2)
+    assert weights_from_prior(0.0, np.int64(1), np.int64(3)) == weights_from_prior(0.0, 1, 3)
 
 
 @pytest.mark.parametrize("pi", [37.0, 100.0, 700.0, -37.0, -100.0, -700.0])
@@ -189,6 +198,21 @@ def test_llrs_are_nondecreasing(labels):
     assert all(a <= b for a, b in zip(w, w[1:]))
 
 
+def test_calibration_is_built_in_blocks_not_trials():
+    # Two blocks of a million trials each: construction holds one llr per
+    # block, and w, a tuple of every trial's llr, is only built when read.
+    LlrCalibration((0, 1), (1, 0))  # warm the import and its first call
+    tracemalloc.start()
+    try:
+        cal = LlrCalibration((0, 10**6), (10**6, 0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert (cal.t1, cal.t2, cal.prior_logodds) == (10**6, 10**6, 0.0)
+    assert cal.llrs == (-math.inf, math.inf)
+
+
 def test_calibration_type_rejects_non_monotone_values():
     # Block counts whose target proportions do not strictly rise, and one class.
     with pytest.raises(ValueError, match="^block target proportions must strictly rise$"):
@@ -246,5 +270,6 @@ def test_llr_calibrate_equals_the_checked_constructor(labels, lead, tail):
     assert cal == built and cal.w == built.w
     assert repr(cal) == repr(built) and "w=" not in repr(cal)
     assert type(cal.w) is tuple and len(cal.w) == len(labels)
+    assert cal.w == sum(((v,) * (k + j) for v, k, j in zip(cal.llrs, cal.m, cal.n)), ())
     assert (cal.t1, cal.t2) == (labels.count(T), labels.count(N))
     assert cal.prior_logodds == logit(cal.t1 / len(labels))

@@ -264,13 +264,15 @@ def test_block_sums_equal_the_objective_on_the_rows(trials, weights, mode):
         assert repr(got) == repr(objective(rule, flags, w, rows)), rule
 
 
-def test_prune_passes_stop_when_they_stop_halving(monkeypatch):
+def test_prune_passes_stop_at_few_segments_an_idle_pass_or_the_visit_budget(monkeypatch):
     # Targets at gaps 1000, 999, ..., 1 rise slowly in value, and a huge
     # closing non-target count pools back through all of them.  Each prune
     # pass deletes one vertex, so a prune loop run until nothing is left to
-    # delete takes 1000 passes; passes that must halve the segments stop
-    # after the first.  Each pass looks for rises with one np.flatnonzero
-    # call over the segments' neighbour pairs, so those calls are counted.
+    # delete takes 1000 passes.  The passes stop instead once 4096 or fewer
+    # segments remain, at a pass that pools nothing, or before their visits
+    # pass 3 per item; these 1001 items stop after the first pass, which
+    # always runs.  Each pass looks for rises with one np.flatnonzero call
+    # over the segments' neighbour pairs, so those calls are counted.
     sizes = []
     flatnonzero = np.flatnonzero
 

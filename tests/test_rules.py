@@ -1,6 +1,7 @@
 import math
 import random
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -62,6 +63,15 @@ class TestClosedForms:
     def test_cost_at_threshold_must_be_interior(self):
         for bad in (0.0, 1.0, -0.2, 1.5, math.nan):
             with pytest.raises(ValueError):
+                CostAt(bad)
+
+    def test_cost_at_takes_any_real_threshold_as_a_float(self):
+        # numpy scalars and Fractions are real numbers inside (0, 1) too.
+        for t in (np.float32(0.5), Fraction(1, 2)):
+            assert CostAt(t) == CostAt(0.5) and type(CostAt(t).threshold) is float
+        assert str(CostAt(np.float64(0.25))) == "cost@0.25"
+        for bad in ("0.5", None, 0.5j):
+            with pytest.raises(TypeError, match="^threshold must be a real number"):
                 CostAt(bad)
 
     def test_probability_domain_enforced(self):
