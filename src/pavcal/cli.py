@@ -387,7 +387,10 @@ def cmd_fit(args: argparse.Namespace) -> int:
     rows, t1, t2 = _read_labeled(args)
     weights = _scoring_weights(args, t1, t2)[0]
     fit = _fit(rows.scores, rows.flags)
-    _map(fit, weights, args.mode, args.policy).save(args.out)
+    try:
+        _map(fit, weights, args.mode, args.policy).save(args.out)
+    except OSError as exc:
+        raise DataError(f"cannot write {args.out}: {exc}")
     m, n = fit[2:]
     print(f"T={len(rows)} T1={t1} T2={t2} blocks={m.size}")
     q = _price(m, n, weights.v1, weights.v2)  # each block's posterior at the weights

@@ -25,6 +25,11 @@ from .types import Label, WeightPair, as_weights, pooled_value
 Labels = Iterable[Label] | np.ndarray  # or a 1-D bool array of target flags
 
 _HANDOVER = 4096  # segments few enough to leave to the stack pass
+_CHUNK = 2**16  # labels per object array: about 1 MB of transient memory
+# An object array's bytes are its elements' addresses, and two objects alive at
+# once never share one, on any interpreter: an element is a member exactly when
+# its address is the member's.  This array keeps both members alive.
+_MEMBERS = np.array([Label.TARGET, Label.NONTARGET], object)
 
 
 def _prune(m: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -108,24 +113,26 @@ def _price(m: np.ndarray, n: np.ndarray, v1: float, v2: float) -> np.ndarray:
 
 def _target_flags(labels: Labels) -> np.ndarray:
     """Bool array, True where the label is Label.TARGET; TypeError on a non-Label.
-    The one Label-to-flag conversion.  A 1-D bool array is returned as it is, a
-    list or tuple of Labels is read where it is, and any other iterable of them
-    (a 1-D object array, a deque, an iterator) is read into a list once.  The
-    targets are found by identity and the rest counted by ==, so an object
-    equal to Label.NONTARGET, such as unittest.mock.ANY, passes as one."""
+    The one Label-to-flag conversion.  A 1-D bool array is returned as it is;
+    any other iterable (a list, a tuple, a 1-D object array, a deque, an
+    iterator) is read once, _CHUNK labels at a time, and its members found by
+    address.  Any other element passes as a non-target if it is ==
+    Label.NONTARGET, as unittest.mock.ANY is; the TypeError names the first
+    that is not."""
     if isinstance(labels, np.ndarray):
         if labels.ndim != 1:
             raise TypeError(f"labels must be a 1-D array, got shape {labels.shape}")
         if labels.dtype == bool:
             return labels
-    if not isinstance(labels, (list, tuple)):
-        labels = list(labels)
-    is_target = map(operator.is_, labels, itertools.repeat(Label.TARGET))
-    flags = np.frombuffer(bytearray(is_target), bool)  # a bytearray, so the array is writable
-    if labels.count(Label.NONTARGET) != flags.size - np.count_nonzero(flags):
-        bad = next(lab for lab in labels if not isinstance(lab, Label))
-        raise TypeError(f"label must be a Label, got {bad!r}")
-    return flags
+    target, nontarget = np.frombuffer(_MEMBERS.tobytes(), np.uintp)
+    labels, flags = iter(labels), [np.zeros(0, bool)]
+    while (items := np.fromiter(itertools.islice(labels, _CHUNK), object)).size:
+        at = np.frombuffer(items.tobytes(), np.uintp)
+        flags.append(at == target)
+        for k in np.flatnonzero(~flags[-1] & (at != nontarget)).tolist():
+            if items[k] != Label.NONTARGET:
+                raise TypeError(f"label must be a Label, got {items[k]!r}")
+    return np.concatenate(flags)
 
 
 def _check_counts(m: Iterable[int], n: Iterable[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:

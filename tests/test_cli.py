@@ -163,6 +163,16 @@ def test_bytes_that_are_not_utf8_name_their_line(tmp_path, capsys, train_csv):
         assert err.startswith("error: line 3: 'utf-8' codec can't decode byte 0xff"), err
 
 
+@pytest.mark.parametrize("command", ["fit", "apply"])
+def test_an_unwritable_out_path_is_a_data_error(tmp_path, capsys, train_csv, command):
+    map_path = str(tmp_path / "m.map")
+    assert run(capsys, "fit", train_csv, "--out", map_path)[0] == 0
+    argv = ["fit", train_csv] if command == "fit" else ["apply", map_path, train_csv]
+    code, out, err = run(capsys, *argv, "--out", str(tmp_path))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: cannot write {tmp_path}: [Errno 21] Is a directory"), err
+
+
 def test_apply_posterior_map(tmp_path, capsys, train_csv):
     map_path = str(tmp_path / "m.map")
     run(capsys, "fit", train_csv, "--out", map_path)

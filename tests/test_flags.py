@@ -7,6 +7,8 @@ repr, as must the Labels read once from an iterator; anything else, in
 any container, must still raise TypeError.
 """
 
+import re
+import tracemalloc
 from collections import deque
 from unittest.mock import ANY
 
@@ -24,7 +26,7 @@ from pavcal import (
     pav_fit,
     pav_posteriors,
 )
-from pavcal.pav import _target_flags
+from pavcal.pav import _CHUNK, _target_flags
 from pavcal.selfcheck import STANDARD_RULES
 
 T = Label.TARGET
@@ -129,9 +131,77 @@ def test_one_shot_labels_give_the_list_result(name, one_shot, labels):
 
 
 def test_an_object_equal_to_nontarget_passes_as_one():
-    # Non-targets are counted by ==, and ANY equals every object.
+    # A label that is not a member passes as a non-target if it is ==
+    # Label.NONTARGET, and ANY equals every object.
     assert _target_flags([T, ANY, N]).tolist() == [True, False, False]
     assert pav_fit([T, ANY, N], (1.0, 1.0)).n == (2,)
+
+
+def test_the_type_error_names_the_label_at_fault():
+    with pytest.raises(TypeError, match=r"got 1$"):
+        _target_flags([ANY, 1])
+    with pytest.raises(TypeError, match=r"got 'x'$"):
+        pav_fit([T, ANY, "x"], (1, 1))
+
+
+def _once(labels, read):
+    """A generator of labels that counts, in read[0], the labels it yields."""
+    for lab in labels:
+        read[0] += 1
+        yield lab
+
+
+CONTAINERS = {
+    "list": list,
+    "tuple": tuple,
+    "deque": deque,
+    "object-array": lambda labs: np.array(labs, dtype=object),
+}
+
+
+@given(
+    size=st.sampled_from([0, 1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 3]),
+    seed=st.integers(0, 2**32 - 1),
+    share=st.sampled_from([(1, 0, 0), (0, 1, 0), (1, 1, 0), (1, 1, 1), (0, 1, 1)]),
+    bad=st.none()
+    | st.tuples(
+        st.sampled_from([0, _CHUNK - 1, _CHUNK, -1]) | st.integers(0, 2 * _CHUNK + 2),
+        st.sampled_from([1, "x", None, True]),
+    ),
+    container=st.sampled_from(["generator", *CONTAINERS]),
+)
+def test_labels_across_chunk_boundaries(size, seed, share, bad, container):
+    # Mixes of T, N and ANY, read in chunks of _CHUNK, with at most one
+    # non-Label at a drawn position, often at either side of a chunk's end.
+    p = np.array(share) / sum(share)
+    labels = [(T, N, ANY)[k] for k in np.random.default_rng(seed).choice(3, size, p=p).tolist()]
+    if bad is not None and size:
+        labels[bad[0] % size] = bad[1]
+    read = [0]
+    supplied = _once(labels, read) if container == "generator" else CONTAINERS[container](labels)
+    if bad is not None and size:
+        with pytest.raises(TypeError, match=f"got {re.escape(repr(bad[1]))}$"):
+            _target_flags(supplied)
+    else:
+        assert _target_flags(supplied).tolist() == [lab is T for lab in labels]
+        if container == "generator":
+            assert read == [size]  # all of it, and a second read would find none
+
+
+@pytest.mark.parametrize("one_shot", [False, True], ids=["list", "generator"])
+def test_conversion_memory_stays_chunk_sized(one_shot):
+    # Read whole, 1e6 labels would need an 8 MB object array and its 8 MB
+    # of bytes; in chunks, the 1 MB of flags and their concatenation remain.
+    labels = [T, N, N, T] * 250_000
+    _target_flags(labels[:10])  # warm
+    tracemalloc.start()
+    try:
+        flags = _target_flags((lab for lab in labels) if one_shot else labels)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+    assert np.count_nonzero(flags) == 500_000
 
 
 def _assert_flags_of(labels):
