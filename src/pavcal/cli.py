@@ -13,22 +13,28 @@ import contextlib
 import csv
 import itertools
 import math
+import os
 import re
+import shutil
 import sys
 from dataclasses import dataclass
-from typing import Callable, ContextManager, Sequence, TextIO
+from typing import Callable, Iterator, Sequence, TextIO
 
 import numpy as np
 
 from .calmap import MODES, POLICIES, CalibrationMap, _apply, _fit, _map
 from .llr import _class_log_odds, _posteriors, weights_from_prior
-from .pav import _price, _target_flags
+from .pav import _price
 from .rules import Logarithmic, ScoringRule, _total_cost, parse_rule
 from .types import Label, WeightPair
 
 
 class DataError(Exception):
-    """Input file problems: exit code 1."""
+    """Input file problems: exit code 1.  kind ranks the faults of one column."""
+
+    def __init__(self, message: str, kind: int = 0):
+        super().__init__(message)
+        self.kind = kind
 
 
 class UsageError(Exception):
@@ -60,50 +66,50 @@ def _is_number(text: str) -> bool:
 @dataclass(frozen=True)
 class _Rows:
     """A CSV file's data rows by column; target flags, values and score
-    texts only if asked for.  texts[i] is the field score i was read from:
-    a str, or latin-1 bytes from loadtxt."""
+    texts (cut to _TEXT_CHARS characters by loadtxt) only if asked for."""
 
     scores: np.ndarray
     flags: np.ndarray | None
     values: np.ndarray | None
-    texts: list[str] | np.ndarray | None = None
+    texts: np.ndarray | None = None
 
     def __len__(self) -> int:
         return self.scores.size
 
 
-def _read_csv(
-    path: str,
-    labeled: bool = False,
-    calibrated: str | None = None,
-    llrs: bool = False,
-    texts: bool = False,
-) -> tuple[dict[str, int] | None, _Rows]:
-    """The header and the data rows of a CSV file (see _columns for the
-    header).  The calibrated column holds probabilities in [0, 1], or with
-    llrs any LLR but NaN.  With texts the rows keep each score's text.
-
-    A plain file is split into columns by one np.loadtxt pass, any other
-    file by the csv module.  The same checks then run on either split,
-    column by column, and DataError names the line of the first fault found
-    in the first faulty column."""
+def _read_csv(path: str, labeled=False, calibrated: str | None = None, llrs=False,
+              texts=False) -> tuple[dict[str, int] | None, _Rows]:
+    """The header (see _columns) and the data rows of a CSV file, with texts
+    each score's text too.  The calibrated column holds probabilities in [0,
+    1], or with llrs any LLR but NaN.  Each chunk (see _chunks) is checked as
+    it is read: DataError names a fault in the file's layout, else the first
+    fault of the first kind (see _numbers) in the first faulty column."""
     names = ["score", "label"] if labeled else ["score"]
-    if calibrated:
-        names.append(calibrated.lower())
-    header, columns, field = _bulk_read(path, names, texts) or _read_lines(path, names)
-    scores = _numbers(columns, 0, field, "score")
-    flags = _target_column(columns[1], field) if len(names) > 1 else None
-    values = None
-    if len(names) > 2:
-        values = _numbers(columns, 2, field, "calibrated value", infinite_ok=llrs)
-        outside = (values < 0.0) | (values > 1.0)
-        i = int(np.argmax(outside))  # the first outside, if any
-        if outside[i] and not llrs:
-            lineno, _ = field(i, 2)
-            raise DataError(f"line {lineno}: calibrated value {values[i].item()!r} outside [0, 1]")
-    # With texts, the score texts: the csv module's, or the bulk reader's last column.
-    cells = (columns[0] if isinstance(columns[0], list) else columns[-1]) if texts else None
-    return header, _Rows(scores, flags, values, cells)
+    names += [] if calibrated is None else [calibrated.lower()]
+    chunks = _chunks(path, names, texts)
+    header = next(chunks)
+    parts, faults, spellings = [], {}, {}
+    for columns, field in chunks:
+        checks = [lambda: _numbers(columns[0], 0, field, "score"),
+                  lambda: _target_column(columns[1], field, spellings),
+                  lambda: _numbers(columns[2], 2, field, "calibrated value", llrs, not llrs)]
+        for k in range(len(names)):  # up to the first column with a fault
+            if faults and min(faults)[0] < k:
+                break
+            try:
+                columns[k] = checks[k]()
+            except DataError as exc:
+                faults.setdefault((k, exc.kind), exc)
+        if not faults:
+            parts.append(columns)
+            # Merged pairwise as read: small arrays freed all at once stay in the heap.
+            while len(parts) > 1 and len(parts[-1][0]) >= len(parts[-2][0]):
+                parts[-2:] = [[np.concatenate(pair) for pair in zip(*parts[-2:])]]
+    if faults:
+        raise faults[min(faults)]
+    columns = [np.concatenate(part) for part in zip(*parts)]
+    cells = columns.pop() if texts else None
+    return header, _Rows(*columns, *[None] * (3 - len(columns)), cells)
 
 
 def _columns(fields: list[str], names: list[str], lineno: int) -> tuple[dict | None, list[int]]:
@@ -122,206 +128,210 @@ def _columns(fields: list[str], names: list[str], lineno: int) -> tuple[dict | N
     return header, [header.get(n, -1) for n in names]
 
 
-# field(i, k): the line number and the text of data row i's field in column k.
-Field = Callable[[int, int], tuple[int, str]]
-
-
-def _numbers(columns: list, k: int, field: Field, what: str, infinite_ok=False) -> np.ndarray:
-    """Column k as float64: every field a number, none NaN, and none
-    infinite unless infinite_ok."""
-    values = columns[k]
-    if isinstance(values, list):  # texts from the csv module
-        try:
-            values = np.fromiter(map(float, values), float, len(values))
-        except ValueError:
-            lineno, text = field(next(i for i, t in enumerate(values) if not _is_number(t)), k)
-            # Show the text without the blanks float ignores: all that strip
-            # removes but the separators \x1c-\x1f, which float turns down.
-            text = re.sub(r"\A[^\S\x1c-\x1f]+|[^\S\x1c-\x1f]+\Z", "", text)
-            raise DataError(f"line {lineno}: {what} {text!r} is not a number")
-    bad = np.isnan(values) if infinite_ok else ~np.isfinite(values)
-    i = int(np.argmax(bad))  # the first bad value, if any
-    if bad[i]:
+def _numbers(values: np.ndarray, k: int, field: Callable, what: str, infinite_ok=False,
+             unit=False) -> np.ndarray:
+    """Column k's values (NaN for a field that is not a number), if every
+    field is a number, none NaN, none infinite unless infinite_ok and, if
+    unit, all in [0, 1].  Else DataError for the first that is not (kind 0),
+    or failing that for the first value outside [0, 1] (kind 1)."""
+    kinds = [np.isnan(values) if infinite_ok else ~np.isfinite(values),
+             ((values < 0.0) | (values > 1.0)) & unit]
+    for kind, bad in enumerate(kinds):
+        i = int(np.argmax(bad))  # the first bad value, if any
+        if not bad[i]:
+            continue
         lineno, text = field(i, k)
-        if math.isnan(values[i]):
-            raise DataError(f"line {lineno}: {what} must not be NaN")
-        raise DataError(f"line {lineno}: {what} must be finite, got {text.strip()!r}")
+        value = values[i].item()
+        if kind:
+            message = f"{value!r} outside [0, 1]"
+        elif not _is_number(text):  # shown without the blanks float ignores: strip's, not \x1c-\x1f
+            message = repr(re.sub(r"\A[^\S\x1c-\x1f]+|[^\S\x1c-\x1f]+\Z", "", text)) + " is not a number"
+        else:
+            message = "must not be NaN" if math.isnan(value) else f"must be finite, got {text.strip()!r}"
+        raise DataError(f"line {lineno}: {what} {message}", kind)
     return values
 
 
-def _target_column(labels: list[str] | np.ndarray, field: Field) -> np.ndarray:
-    """The target flags of a label column: texts from the csv module, each
-    parsed, or bytes from loadtxt, of which each distinct spelling that is
-    not exact is parsed once."""
-    flags, rows, which = np.empty(len(labels), bool), slice(None), slice(None)
-    texts, text_rows = labels, range(len(labels))  # text_rows[i]: the row of texts[i]
-    if isinstance(labels, np.ndarray):
-        flags = labels == b"target"
-        rows = np.flatnonzero(~flags & (labels != b"nontarget"))
-        texts, first, which = np.unique(labels[rows], return_index=True, return_inverse=True)
-        texts, text_rows = [text.decode("latin-1") for text in texts.tolist()], rows[first]
-    try:
-        flags[rows] = _target_flags(list(map(Label.parse, texts)))[which]
-    except ValueError:
-        for i in sorted(range(len(texts)), key=text_rows.__getitem__):  # in file order
+def _target_column(labels: np.ndarray, field: Callable, spellings: dict[str, bool]) -> np.ndarray:
+    """The target flags of a column of label texts.  spellings holds the flag
+    of each spelling parsed so far, so each that is not exact is parsed once."""
+    flags = labels == "target"
+    rows = np.flatnonzero(~flags & (labels != "nontarget"))
+    texts, first, which = np.unique(labels[rows], return_index=True, return_inverse=True)
+    texts = texts.tolist()
+    for i in np.argsort(first).tolist():  # in file order
+        if texts[i] not in spellings:
             try:
-                Label.parse(texts[i].strip())
+                spellings[texts[i]] = Label.parse(texts[i].strip()).value == "target"
             except ValueError as exc:
-                raise DataError(f"line {field(int(text_rows[i]), 1)[0]}: {exc}")
-        raise
+                raise DataError(f"line {field(int(rows[first[i]]), 1)[0]}: {exc}")
+    flags[rows] = np.array([spellings[text] for text in texts], bool)[which]
     return flags
 
 
-# The fields of loadtxt's structured row, in the order of _read_csv's names,
-# then the score's text if asked for.  loadtxt cuts a longer text to its
-# field, so a label or a score text that fills it may be cut.  No score
-# text that repr (24 bytes at most) or np.savetxt's %.18e (26) writes fills
-# its field.
-_TEXT_BYTES = 27
-_BULK_FIELDS = [("score", "f8"), ("label", "S10"), ("calibrated", "f8")]
-_NONBLANK = re.compile(rb"\S")
+# The fields of loadtxt's row, in the order of _read_csv's names, then the score's
+# text.  loadtxt cuts a longer text to its field, so a label or a score text that
+# fills it may be cut; none that repr (24 characters) or %.18e (26) writes does.
+_TEXT_CHARS = 27
+_FIELDS = [("score", "f8"), ("label", "U10"), ("calibrated", "f8"), ("text", f"U{_TEXT_CHARS}")]
 
 
-def _bulk_read(
-    path: str, names: list[str], texts: bool = False
-) -> tuple[dict[str, int] | None, list, Field] | None:
-    """_read_csv's split of a plain file by one np.loadtxt call: the header,
-    the named columns as float64 and S10 arrays, with texts the score
-    column's texts too as a last column, cut to _TEXT_BYTES, and the field
-    locator.  None for a file it cannot split: one with a quote, a NUL or
-    \\x1c-\\x1f byte, a bare CR, a line longer than a csv field may be, a
-    blank first line, a missing column or no data rows; one loadtxt cannot
-    read; and one with a label that is not spelled exactly and fills its
-    field."""
-    try:
-        with open(path, "rb") as fh:
-            data = fh.read()
-    except OSError:
-        return None
-    if (
-        # A quote, a NUL, or a separator byte that loadtxt strips from a
-        # number as a blank and float does not.
-        any(byte in data for byte in b'"\0\x1c\x1d\x1e\x1f')
-        or b"\r" in data and data.count(b"\r") != data.count(b"\r\n")  # a bare CR
-        or not _lines_within(data, csv.field_size_limit())
-    ):
-        return None
-    end = data.find(b"\n")
-    first = data if end < 0 else data[:end]
-    # A blank first line has no named column, and loadtxt turns down bytes
-    # that are not UTF-8.
-    fields = first.decode("utf-8-sig", "replace").removesuffix("\r").split(",")
-    header, cols = _columns(fields, names, 1)
-    skip = 0 if header is None else 1
-    if -1 in cols or skip and not _NONBLANK.search(data, len(first) + 1):
-        return None
-    del data
-    fields, usecols = _BULK_FIELDS[: len(names)], cols
-    if texts:  # the score column once more, as text, in the same pass
-        fields, usecols = fields + [("text", f"S{_TEXT_BYTES}")], cols + cols[:1]
-    try:
-        with open(path, "r", encoding="utf-8-sig") as fh:
-            table = np.loadtxt(
-                fh, np.dtype(fields), comments=None, delimiter=",",
-                skiprows=skip, usecols=usecols, ndmin=1, quotechar=None,
-            )
-    except (OSError, ValueError):
-        return None
-    columns = [np.ascontiguousarray(table["score"])]
-    if len(names) > 1:
-        labels = table["label"]
-        unspelled = labels[(labels != b"target") & (labels != b"nontarget")]
-        if unspelled.view("u1")[labels.itemsize - 1 :: labels.itemsize].any():
-            return None  # a label that fills its field, last byte not NUL: loadtxt may have cut it
-        columns.append(labels)
-    if len(names) > 2:
-        columns.append(np.ascontiguousarray(table["calibrated"]))
-    if texts:
-        columns.append(table["text"])
-
-    def field(i: int, k: int) -> tuple[int, str]:
-        # Data row i is the file's (skip + i)th line that is not empty, as
-        # loadtxt counts them; the file has no quotes and no bare CR.
-        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-            lines = ((n, line) for n, line in enumerate(fh, 1) if line.strip("\r\n"))
-            lineno, line = next(itertools.islice(lines, skip + i, None))
-        return lineno, line.rstrip("\r\n").split(",")[cols[k]]
-
-    return header, columns, field
-
-
-def _lines_within(data: bytes, limit: int) -> bool:
-    """Whether no line of data is longer than limit bytes."""
-    start = 0
-    while len(data) - start > limit:
-        end = data.rfind(b"\n", start, start + limit + 1)
-        if end < 0:
-            return False
-        start = end + 1
-    return True
-
-
-def _read_lines(path: str, names: list[str]) -> tuple[dict[str, int] | None, list, Field]:
-    """_read_csv's split of any file by the csv module, line by line: the
-    header, the named columns as lists of texts, and the field locator.
-    DataError names the line of the first fault in the file's layout."""
-    header, cols, rows, linenos = None, None, [], []
+def _chunks(path: str, names: list[str], texts: bool = False) -> Iterator:
+    """The header of a CSV file (see _columns), then its data rows in chunks
+    of up to _WRITE_ROWS lines or records, each as (columns, field): the
+    named columns, then with texts the score texts, numbers as float64 (NaN
+    for a field that is not one) and texts as arrays of str; and field(i, k),
+    the line and the text of row i's field in column k.  Plain chunks of
+    lines (see _plain) are split by np.loadtxt, or by the csv module if
+    loadtxt turns one down or may have cut a label; the rest of the file from
+    the first chunk that is not plain, by one csv reader.  DataError names a
+    fault in the layout, a byte that is not UTF-8 or a csv error as met, else
+    a missing column or the first short row once all is read; or no rows."""
+    n, count, lineno = len(names), 0, 0
     try:
         with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-            reader = csv.reader(fh)
-            for row in reader:
-                if not any(map(str.strip, row)):
-                    continue
-                if cols is None:
-                    header, cols = _columns(row, names, reader.line_num)
-                    if header is not None:
-                        continue
-                rows.append(row)
-                linenos.append(reader.line_num)
+            lines = list(itertools.islice(fh, _WRITE_ROWS))
+            header, cols = (_columns(lines[0].rstrip("\r\n").split(","), names, 1)
+                            if lines and _plain(lines) else (None, [-1]))
+            plain = -1 not in cols  # else the csv module reads the header
+            source = itertools.chain(lines, fh)
+            if plain:
+                yield header
+                lineno = int(header is not None)
+                source = itertools.islice(source, lineno, None)
+                while (lines := list(itertools.islice(source, _WRITE_ROWS))) and _plain(lines):
+                    if any(map(str.strip, lines)):  # else no data rows, and loadtxt would warn
+                        columns, field = _split(lines, lineno, cols, n, texts)
+                        if columns[0].size:
+                            count += columns[0].size
+                            yield columns, field
+                        del columns, field  # a chunk is held by its reader alone
+                    lineno += len(lines)
+                source = itertools.chain(lines, source)  # from the first chunk that is not plain
+            reader = csv.reader(source)
+            records = _records(reader, lineno)
+            if not plain:
+                head = next(records, None)
+                header, cols = _columns(head[0], names, head[1]) if head else (None, [])
+                yield header
+                if header is None and head:
+                    records = itertools.chain([head], records)
+            try:
+                if -1 in cols and next(records, None):
+                    raise DataError(f"{path}: missing column {names[cols.index(-1)]!r}")
+                while part := list(itertools.islice(records, _WRITE_ROWS)):
+                    count += len(part)
+                    yield _split_records(part, cols, n, texts)
+            except DataError:  # a fault that the csv module meets further on comes first
+                for _ in records:
+                    pass
+                raise
+            if not count:
+                raise DataError(f"{path}: no data rows")
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}")
     except csv.Error as exc:
-        raise DataError(f"line {reader.line_num}: {exc}")
+        raise DataError(f"line {lineno + reader.line_num}: {exc}")
     except UnicodeDecodeError:  # name the first line that is not UTF-8
         with open(path, "rb") as fh:  # splitlines ends lines where csv does
-            for lineno, line in enumerate(fh.read().splitlines(), 1):
+            for lineno, line in enumerate((p for line in fh for p in line.splitlines()), 1):
                 try:
                     line.decode("utf-8")
                 except UnicodeDecodeError as exc:
                     raise DataError(f"line {lineno}: {exc}")
         raise
-    if not rows:
-        raise DataError(f"{path}: no data rows")
-
-    if -1 in cols:
-        raise DataError(f"{path}: missing column {names[cols.index(-1)]!r}")
-    need = max(cols)
-    if min(map(len, rows)) <= need:
-        i = next(i for i, row in enumerate(rows) if len(row) <= need)
-        what = f"expected at least {need + 1} fields" if len(names) > 1 else "missing score field"
-        raise DataError(f"line {linenos[i]}: {what}")
-    texts = [[row[col] for row in rows] for col in cols]
-    return header, texts, lambda i, k: (linenos[i], texts[k][i])
 
 
-def _open_out(path: str | None) -> ContextManager[TextIO]:
-    if path is None or path == "-":
-        return contextlib.nullcontext(sys.stdout)
+def _plain(lines: list[str]) -> bool:
+    """Whether lines hold no quote, NUL, separator \\x1c-\\x1f (a blank to loadtxt,
+    not to float) or bare CR, and no line longer than a csv field may be."""
+    text, limit = "".join(lines), csv.field_size_limit()
+    return not (any(char in text for char in '"\0\x1c\x1d\x1e\x1f')
+                or "\r" in text and text.count("\r") != text.count("\r\n")
+                or len(text) > limit and max(map(len, lines)) > limit)
+
+
+def _split(lines: list[str], lineno: int, cols: list[int], n: int, texts: bool) -> tuple:
+    """_chunks's chunk of a plain file's lines, from line lineno + 1, split by
+    np.loadtxt, or by the csv module if loadtxt turns them down or may cut a label."""
+    fields = _FIELDS[:n] + _FIELDS[3:] if texts else _FIELDS[:n]
     try:
-        return open(path, "w", encoding="utf-8", newline="\n")
+        table = np.loadtxt(lines, np.dtype(fields), comments=None, delimiter=",",
+                           usecols=cols + cols[:1] if texts else cols, ndmin=1, quotechar=None)
+        labels = table["label"] if n > 1 else np.array([], "U10")
+        if labels[(labels != "target") & (labels != "nontarget")].view(np.uint32)[9::10].any():
+            raise ValueError("a label that is not spelled exactly fills its field, maybe cut")
+    except ValueError:
+        return _split_records(list(_records(csv.reader(lines), lineno)), cols, n, texts)
+
+    def field(i: int, k: int) -> tuple[int, str]:  # loadtxt skips empty lines, and no others
+        rows = ((m, line) for m, line in enumerate(lines, lineno + 1) if line.strip("\r\n"))
+        m, line = next(itertools.islice(rows, i, None))
+        return m, line.rstrip("\r\n").split(",")[cols[k]]
+
+    return [np.ascontiguousarray(table[name]) for name, _ in fields], field  # none views the table
+
+
+def _records(reader, lineno: int = 0) -> Iterator[tuple[list[str], int]]:
+    """The csv reader's rows that are not blank, each with its line."""
+    return ((row, lineno + reader.line_num) for row in reader if any(map(str.strip, row)))
+
+
+def _split_records(records: list, cols: list[int], n: int, texts: bool) -> tuple:
+    """_chunks's chunk of csv records, each a row and its line.  DataError
+    names the line of the first row short of a named field."""
+    need = max(cols)
+    short = [lineno for row, lineno in records if len(row) <= need]
+    if short:
+        what = f"expected at least {need + 1} fields" if n > 1 else "missing score field"
+        raise DataError(f"line {short[0]}: {what}")
+    fields = [[row[col] for row, _ in records] for col in cols]
+    split = [_floats, lambda texts: np.array(texts, object), _floats]
+    columns = [split[k](fields[k]) for k in range(n)] + [np.array(fields[0], object)] * texts
+    return columns, lambda i, k: (records[i][1], fields[k][i])
+
+
+def _floats(texts: list[str]) -> np.ndarray:
+    """texts as float64, NaN for each that is not a number."""
+    try:
+        return np.fromiter(map(float, texts), float, len(texts))
+    except ValueError:
+        return np.array([float(t) if _is_number(t) else math.nan for t in texts], float)
+
+
+@contextlib.contextmanager
+def _open_out(path: str | None) -> Iterator[TextIO]:
+    """stdout for no path or "-", else path opened for writing.  A regular
+    file is written beside path and moved over it, keeping path's mode, if
+    the block ends without an exception: a failure leaves path as it was."""
+    if path is None or path == "-":
+        yield sys.stdout
+        return
+    target = os.path.realpath(path) if os.path.isfile(path) or not os.path.exists(path) else None
+    name = f"{target}.{os.getpid()}.tmp" if target else path
+    try:
+        out = open(name, "x" if target else "w", encoding="utf-8", newline="\n")
     except OSError as exc:
+        exc.filename = path
         raise DataError(f"cannot write {path}: {exc}")
+    try:
+        with out:
+            yield out
+        if target:
+            if os.path.exists(target):
+                shutil.copymode(target, name)
+            os.replace(name, target)
+    finally:
+        if target and os.path.exists(name):
+            os.remove(name)
 
 
-# Rows per chunk that apply maps, prices and writes at a time: enough that
-# numpy's cost per call is small, few enough that no full-length temporary,
-# list or string is ever built.
+# Lines or rows per chunk: numpy's cost per call is small, and nothing full-length is built.
 _WRITE_ROWS = 4096
 
 
-def _write_columns(
-    out: TextIO, texts: list[str], w: np.ndarray, prior: float | None, clamp: float | None
-) -> None:
+def _write_columns(out: TextIO, texts: list[str], w: np.ndarray, prior: float | None,
+                   clamp: float | None) -> None:
     """One line per row, joined and written as one string: the row's score
     text, then its calibrated value w, clipped to [-clamp, clamp] if clamp
     is given, and with a prior its posterior, each as repr writes it.  Each
@@ -336,22 +346,20 @@ def _write_columns(
     out.write("".join(map(str.__add__, texts, np.array(tails, object)[which].tolist())))
 
 
-def _text_cells(texts: list[str] | np.ndarray, scores: np.ndarray) -> list[str]:
+def _text_cells(texts: np.ndarray, scores: np.ndarray) -> list[str]:
     """The score cells apply writes: each text without the blanks float
-    ignores, which are those strip removes from a number's text, if it is
-    plain, else its score as repr writes it.  A text is plain if it is
-    ASCII, holds no "_" and, blanks included, is shorter than _TEXT_BYTES,
-    so that it is a decimal number to any CSV reader and loadtxt did not
-    cut it.  loadtxt's bytes are latin-1."""
-    if isinstance(texts, np.ndarray):
-        texts = b"\n".join(texts.tolist()).decode("latin-1").split("\n")
+    ignores (those strip removes from a number's text) if it is plain, else
+    its score as repr writes it.  A text is plain if it is ASCII, holds no
+    "_" and, blanks included, is shorter than _TEXT_CHARS: a decimal number
+    to any CSV reader, and not cut by loadtxt."""
+    texts = texts.tolist()
     cells = list(map(str.strip, texts))
     # One check of a chunk's joined texts: a check per row measured 1 MB
     # more peak RSS on the benchmark's apply-llr-100k.
     joined = "".join(texts)
-    if not joined.isascii() or "_" in joined or max(map(len, texts)) >= _TEXT_BYTES:
+    if not joined.isascii() or "_" in joined or max(map(len, texts)) >= _TEXT_CHARS:
         for i, text in enumerate(texts):
-            if not text.isascii() or "_" in text or len(text) >= _TEXT_BYTES:
+            if not text.isascii() or "_" in text or len(text) >= _TEXT_CHARS:
                 cells[i] = repr(scores[i].item())
     return cells
 
@@ -371,9 +379,7 @@ def _scoring_weights(args: argparse.Namespace, t1: int, t2: int) -> tuple[Weight
     return weights_from_prior(pi, t1, t2), pi
 
 
-def _read_labeled(
-    args: argparse.Namespace, calibrated: str | None = None
-) -> tuple[_Rows, int, int]:
+def _read_labeled(args: argparse.Namespace, calibrated: str | None = None) -> tuple[_Rows, int, int]:
     """The rows of a labeled input and their target and non-target counts.
     llr mode turns down --weights, before the file is read."""
     if args.mode == "llr" and args.weights is not None:
@@ -411,18 +417,23 @@ def cmd_apply(args: argparse.Namespace) -> int:
             raise UsageError("--clamp-llr only applies to llr maps")
     if args.clamp_llr is not None and not args.clamp_llr > 0.0:
         raise UsageError("--clamp-llr must be positive")
-    rows = _read_csv(args.input, texts=True)[1]
+    chunks = _chunks(args.input, ["score"], texts=True)
+    next(chunks)  # the header
     prior, clamp = args.prior_logodds, args.clamp_llr
+    head = "score,calibrated\n" if prior is None else "score,calibrated,posterior\n"
     with _open_out(args.out) as out:
-        out.write("score,calibrated\n" if prior is None else "score,calibrated,posterior\n")
-        for start in range(0, len(rows), _WRITE_ROWS):
-            part = slice(start, start + _WRITE_ROWS)
-            w = _apply(cmap, rows.scores[part])
-            _write_columns(out, _text_cells(rows.texts[part], rows.scores[part]), w, prior, clamp)
+        for (scores, texts), field in chunks:  # each checked, mapped and written as it is read
+            _numbers(scores, 0, field, "score")
+            out.write(head)
+            head = ""
+            _write_columns(out, _text_cells(texts, scores), _apply(cmap, scores), prior, clamp)
+            del scores, texts, field  # before the next chunk is read
     return 0
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
+    if args.calibrated == "":
+        raise UsageError("--calibrated needs a column name")
     rows, t1, t2 = _read_labeled(args, args.calibrated)
     weights, pi = _scoring_weights(args, t1, t2)
     if rows.values is not None:  # checked by the reader; _posteriors gives values in [0, 1]
@@ -435,10 +446,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         line = f"rule={rule} reference={ref_obj!r}"
         if rows.values is not None:
             cal_obj = _total_cost(rule, weights, *sides)
-            if ref_obj == 0.0:
-                ratio = 1.0 if cal_obj == 0.0 else math.inf
-            else:
-                ratio = cal_obj / ref_obj
+            ratio = cal_obj / ref_obj if ref_obj else 1.0 if cal_obj == 0.0 else math.inf
             line += f" calibrated={cal_obj!r} ratio={ratio!r}"
         print(line)
     return 0
@@ -452,22 +460,14 @@ def cmd_selfcheck(args: argparse.Namespace) -> int:
     if args.seed < 0:
         raise UsageError("--seed must not be negative")
     pairs = [args.weights] if args.weights is not None else list(DEFAULT_WEIGHT_PAIRS)
-    ok = run_selfcheck(
-        max_len=args.max_len,
-        weight_pairs=pairs,
-        instances=args.instances,
-        candidates=args.candidates,
-        seed=args.seed,
-        perf=args.perf,
-    )
+    ok = run_selfcheck(max_len=args.max_len, weight_pairs=pairs, instances=args.instances,
+                       candidates=args.candidates, seed=args.seed, perf=args.perf)
     return 0 if ok else 3
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="pavcal",
-        description="Monotone calibration of binary classifier scores.",
-    )
+        prog="pavcal", description="Monotone calibration of binary classifier scores.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     # The flags fit and evaluate share.

@@ -1,14 +1,15 @@
 """The CSV reader's two splitters agree.
 
-_read_csv splits a plain file into columns with one np.loadtxt pass
-(cli._bulk_read) and any other file line by line with the csv module
-(cli._read_lines); one set of column checks then runs on either split and
-names the line of the first fault.  Read through the bulk splitter, a file
-must give exactly what the csv splitter gives, or the same DataError; apply
-must echo each score's text, and write each other value as a per-row
-f-string writes it.
+The reader (cli._chunks) splits a plain file into columns with np.loadtxt,
+chunk by chunk, and a chunk loadtxt turns down, or any other file, with the
+csv module (cli._split_records); one set of column checks then runs on
+either split and names the line of the first fault.  Read through the bulk
+splitter, a file must give exactly what the csv splitter gives, or the same
+DataError; apply must echo each score's text, and write each other value
+as a per-row f-string writes it.
 """
 
+import contextlib
 import io
 import math
 import subprocess
@@ -56,12 +57,43 @@ def _outcome(path, read):
 
 def _by_lines(path, read):
     """_outcome with the bulk splitter turning every file down."""
-    with mock.patch.object(cli, "_bulk_read", lambda path, names, texts: None):
+    with mock.patch.object(cli, "_plain", lambda lines: False):
         return _outcome(path, read)
+
+
+def _in_bulk(path, names, texts=False):
+    """Whether the bulk splitter splits every row of the file: every chunk
+    is plain, and the reader never calls the csv splitter."""
+    plain, split, bulk = cli._plain, cli._split_records, []
+
+    def plain_spy(lines):
+        bulk.append(plain(lines))
+        return bulk[-1]
+
+    def split_spy(*args):
+        bulk.append(False)
+        return split(*args)
+
+    with mock.patch.object(cli, "_plain", plain_spy), \
+            mock.patch.object(cli, "_split_records", split_spy), contextlib.suppress(cli.DataError):
+        for _ in cli._chunks(path, names, texts):
+            pass
+    return all(bulk)
 
 
 @given(file=csv_files(), command=st.sampled_from(sorted(READS)), plain=st.booleans())
 def test_bulk_read_declines_or_matches_the_line_reader(tmp_path_factory, file, command, plain):
+    _declines_or_matches(tmp_path_factory, file, command, plain)
+
+
+@given(file=csv_files(), command=st.sampled_from(sorted(READS)), plain=st.booleans())
+def test_chunks_of_three_lines_match_the_line_reader(tmp_path_factory, file, command, plain):
+    # The same corpus, with each of its files read in several chunks.
+    with mock.patch.object(cli, "_WRITE_ROWS", 3):
+        _declines_or_matches(tmp_path_factory, file, command, plain)
+
+
+def _declines_or_matches(tmp_path_factory, file, command, plain):
     text, columns, _, _ = file
     if plain:  # so that more files are split in bulk: no blank lines holding blanks or commas
         lines = text.split("\n")
@@ -88,7 +120,7 @@ def test_a_plain_file_takes_the_bulk_read(tmp_path):
                    for k in range(50))
     for text in ("score,label,calibrated\n" + rows, "\ufeff" + rows.replace("\n", "\r\n")):
         path = _write(tmp_path, text)
-        assert cli._bulk_read(path, ["score", "label", "calibrated"]) is not None
+        assert _in_bulk(path, ["score", "label", "calibrated"])
         read = READS["evaluate"]
         assert _outcome(path, read) == _by_lines(path, read)
         assert cli._read_csv(path, **read)[1].scores.size == 50
@@ -96,7 +128,7 @@ def test_a_plain_file_takes_the_bulk_read(tmp_path):
 
 def test_the_cut_label_check_loads_no_numpy_char(tmp_path):
     path = _write(tmp_path, "score,label\n0,Target\n1,nontarget\n")
-    code = (f"import sys; from pavcal import cli; assert cli._bulk_read({path!r}, ['score', 'label'])"
+    code = (f"import sys; from pavcal import cli; cli._read_csv({path!r}, labeled=True)"
             "; assert 'numpy.char' not in sys.modules")
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
@@ -122,7 +154,7 @@ VALID_DECLINED = {
 def test_unusual_valid_files_are_declined_and_read_line_by_line(tmp_path, case):
     text, scores = case
     path = _write(tmp_path, text)
-    assert cli._bulk_read(path, ["score", "label"]) is None
+    assert not _in_bulk(path, ["score", "label"])
     rows = cli._read_csv(path, labeled=True)[1]
     assert rows.scores.tolist() == scores
     assert rows.flags.tolist() == [True, False]
@@ -139,9 +171,9 @@ LABELS_IN_BULK = {
 @pytest.mark.parametrize("text", LABELS_IN_BULK.values(), ids=LABELS_IN_BULK)
 def test_unusual_labels_are_read_in_bulk(tmp_path, monkeypatch, text):
     path = _write(tmp_path, text)
-    assert cli._bulk_read(path, ["score", "label"]) is not None
+    assert _in_bulk(path, ["score", "label"])
     want = _by_lines(path, READS["fit"])
-    monkeypatch.setattr(cli, "_read_lines", _no_line_reader)
+    monkeypatch.setattr(cli, "_split_records", _no_line_reader)
     assert _outcome(path, READS["fit"]) == want
     assert want[2] == ("|b1", [True, False])
 
@@ -180,8 +212,6 @@ FAULTS = {
     ),
     "oversized unread field": ("apply", "score,label\n0,target\n1," + "x" * 200_000 + "\n",
                                "line 3: field larger than field limit"),
-    "label beyond latin-1": ("fit", "score,label\n0,target\n1,\u20ac\n",
-                             "line 3: unknown label '\u20ac'"),
     # loadtxt would strip the separator from the number as a blank.
     "unit separator by a score": ("apply", "0.25\n\x1f0.5\n",
                                   "line 2: score '\\x1f0.5' is not a number"),
@@ -197,7 +227,7 @@ FAULTS = {
 def test_faulty_files_are_declined_and_named_by_their_line(tmp_path, capsys, case):
     command, text, message = case
     path = _named(tmp_path, capsys, command, text, message)
-    assert cli._bulk_read(path, NAMES[command]) is None
+    assert not _in_bulk(path, NAMES[command])
 
 
 # Headers that name a column fit reads twice, matched case-insensitively,
@@ -220,9 +250,9 @@ def test_a_column_named_twice_is_a_fault_of_the_header_line(tmp_path, capsys, mo
     message = f"line 1: the header names column {name!r} more than once"
     path = _named(tmp_path, capsys, "fit", text, message)
     if quoted:
-        assert cli._bulk_read(path, NAMES["fit"]) is None
+        assert not _in_bulk(path, NAMES["fit"])
     else:
-        monkeypatch.setattr(cli, "_read_lines", _no_line_reader)
+        monkeypatch.setattr(cli, "_split_records", _no_line_reader)
         assert main(_argv(tmp_path, "fit", path)) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
 
@@ -237,6 +267,8 @@ FAULTS_IN_BULK = {
     "nan score": ("apply", "0.25\nnan\n", "line 2: score must not be NaN"),
     "latin-1 label": ("fit", "score,label\n0,target\n1,caf\u00e9\n",
                       "line 3: unknown label 'caf\u00e9'"),
+    "label beyond latin-1": ("fit", "score,label\n0,target\n1,\u20ac\n",
+                             "line 3: unknown label '\u20ac'"),
     "blank and crlf lines before the fault": (
         "fit", "score,label\n\n0,target\r\n\n1,nontarget\r\n\r\n2,Maybe\n",
         "line 7: unknown label 'Maybe'",
@@ -252,9 +284,9 @@ FAULTS_IN_BULK = {
 def test_faulty_values_are_named_after_the_bulk_pass(tmp_path, capsys, monkeypatch, case):
     command, text, message = case
     path = _write(tmp_path, text)
-    assert cli._bulk_read(path, NAMES[command]) is not None
+    assert _in_bulk(path, NAMES[command])
     _named(tmp_path, capsys, command, text, message)
-    monkeypatch.setattr(cli, "_read_lines", _no_line_reader)
+    monkeypatch.setattr(cli, "_split_records", _no_line_reader)
     assert main(_argv(tmp_path, command, path)) == 1
     assert capsys.readouterr().err.startswith(f"error: {message}")
 
@@ -275,7 +307,7 @@ def test_a_middle_fault_is_named_without_the_line_reader(tmp_path, capsys, monke
             for k in range(10_000)]
     rows[5000][column] = field
     path = _write(tmp_path, "score,label,calibrated\n" + "".join(",".join(r) + "\n" for r in rows))
-    monkeypatch.setattr(cli, "_read_lines", _no_line_reader)
+    monkeypatch.setattr(cli, "_split_records", _no_line_reader)
     assert main(["evaluate", path, "--calibrated"]) == 1
     assert capsys.readouterr().err.startswith(f"error: {message}")
 
@@ -287,7 +319,7 @@ def test_capitalised_labels_are_read_without_the_line_reader(tmp_path, capsys, m
     assert main(["evaluate", str(lower)]) == 0
     want = capsys.readouterr().out
     path = _write(tmp_path, "score,label\n" + rows)
-    monkeypatch.setattr(cli, "_read_lines", _no_line_reader)
+    monkeypatch.setattr(cli, "_split_records", _no_line_reader)
     parsed = []  # each distinct spelling is parsed once, not once per row
 
     class CountingLabel:
@@ -304,7 +336,7 @@ def test_capitalised_labels_are_read_without_the_line_reader(tmp_path, capsys, m
 
 def test_infinite_llrs_are_read_in_bulk(tmp_path, monkeypatch):
     path = _write(tmp_path, "score,label,calibrated\n0,target,-inf\n1,nontarget,inf\n")
-    monkeypatch.setattr(cli, "_read_lines", _no_line_reader)
+    monkeypatch.setattr(cli, "_split_records", _no_line_reader)
     rows = cli._read_csv(path, **READS["evaluate-llr"])[1]
     assert rows.values.tolist() == [-math.inf, math.inf]
     with pytest.raises(cli.DataError, match="^line 2: calibrated value must be finite, got '-inf'"):
@@ -434,7 +466,7 @@ def test_apply_echoes_repr_written_doubles_as_a_per_row_writer_writes(
     scores[: len(spliced)] = spliced[:size]
     src = tmp_path / "s.csv"
     src.write_text("".join(f"{s!r}\n" for s in scores), encoding="utf-8")
-    assert cli._bulk_read(str(src), ["score"], True) is not None
+    assert _in_bulk(str(src), ["score"], True)
     flags = ["--prior-logodds", "-0.5", "--clamp-llr", "2"]
     out = tmp_path / "out.csv"
     assert main(["apply", map_path, str(src), "--out", str(out), *flags]) == 0
@@ -460,10 +492,10 @@ def test_apply_echoes_each_score_spelling(tmp_path, capsys, monkeypatch, end, bu
     texts, cells = zip(*spellings)
     path = _write(tmp_path, "score" + end + "".join(text + end for text in texts))
     if bulk:
-        assert cli._bulk_read(path, ["score"], True) is not None
-        monkeypatch.setattr(cli, "_read_lines", _no_line_reader)
+        assert _in_bulk(path, ["score"], True)
+        monkeypatch.setattr(cli, "_split_records", _no_line_reader)
     else:
-        assert cli._bulk_read(path, ["score"], True) is None
+        assert not _in_bulk(path, ["score"], True)
     _echoes(capsys, map_path, path, texts, cells)
     assert all(x == x.strip() and x.isascii() for x in cells)
 
@@ -482,7 +514,7 @@ def _echoes(capsys, map_path, path, texts, cells):
 def test_quoted_scores_are_echoed_from_the_line_reader(tmp_path, capsys):
     map_path = _fitted_map(tmp_path, "--mode", "llr", "--policy", "linear")
     path = _write(tmp_path, 'score\n"1.5"\n" 2.5 "\n-3\n')
-    assert cli._bulk_read(path, ["score"], True) is None
+    assert not _in_bulk(path, ["score"], True)
     _echoes(capsys, map_path, path, ["1.5", " 2.5 ", "-3"], ["1.5", "2.5", "-3"])
 
 
@@ -498,11 +530,11 @@ def test_long_score_texts_stay_on_the_bulk_path(tmp_path, capsys, monkeypatch, b
     cells = [text.strip() if len(text) < 27 else repr(s) for text, s in zip(texts, scores)]
     assert cells[5::2] == [repr(-1e-100 / 3), "2.5"]
     path = _write(tmp_path, "".join(text + "\n" for text in texts))
-    assert cli._bulk_read(path, ["score"], True) is not None
+    assert _in_bulk(path, ["score"], True)
     if bulk:
-        monkeypatch.setattr(cli, "_read_lines", _no_line_reader)
+        monkeypatch.setattr(cli, "_split_records", _no_line_reader)
     else:
-        monkeypatch.setattr(cli, "_bulk_read", lambda path, names, texts: None)
+        monkeypatch.setattr(cli, "_plain", lambda lines: False)
     _echoes(capsys, map_path, path, texts, cells)
 
 
@@ -514,7 +546,7 @@ def test_a_savetxt_file_of_negative_scores_is_read_in_bulk(tmp_path, monkeypatch
     texts = path.read_text().splitlines()
     assert max(map(len, texts)) == 26
     map_path = _fitted_map(tmp_path, "--mode", "llr", "--policy", "linear")
-    monkeypatch.setattr(cli, "_read_lines", _no_line_reader)
+    monkeypatch.setattr(cli, "_split_records", _no_line_reader)
     out = tmp_path / "out.csv"
     assert main(["apply", map_path, str(path), "--out", str(out)]) == 0
     want = _reference(CalibrationMap.load(map_path), scores.tolist(), None, None, texts)
@@ -523,15 +555,15 @@ def test_a_savetxt_file_of_negative_scores_is_read_in_bulk(tmp_path, monkeypatch
 
 @pytest.mark.parametrize("command", ["fit", "apply", "evaluate"])
 def test_only_apply_reads_the_score_texts(tmp_path, monkeypatch, command):
-    asked, bulk_read = [], cli._bulk_read
+    asked, chunks = [], cli._chunks
 
-    def spy(path, names, texts):
+    def spy(path, names, texts=False):
         asked.append(texts)
-        return bulk_read(path, names, texts)
+        return chunks(path, names, texts)
 
     path = _write(tmp_path, "score,label,calibrated\n0,target,0.5\n1,nontarget,0.25\n")
     argv = _argv(tmp_path, command, path)
-    monkeypatch.setattr(cli, "_bulk_read", spy)
+    monkeypatch.setattr(cli, "_chunks", spy)
     assert main(argv) == 0
     assert asked == [command == "apply"]
 
@@ -543,7 +575,7 @@ def test_apply_reads_a_plain_file_in_bulk_and_maps_it_chunk_by_chunk(tmp_path, m
     scores = np.random.default_rng(3).normal(0.5, 3.0, size).tolist()
     path = _write(tmp_path, "score\n" + "".join(f"{s!r}\n" for s in scores))
     map_path = _fitted_map(tmp_path, "--mode", "llr", "--policy", "linear")
-    monkeypatch.setattr(cli, "_read_lines", _no_line_reader)
+    monkeypatch.setattr(cli, "_split_records", _no_line_reader)
     sizes = []
 
     def apply(cmap, xs):
