@@ -65,30 +65,29 @@ def _is_number(text: str) -> bool:
 
 @dataclass(frozen=True)
 class _Rows:
-    """A CSV file's data rows by column; target flags, values and score
-    texts (cut to _TEXT_CHARS characters by loadtxt) only if asked for."""
+    """A CSV file's data rows by column; target flags and values only if asked for."""
 
     scores: np.ndarray
     flags: np.ndarray | None
     values: np.ndarray | None
-    texts: np.ndarray | None = None
 
     def __len__(self) -> int:
         return self.scores.size
 
 
-def _read_csv(path: str, labeled=False, calibrated: str | None = None, llrs=False,
-              texts=False) -> tuple[dict[str, int] | None, _Rows]:
-    """The header (see _columns) and the data rows of a CSV file, with texts
-    each score's text too.  The calibrated column holds probabilities in [0,
-    1], or with llrs any LLR but NaN.  Each chunk (see _chunks) is checked as
-    it is read: DataError names a fault in the file's layout, else the first
-    fault of the first kind (see _numbers) in the first faulty column."""
+def _read_csv(path: str, labeled=False, calibrated: str | None = None,
+              llrs=False) -> tuple[dict[str, int] | None, _Rows]:
+    """The header (see _columns) and the data rows of a CSV file.  The
+    calibrated column holds probabilities in [0, 1], or with llrs any LLR but
+    NaN.  Each chunk (see _chunks) is checked as read: DataError names a fault
+    in the file's layout, else the first fault of the first kind (see _numbers)
+    in the first faulty column.  Each column grows in one bytearray, by realloc
+    (unwritten capacity is not resident), so the read holds it once."""
     names = ["score", "label"] if labeled else ["score"]
     names += [] if calibrated is None else [calibrated.lower()]
-    chunks = _chunks(path, names, texts)
+    chunks = _chunks(path, names)
     header = next(chunks)
-    parts, faults, spellings = [], {}, {}
+    bufs, faults, spellings = [bytearray() for _ in names], {}, {}
     for columns, field in chunks:
         checks = [lambda: _numbers(columns[0], 0, field, "score"),
                   lambda: _target_column(columns[1], field, spellings),
@@ -101,15 +100,12 @@ def _read_csv(path: str, labeled=False, calibrated: str | None = None, llrs=Fals
             except DataError as exc:
                 faults.setdefault((k, exc.kind), exc)
         if not faults:
-            parts.append(columns)
-            # Merged pairwise as read: small arrays freed all at once stay in the heap.
-            while len(parts) > 1 and len(parts[-1][0]) >= len(parts[-2][0]):
-                parts[-2:] = [[np.concatenate(pair) for pair in zip(*parts[-2:])]]
+            for buf, column in zip(bufs, columns):
+                buf += column.data  # every column is contiguous
     if faults:
         raise faults[min(faults)]
-    columns = [np.concatenate(part) for part in zip(*parts)]
-    cells = columns.pop() if texts else None
-    return header, _Rows(*columns, *[None] * (3 - len(columns)), cells)
+    columns = [np.frombuffer(buf, dtype) for buf, dtype in zip(bufs, (float, bool, float))]
+    return header, _Rows(*columns, *[None] * (3 - len(columns)))
 
 
 def _columns(fields: list[str], names: list[str], lineno: int) -> tuple[dict | None, list[int]]:
@@ -169,7 +165,7 @@ def _target_column(labels: np.ndarray, field: Callable, spellings: dict[str, boo
     return flags
 
 
-# The fields of loadtxt's row, in the order of _read_csv's names, then the score's
+# The fields of loadtxt's row, in the order of _chunks's names, then the score's
 # text.  loadtxt cuts a longer text to its field, so a label or a score text that
 # fills it may be cut; none that repr (24 characters) or %.18e (26) writes does.
 _TEXT_CHARS = 27
@@ -379,26 +375,26 @@ def _scoring_weights(args: argparse.Namespace, t1: int, t2: int) -> tuple[Weight
     return weights_from_prior(pi, t1, t2), pi
 
 
-def _read_labeled(args: argparse.Namespace, calibrated: str | None = None) -> tuple[_Rows, int, int]:
-    """The rows of a labeled input and their target and non-target counts.
-    llr mode turns down --weights, before the file is read."""
+def _read_labeled(args: argparse.Namespace, calibrated: str | None = None) -> tuple:
+    """The scores, target flags and values (or None) of a labeled input, and its
+    target and non-target counts.  llr mode turns down --weights, before the file is read."""
     if args.mode == "llr" and args.weights is not None:
         raise UsageError("--weights has no effect in llr mode")
     _, rows = _read_csv(args.input, labeled=True, calibrated=calibrated, llrs=args.mode == "llr")
     t1 = np.count_nonzero(rows.flags)
-    return rows, t1, len(rows) - t1
+    return rows.scores, rows.flags, rows.values, t1, len(rows) - t1
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
-    rows, t1, t2 = _read_labeled(args)
+    scores, flags, _, t1, t2 = _read_labeled(args)
     weights = _scoring_weights(args, t1, t2)[0]
-    fit = _fit(rows.scores, rows.flags)
+    fit = _fit(scores, flags)
     try:
         _map(fit, weights, args.mode, args.policy).save(args.out)
     except OSError as exc:
         raise DataError(f"cannot write {args.out}: {exc}")
     m, n = fit[2:]
-    print(f"T={len(rows)} T1={t1} T2={t2} blocks={m.size}")
+    print(f"T={scores.size} T1={t1} T2={t2} blocks={m.size}")
     q = _price(m, n, weights.v1, weights.v2)  # each block's posterior at the weights
     for rule in _rules_of(args):
         print(f"objective[{rule}]={_total_cost(rule, weights, (q, m), (q, n))!r}")
@@ -431,20 +427,28 @@ def cmd_apply(args: argparse.Namespace) -> int:
     return 0
 
 
+def _distinct(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """np.unique(values, return_counts=True) for values without NaN, sorted in place."""
+    values.sort()
+    heads = np.flatnonzero(np.concatenate(([True], values[1:] != values[:-1]))[:values.size])
+    return values[heads], np.diff(heads, append=values.size)
+
+
 def cmd_evaluate(args: argparse.Namespace) -> int:
     if args.calibrated == "":
         raise UsageError("--calibrated needs a column name")
-    rows, t1, t2 = _read_labeled(args, args.calibrated)
+    scores, flags, values, t1, t2 = _read_labeled(args, args.calibrated)
     weights, pi = _scoring_weights(args, t1, t2)
-    if rows.values is not None:  # checked by the reader; _posteriors gives values in [0, 1]
-        values = _posteriors(rows.values, pi) if args.mode == "llr" else rows.values
-        sides = [np.unique(values[f], return_counts=True) for f in (rows.flags, ~rows.flags)]
-    m, n = _fit(rows.scores, rows.flags)[2:]
+    if values is not None:  # checked by the reader; _posteriors gives values in [0, 1]
+        values = _posteriors(values, pi) if args.mode == "llr" else values
+        sides = [_distinct(values[f]) for f in (flags, ~flags)]
+        del values  # freed before the fit
+    m, n = _fit(scores, flags)[2:]
     q = _price(m, n, weights.v1, weights.v2)
     for rule in _rules_of(args):
         ref_obj = _total_cost(rule, weights, (q, m), (q, n))
         line = f"rule={rule} reference={ref_obj!r}"
-        if rows.values is not None:
+        if args.calibrated is not None:
             cal_obj = _total_cost(rule, weights, *sides)
             ratio = cal_obj / ref_obj if ref_obj else 1.0 if cal_obj == 0.0 else math.inf
             line += f" calibrated={cal_obj!r} ratio={ratio!r}"

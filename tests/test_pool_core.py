@@ -15,12 +15,13 @@ import itertools
 import math
 import re
 import sys
+import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pavcal import (
     CustomDensity,
@@ -262,6 +263,53 @@ def test_block_sums_equal_the_objective_on_the_rows(trials, weights, mode):
     for rule in (*STANDARD_RULES, PARABOLIC_DENSITY):
         got = _total_cost(rule, w, (q, m), (q, n))
         assert repr(got) == repr(objective(rule, flags, w, rows)), rule
+
+
+@given(
+    scores=st.one_of(
+        st.lists(st.floats(-1e300, 1e300), min_size=1, max_size=60, unique=True),
+        st.lists(st.sampled_from([-2.5, -0.0, 0.0, 1.0, 3.0]), min_size=1, max_size=60),
+    ),
+    flags=st.lists(st.booleans(), min_size=60, max_size=60),
+    one_class=st.sampled_from([None, True, False]),
+)
+@example(scores=[-0.0, 0.0], flags=[True, False] * 30, one_class=None)
+@example(scores=[0.0, -0.0, 1.0], flags=[False, True] * 30, one_class=None)
+@example(scores=[1.5], flags=[True] * 60, one_class=None)
+def test_a_tie_free_fit_pools_the_flags_to_the_fit_of_the_counts(scores, flags, one_class):
+    # With no tie, _fit pools the trials' bool flags; its fit must be the
+    # one that int64 per-item counts give.  -0.0 and 0.0 tie.
+    scores = np.array(scores)
+    flags = np.array(flags[: scores.size] if one_class is None else [one_class] * scores.size)
+    pooled = []
+
+    def spy(*columns):
+        pooled.append(columns[0].dtype)
+        return _pool_counts(*columns)
+
+    with mock.patch("pavcal.calmap._pool_counts", spy):
+        fit = _fit(scores, flags)
+    items, ms, ns = _reference_tie_pool(scores.tolist(), [T if f else N for f in flags.tolist()])
+    assert pooled == [bool if len(items) == scores.size else np.int64]
+    want = _pool_counts(np.array(ms, np.int64), np.array(ns, np.int64))
+    assert repr([a.tolist() for a in fit]) == repr([items] + [a.tolist() for a in want])
+
+
+def test_a_tie_free_fit_holds_no_per_item_counts():
+    # Single trials pool from their sorted flags: no int64 item heads or
+    # counts, which took 48 B a row at the peak.  The scores and flags
+    # passed in are not counted.
+    size = 200_000
+    rng = np.random.default_rng(11)
+    scores, flags = rng.normal(0.0, 3.0, size), rng.random(size) < 0.3
+    tracemalloc.start()
+    try:
+        fit = _fit(scores, flags)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert fit[0].size == size
+    assert peak < 30 * size, peak / size
 
 
 def test_prune_passes_stop_at_few_segments_an_idle_pass_or_the_visit_budget(monkeypatch):

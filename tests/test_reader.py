@@ -14,6 +14,7 @@ import io
 import math
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -26,8 +27,8 @@ from pavcal import cli
 from pavcal.cli import main
 from test_cli_fuzz import csv_files
 
-# _read_csv's arguments for the columns each command reads, and the names
-# _read_csv gives the splitters for them.
+# _read_csv's arguments for the columns each command reads (apply's score texts
+# are read through cli._chunks), and the names _read_csv gives the splitters for them.
 NAMES = {
     "apply": ["score"], "fit": ["score", "label"], "evaluate": ["score", "label", "calibrated"],
 }
@@ -44,15 +45,20 @@ def _bits(values):
 
 
 def _outcome(path, read):
-    """_read_csv's result, with floats as bits and score texts as the cells
-    apply writes, or its DataError's text."""
+    """_read_csv's result, with floats as bits and, with texts, the score
+    texts of cli._chunks as the cells apply writes; or its DataError's text."""
+    read = dict(read)
+    texts = read.pop("texts", False)
     try:
         header, rows = cli._read_csv(path, **read)
     except cli.DataError as exc:
         return str(exc)
     flags = None if rows.flags is None else (rows.flags.dtype.str, rows.flags.tolist())
-    texts = None if rows.texts is None else cli._text_cells(rows.texts, rows.scores)
-    return header, _bits(rows.scores), flags, _bits(rows.values), texts, len(rows)
+    cells = None
+    if texts:
+        chunks = list(cli._chunks(path, ["score"], True))[1:]
+        cells = cli._text_cells(np.concatenate([columns[1] for columns, _ in chunks]), rows.scores)
+    return header, _bits(rows.scores), flags, _bits(rows.values), cells, len(rows)
 
 
 def _by_lines(path, read):
@@ -124,6 +130,31 @@ def test_a_plain_file_takes_the_bulk_read(tmp_path):
         read = READS["evaluate"]
         assert _outcome(path, read) == _by_lines(path, read)
         assert cli._read_csv(path, **read)[1].scores.size == 50
+
+
+@pytest.mark.parametrize("command", ["fit", "evaluate"])
+def test_a_read_holds_each_column_once(tmp_path, command):
+    # Beyond its result, a read holds a chunk and each column's bytearray
+    # capacity not yet written, which CPython keeps to an eighth of the
+    # column.  numpy reports its buffers to tracemalloc, and the traced
+    # capacity counts though it is not resident.  Chunk arrays merged
+    # pairwise held every column twice at the last merge.
+    def excess(size):
+        rng = np.random.default_rng(size)
+        draws = zip(rng.normal(0.0, 3.0, size).tolist(), rng.random(size).tolist())
+        path = _write(tmp_path, "score,label,calibrated\n" + "".join(
+            f"{x!r},{'target' if q < 0.3 else 'nontarget'},{q!r}\n" for x, q in draws))
+        tracemalloc.start()
+        try:
+            rows = cli._read_csv(path, **READS[command])[1]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        held = sum(a.nbytes for a in (rows.scores, rows.flags, rows.values) if a is not None)
+        return peak - held, held
+
+    (small, small_held), (large, large_held) = excess(20_000), excess(320_000)
+    assert large - small < (large_held - small_held) / 5, (small, large)
 
 
 def test_the_cut_label_check_loads_no_numpy_char(tmp_path):
