@@ -430,7 +430,9 @@ def cmd_apply(args: argparse.Namespace) -> int:
 def _distinct(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """np.unique(values, return_counts=True) for values without NaN, sorted in place."""
     values.sort()
-    heads = np.flatnonzero(np.concatenate(([True], values[1:] != values[:-1]))[:values.size])
+    if (new := values[1:] != values[:-1]).all():  # no tie: each value is counted once
+        return values, np.ones(values.size, np.int64)
+    heads = np.flatnonzero(np.concatenate(([True], new)))
     return values[heads], np.diff(heads, append=values.size)
 
 

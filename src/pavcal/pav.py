@@ -41,16 +41,20 @@ def _prune(m: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nda
     diagram's vertex between them lies on or above the chord of its
     neighbours, so it is no corner of the minorant.  The first pass always
     runs; on single trials it starts a segment at each non-target -> target
-    step, since only there do two trials rise.  Further passes run while more
-    than _HANDOVER segments remain, each pools something, and the segments
-    they visit, counting the first pass's items, stay within 3 per item."""
-    size, single = m.size, m.dtype == bool
-    rises = m[1:] > m[:-1] if single else m[:-1] * n[1:] < m[1:] * n[:-1]
-    seg_start = np.concatenate(([0], np.flatnonzero(rises) + 1))
-    m = np.add.reduceat(m, seg_start, dtype=np.int64)
-    if single:  # a segment's trials less its targets
-        n = np.diff(seg_start, append=size) - m
+    step, since only there do two trials rise, and counts each segment's run
+    of targets and run of non-targets from the steps, casting no flag.
+    Further passes run while more than _HANDOVER segments remain, each pools
+    something, and the segments they visit, counting the first pass's items,
+    stay within 3 per item."""
+    size = m.size
+    if m.dtype == bool:  # runs alternate from targets to non-targets; the ends may be empty
+        steps = np.flatnonzero(m[1:] != m[:-1]) + 1
+        bounds = np.concatenate(([0] if m[0] else [0, 0], steps, [size, size] if m[-1] else [size]))
+        runs = np.diff(bounds)
+        seg_start, m, n = bounds[:-1:2], runs[::2], runs[1::2]
     else:
+        seg_start = np.concatenate(([0], np.flatnonzero(m[:-1] * n[1:] < m[1:] * n[:-1]) + 1))
+        m = np.add.reduceat(m, seg_start, dtype=np.int64)
         n = np.add.reduceat(n, seg_start, dtype=np.int64)
     visits = size
     while m.size > _HANDOVER and visits + m.size <= 3 * size:
@@ -113,20 +117,27 @@ def _price(m: np.ndarray, n: np.ndarray, v1: float, v2: float) -> np.ndarray:
 
 def _target_flags(labels: Labels) -> np.ndarray:
     """Bool array, True where the label is Label.TARGET; TypeError on a non-Label.
-    The one Label-to-flag conversion.  A 1-D bool array is returned as it is;
-    any other iterable (a list, a tuple, a 1-D object array, a deque, an
-    iterator) is read once, _CHUNK labels at a time, and its members found by
-    address.  Any other element passes as a non-target if it is ==
-    Label.NONTARGET, as unittest.mock.ANY is; the TypeError names the first
-    that is not."""
+    The one Label-to-flag conversion.  A 1-D bool array is returned as it is.
+    Any other iterable is read once, _CHUNK labels at a time, its members found
+    by address: a 1-D object array by slices, a list or tuple (not a subclass,
+    whose len may not hold) by counted np.fromiter reads, anything else (a
+    deque, an iterator) through islice.  Any other element passes as a
+    non-target if it is == Label.NONTARGET, as unittest.mock.ANY is; the
+    TypeError names the first that is not."""
     if isinstance(labels, np.ndarray):
         if labels.ndim != 1:
             raise TypeError(f"labels must be a 1-D array, got shape {labels.shape}")
         if labels.dtype == bool:
             return labels
     target, nontarget = np.frombuffer(_MEMBERS.tobytes(), np.uintp)
-    labels, flags = iter(labels), [np.zeros(0, bool)]
-    while (items := np.fromiter(itertools.islice(labels, _CHUNK), object)).size:
+    it, flags = iter(labels), [np.zeros(0, bool)]
+    if isinstance(labels, np.ndarray) and labels.dtype == object:
+        chunks = (labels[i : i + _CHUNK] for i in range(0, labels.size, _CHUNK))
+    elif type(labels) in (list, tuple):
+        chunks = (np.fromiter(it, object, min(_CHUNK, left)) for left in range(len(labels), 0, -_CHUNK))
+    else:
+        chunks = (np.fromiter(itertools.islice(it, _CHUNK), object) for _ in itertools.count())
+    for items in itertools.takewhile(len, chunks):  # an iterator's chunks end at an empty one
         at = np.frombuffer(items.tobytes(), np.uintp)
         flags.append(at == target)
         for k in np.flatnonzero(~flags[-1] & (at != nontarget)).tolist():

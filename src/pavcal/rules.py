@@ -301,12 +301,14 @@ def _total_cost(rule: ScoringRule, w: WeightPair, *sides: tuple) -> float:
     rounded fsum of each term t counted k times, as t * 2**i per set bit i of k."""
     parts = []
     for target, weight, (q, k) in zip((True, False), (w.v1, w.v2), sides):
-        q, k = q[k > 0], k[k > 0]  # only counted values are evaluated
+        if not k.all():  # only counted values are evaluated
+            q, k = q[k > 0], k[k > 0]
         if q.size:  # a class with no rows evaluates no cost
             with np.errstate(over="ignore"):  # a term or summand that overflows is +inf
                 terms = weight * rule._costs(q, target)
-                bits = range(int(k.max()).bit_length())
-                terms = np.concatenate([terms[(k >> i) & 1 == 1] * 2.0**i for i in bits])
+                if (top := int(k.max())) > 1:  # else each term is counted once: x * 1.0 == x
+                    bits = range(top.bit_length())
+                    terms = np.concatenate([terms[(k >> i) & 1 == 1] * 2.0**i for i in bits])
             parts.append(memoryview(terms))
     try:
         return math.fsum(itertools.chain(*parts))

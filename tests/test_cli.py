@@ -3,8 +3,11 @@ import random
 import re
 import subprocess
 import sys
+import tracemalloc
 
+import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from pavcal import (
     CalibrationMap,
@@ -21,7 +24,7 @@ from pavcal import (
     weights_from_prior,
 )
 from pavcal import selfcheck
-from pavcal.cli import main
+from pavcal.cli import _distinct, main
 
 T = Label.TARGET
 N = Label.NONTARGET
@@ -684,3 +687,32 @@ def test_block_values_rounded_out_of_order_are_lifted(tmp_path, capsys):
                          "--rule", "log", "--rule", "brier")
     assert (code, err) == (0, "")
     assert [line.split()[-1] for line in out.splitlines()] == ["ratio=1.0"] * 2
+
+
+@given(
+    values=st.lists(st.floats(0.0, 1.0), max_size=60)
+    | st.lists(st.sampled_from([-0.0, 0.0, 0.25, 1.0]), max_size=60)
+)
+def test_distinct_values_are_those_of_unique(values):
+    # With or without ties, _distinct is np.unique with counts; -0.0 and
+    # 0.0 tie.
+    got = _distinct(np.array(values))
+    want = np.unique(np.array(values), return_counts=True)
+    assert [a.dtype for a in got] == [a.dtype for a in want]
+    assert repr([a.tolist() for a in got]) == repr([a.tolist() for a in want])
+
+
+def test_distinct_values_are_counted_without_int64_heads():
+    # With no tie the sorted values are returned as they are, with unit
+    # counts: 9 B a value, where int64 heads and their differences took 32.
+    size = 1_000_000
+    values = np.random.default_rng(13).random(size)
+    _distinct(values[:1000].copy())  # warm
+    tracemalloc.start()
+    try:
+        distinct, counts = _distinct(values)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert distinct.size == size and counts.sum() == size
+    assert peak <= 12 * size, peak / size

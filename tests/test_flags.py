@@ -151,11 +151,30 @@ def _once(labels, read):
         yield lab
 
 
+class _LongList(list):
+    """A list whose len over-reports its labels."""
+
+    def __len__(self):
+        return super().__len__() + 5
+
+
+class _ShortList(list):
+    """A list whose len under-reports its labels."""
+
+    def __len__(self):
+        return super().__len__() // 2
+
+
+# Lists and tuples are read in counted chunks, object arrays by slices, and
+# anything else through islice; a list subclass's len is not trusted.
 CONTAINERS = {
     "list": list,
     "tuple": tuple,
     "deque": deque,
     "object-array": lambda labs: np.array(labs, dtype=object),
+    "strided-object-array": lambda labs: np.array([x for lab in labs for x in (lab, 1)], object)[::2],
+    "over-reporting-list": _LongList,
+    "under-reporting-list": _ShortList,
 }
 
 
@@ -186,6 +205,17 @@ def test_labels_across_chunk_boundaries(size, seed, share, bad, container):
         assert _target_flags(supplied).tolist() == [lab is T for lab in labels]
         if container == "generator":
             assert read == [size]  # all of it, and a second read would find none
+
+
+@pytest.mark.parametrize("container", ["generator", *CONTAINERS])
+def test_three_chunks_give_the_flags_of_the_list_and_name_a_non_label(container):
+    # 2 * _CHUNK + 3 labels, and then a non-Label at the second chunk's fifth.
+    labels = [(T, N, ANY)[k] for k in np.random.default_rng(3).integers(0, 3, 2 * _CHUNK + 3).tolist()]
+    supply = (lambda labs: (lab for lab in labs)) if container == "generator" else CONTAINERS[container]
+    assert _target_flags(supply(labels)).tobytes() == _target_flags(labels).tobytes()
+    labels[_CHUNK + 4] = "x"
+    with pytest.raises(TypeError, match=r"^label must be a Label, got 'x'$"):
+        _target_flags(supply(labels))
 
 
 @pytest.mark.parametrize("one_shot", [False, True], ids=["list", "generator"])

@@ -439,3 +439,55 @@ def test_prune_bounds_on_each_shape(shape):
 )
 def test_prune_bounds_on_concatenated_motifs(runs):
     _assert_prune_bounds(np.concatenate([_motif(motif, len(motif) * k) for motif, k in runs]))
+
+
+def _prune_of_counts(flags):
+    """_prune of single trials given as int64 counts, not as bool flags."""
+    return _prune(flags.astype(np.int64), (~flags).astype(np.int64))
+
+
+@settings(max_examples=60)
+@given(
+    size=st.integers(1, 30_000),
+    seed=st.integers(0, 2**32 - 1),
+    share=st.sampled_from([0.0, 0.1, 0.5, 0.9, 1.0]),
+    run=st.sampled_from([1, 3, 40, 5000]),
+)
+@example(size=1, seed=0, share=1.0, run=1)  # one target
+@example(size=1, seed=0, share=0.0, run=1)  # one non-target
+@example(size=9000, seed=0, share=1.0, run=1)  # all targets
+@example(size=9000, seed=0, share=0.0, run=1)  # all non-targets
+def test_prune_of_bool_flags_is_prune_of_their_counts(size, seed, share, run):
+    # Bool flags are counted from their steps, with no int64 copy of the
+    # column; the survivors must be those the int64 counts of the same
+    # trials give, values and dtypes both.  Flags come in runs of about
+    # `run` equal flags, each a target with probability `share`.
+    rng = np.random.default_rng(seed)
+    flags = np.repeat(rng.random(size // run + 1) < share, rng.integers(1, 2 * run, size // run + 1))
+    flags = np.resize(flags, size)
+    for got, want in zip(_prune(flags, flags), _prune_of_counts(flags)):
+        assert got.dtype == want.dtype == np.int64
+        assert got.tolist() == want.tolist()
+
+
+@pytest.mark.parametrize("motif", ["T", "N", "TN", "NT", "TTTNNN", "NNNTTT"])
+@pytest.mark.parametrize("size", [1, 2, 3, 4097, 20_000])
+def test_prune_of_alternating_and_constant_flags_is_prune_of_their_counts(motif, size):
+    flags = _motif(motif, size)
+    assert repr(_prune(flags, flags)) == repr(_prune_of_counts(flags))
+
+
+def test_pooling_bool_flags_makes_no_int64_copy_of_them():
+    # An int64 cast of the flags alone would be 8 B a row; the flags passed
+    # in are not counted.
+    size = 1_000_000
+    flags = np.random.default_rng(5).random(size) < 0.1
+    _pool_counts(flags[:1000])  # warm
+    tracemalloc.start()
+    try:
+        blocks = _pool_counts(flags)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert int(blocks[1].sum()) == np.count_nonzero(flags)
+    assert peak <= 8 * size, peak / size
