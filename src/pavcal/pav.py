@@ -119,11 +119,11 @@ def _target_flags(labels: Labels) -> np.ndarray:
     """Bool array, True where the label is Label.TARGET; TypeError on a non-Label.
     The one Label-to-flag conversion.  A 1-D bool array is returned as it is.
     Any other iterable is read once, _CHUNK labels at a time, its members found
-    by address: a 1-D object array by slices, a list or tuple (not a subclass,
-    whose len may not hold) by counted np.fromiter reads, anything else (a
-    deque, an iterator) through islice.  Any other element passes as a
-    non-target if it is == Label.NONTARGET, as unittest.mock.ANY is; the
-    TypeError names the first that is not."""
+    by address: a list, tuple or 1-D array (not a subclass, whose len may not
+    hold) by counted np.fromiter reads, anything else (a deque, an iterator)
+    through islice.  Any other element passes as a non-target if it is
+    == Label.NONTARGET, as unittest.mock.ANY is; the TypeError names the
+    first that is not."""
     if isinstance(labels, np.ndarray):
         if labels.ndim != 1:
             raise TypeError(f"labels must be a 1-D array, got shape {labels.shape}")
@@ -131,9 +131,7 @@ def _target_flags(labels: Labels) -> np.ndarray:
             return labels
     target, nontarget = np.frombuffer(_MEMBERS.tobytes(), np.uintp)
     it, flags = iter(labels), [np.zeros(0, bool)]
-    if isinstance(labels, np.ndarray) and labels.dtype == object:
-        chunks = (labels[i : i + _CHUNK] for i in range(0, labels.size, _CHUNK))
-    elif type(labels) in (list, tuple):
+    if type(labels) in (list, tuple, np.ndarray):
         chunks = (np.fromiter(it, object, min(_CHUNK, left)) for left in range(len(labels), 0, -_CHUNK))
     else:
         chunks = (np.fromiter(itertools.islice(it, _CHUNK), object) for _ in itertools.count())

@@ -14,7 +14,7 @@ from unittest.mock import ANY
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from pavcal import (
     Label,
@@ -165,8 +165,8 @@ class _ShortList(list):
         return super().__len__() // 2
 
 
-# Lists and tuples are read in counted chunks, object arrays by slices, and
-# anything else through islice; a list subclass's len is not trusted.
+# Lists, tuples and arrays are read in counted chunks, and anything else
+# through islice; a list subclass's len is not trusted.
 CONTAINERS = {
     "list": list,
     "tuple": tuple,
@@ -176,6 +176,17 @@ CONTAINERS = {
     "over-reporting-list": _LongList,
     "under-reporting-list": _ShortList,
 }
+
+
+def _in_every_container(**draws):
+    """Hypothesis examples of these draws, one for each container."""
+
+    def add(test):
+        for container in ["generator", *CONTAINERS]:
+            test = example(**draws, container=container)(test)
+        return test
+
+    return add
 
 
 @given(
@@ -189,9 +200,13 @@ CONTAINERS = {
     ),
     container=st.sampled_from(["generator", *CONTAINERS]),
 )
+@_in_every_container(size=2 * _CHUNK + 3, seed=3, share=(1, 1, 1), bad=None)
+@_in_every_container(size=2 * _CHUNK + 3, seed=3, share=(1, 1, 1), bad=(_CHUNK + 4, "x"))
 def test_labels_across_chunk_boundaries(size, seed, share, bad, container):
     # Mixes of T, N and ANY, read in chunks of _CHUNK, with at most one
-    # non-Label at a drawn position, often at either side of a chunk's end.
+    # non-Label at a drawn position, often at either side of a chunk's end;
+    # explicitly, in every container, three chunks with and without a
+    # non-Label at the second chunk's fifth.
     p = np.array(share) / sum(share)
     labels = [(T, N, ANY)[k] for k in np.random.default_rng(seed).choice(3, size, p=p).tolist()]
     if bad is not None and size:
@@ -199,23 +214,12 @@ def test_labels_across_chunk_boundaries(size, seed, share, bad, container):
     read = [0]
     supplied = _once(labels, read) if container == "generator" else CONTAINERS[container](labels)
     if bad is not None and size:
-        with pytest.raises(TypeError, match=f"got {re.escape(repr(bad[1]))}$"):
+        with pytest.raises(TypeError, match=f"^label must be a Label, got {re.escape(repr(bad[1]))}$"):
             _target_flags(supplied)
     else:
         assert _target_flags(supplied).tolist() == [lab is T for lab in labels]
         if container == "generator":
             assert read == [size]  # all of it, and a second read would find none
-
-
-@pytest.mark.parametrize("container", ["generator", *CONTAINERS])
-def test_three_chunks_give_the_flags_of_the_list_and_name_a_non_label(container):
-    # 2 * _CHUNK + 3 labels, and then a non-Label at the second chunk's fifth.
-    labels = [(T, N, ANY)[k] for k in np.random.default_rng(3).integers(0, 3, 2 * _CHUNK + 3).tolist()]
-    supply = (lambda labs: (lab for lab in labs)) if container == "generator" else CONTAINERS[container]
-    assert _target_flags(supply(labels)).tobytes() == _target_flags(labels).tobytes()
-    labels[_CHUNK + 4] = "x"
-    with pytest.raises(TypeError, match=r"^label must be a Label, got 'x'$"):
-        _target_flags(supply(labels))
 
 
 @pytest.mark.parametrize("one_shot", [False, True], ids=["list", "generator"])
