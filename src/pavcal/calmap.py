@@ -42,7 +42,7 @@ from typing import Sequence
 import numpy as np
 
 from .llr import _block_llrs
-from .pav import Labels, _pool_counts, _price, _target_flags
+from .pav import Labels, _items, _pool_counts, _price, _target_flags
 from .types import WeightPair, as_weights
 
 MODES = ("posterior", "llr")
@@ -122,26 +122,11 @@ class CalibrationMap:
 
 
 def _fit(scores: np.ndarray, flags: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The fit to finite scores and their target flags: each item's score, and
-    each block's start item, target count and non-target count, in score order.
-    Exact score ties pool into one item, -0.0 and 0.0 as 0.0, so the fit does
-    not depend on row order; with no tie, items are single trials, pooled by
-    their flags alone.  No weight enters: _map prices the blocks."""
-    order = np.argsort(scores)  # not stable: tied scores pool into one item, in any order
-    xs, flags = scores[order], flags[order]
-    del order  # freed before the PAV pass, not kept through it
-    xs += 0.0  # -0.0 becomes 0.0; every other score stays as it is
-    new = np.concatenate(([True], xs[1:] != xs[:-1]))  # where each item starts
-    if new.all():  # no tie: the flags are the items, with no int64 heads or counts
-        del new
-        return (xs, *_pool_counts(flags))
-    heads = np.flatnonzero(new)
-    xs = xs[heads]  # each item's score
-    ms = np.add.reduceat(flags, heads, dtype=np.int64)
-    ns = np.diff(heads, append=flags.size)
-    ns -= ms
-    del heads, new
-    return (xs, *_pool_counts(ms, ns))
+    """The fit to finite scores and their target flags: each item's score (see
+    pav._items), then each block's start item, target count and non-target
+    count.  No weight enters: _map prices the blocks."""
+    xs, m, n = _items(scores, flags)
+    return (xs, *_pool_counts(m, n))
 
 
 def _map(fit: tuple, weights: WeightPair, mode: str, policy: str) -> CalibrationMap:

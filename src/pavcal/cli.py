@@ -24,7 +24,7 @@ import numpy as np
 
 from .calmap import MODES, POLICIES, CalibrationMap, _apply, _fit, _map
 from .llr import _class_log_odds, _posteriors, weights_from_prior
-from .pav import _price
+from .pav import _items, _price
 from .rules import Logarithmic, ScoringRule, _total_cost, parse_rule
 from .types import Label, WeightPair
 
@@ -397,7 +397,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
     print(f"T={scores.size} T1={t1} T2={t2} blocks={m.size}")
     q = _price(m, n, weights.v1, weights.v2)  # each block's posterior at the weights
     for rule in _rules_of(args):
-        print(f"objective[{rule}]={_total_cost(rule, weights, (q, m), (q, n))!r}")
+        print(f"objective[{rule}]={_total_cost(rule, weights, q, m, n)!r}")
     return 0
 
 
@@ -427,31 +427,24 @@ def cmd_apply(args: argparse.Namespace) -> int:
     return 0
 
 
-def _distinct(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """np.unique(values, return_counts=True) for values without NaN, sorted in place."""
-    values.sort()
-    if (new := values[1:] != values[:-1]).all():  # no tie: each value is counted once
-        return values, np.ones(values.size, np.int64)
-    heads = np.flatnonzero(np.concatenate(([True], new)))
-    return values[heads], np.diff(heads, append=values.size)
-
-
 def cmd_evaluate(args: argparse.Namespace) -> int:
     if args.calibrated == "":
         raise UsageError("--calibrated needs a column name")
     scores, flags, values, t1, t2 = _read_labeled(args, args.calibrated)
     weights, pi = _scoring_weights(args, t1, t2)
-    if values is not None:  # checked by the reader; _posteriors gives values in [0, 1]
-        values = _posteriors(values, pi) if args.mode == "llr" else values
-        sides = [_distinct(values[f]) for f in (flags, ~flags)]
-        del values  # freed before the fit
     m, n = _fit(scores, flags)[2:]
+    del scores  # freed before the calibrated column is sorted
     q = _price(m, n, weights.v1, weights.v2)
+    if values is not None:  # checked by the reader; _posteriors gives values in [0, 1]
+        cal, cm, cn = _items(values, flags)
+        del values, flags
+        if args.mode == "llr":  # each distinct LLR is priced once
+            cal = _posteriors(cal, pi)
     for rule in _rules_of(args):
-        ref_obj = _total_cost(rule, weights, (q, m), (q, n))
+        ref_obj = _total_cost(rule, weights, q, m, n)
         line = f"rule={rule} reference={ref_obj!r}"
         if args.calibrated is not None:
-            cal_obj = _total_cost(rule, weights, *sides)
+            cal_obj = _total_cost(rule, weights, cal, cm, cn)
             ratio = cal_obj / ref_obj if ref_obj else 1.0 if cal_obj == 0.0 else math.inf
             line += f" calibrated={cal_obj!r} ratio={ratio!r}"
         print(line)

@@ -32,6 +32,25 @@ _CHUNK = 2**16  # labels per object array: about 1 MB of transient memory
 _MEMBERS = np.array([Label.TARGET, Label.NONTARGET], object)
 
 
+def _items(values: np.ndarray, flags: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Values without NaN and their target flags as items: each distinct value
+    ascending, -0.0 and 0.0 as 0.0, with its target count m and non-target
+    count n.  The one place exact ties pool, so no fit or score depends on row
+    order.  With no tie, m and n are the sorted flags and their negation; else
+    int64 counts, from the item heads and the targets' positions.  The sort
+    order is freed before the values are sorted, and the flags are not cast."""
+    flags = flags[np.argsort(values)]  # not stable: tied values pool into one item, in any order
+    xs = np.sort(values)  # the same values in the same places, up to the sign of a zero
+    xs += 0.0  # -0.0 becomes 0.0; every other value stays as it is
+    if (new := xs[1:] != xs[:-1]).all():  # no tie: each trial is an item
+        return xs, flags, ~flags
+    heads = np.flatnonzero(np.concatenate(([True], new)))  # where each item starts
+    m = np.diff(np.searchsorted(np.flatnonzero(flags), heads), append=np.count_nonzero(flags))
+    n = np.diff(heads, append=flags.size)
+    n -= m
+    return xs[heads], m, n
+
+
 def _prune(m: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The prune passes of _pool_counts over its items: each survivor segment's
     start item, target count and non-target count, as int64 arrays.  A bool m

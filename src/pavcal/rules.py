@@ -36,7 +36,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .pav import Labels, _target_flags
+from .pav import Labels, _items, _target_flags
 from .types import Label, WeightPair, as_weights
 
 _INF = math.inf
@@ -281,9 +281,10 @@ def objective(
 ) -> float:
     """Weighted total cost of value assignment p for the labeled trials.
 
-    Summed exactly rounded (math.fsum), so trial order does not matter;
-    +inf when any term is infinite or the total overflows.  Does not
-    require p to be monotone; callers score arbitrary candidate assignments.
+    Each distinct value is priced once per class (pav._items), and summed
+    exactly rounded (math.fsum), so trial order does not matter; +inf when
+    any term is infinite or the total overflows.  Does not require p to be
+    monotone; callers score arbitrary candidate assignments.
     """
     flags = _target_flags(labels)
     q = np.asarray(p, dtype=float)
@@ -293,20 +294,21 @@ def objective(
     inside = (q >= 0.0) & (q <= 1.0)
     if not inside.all():  # name the first value outside [0, 1], or NaN
         raise ValueError(f"probability {q[np.argmin(inside)].item()!r} outside [0, 1]")
-    return _total_cost(rule, w, *(np.unique(q[f], return_counts=True) for f in (flags, ~flags)))
+    return _total_cost(rule, w, *_items(q, flags))
 
 
-def _total_cost(rule: ScoringRule, w: WeightPair, *sides: tuple) -> float:
-    """objective's sum over (values, counts) of targets, then non-targets: one exactly
-    rounded fsum of each term t counted k times, as t * 2**i per set bit i of k."""
+def _total_cost(rule: ScoringRule, w: WeightPair, q: np.ndarray, m: np.ndarray, n: np.ndarray) -> float:
+    """The weighted total cost of items q[i] given to m[i] targets and n[i]
+    non-targets, as counts or bool flags (0 and 1): a fit's blocks or a column's
+    distinct values.  One exactly rounded fsum of each term t counted k times,
+    as t * 2**i per set bit i of k, so items sharing a value sum as one would."""
     parts = []
-    for target, weight, (q, k) in zip((True, False), (w.v1, w.v2), sides):
-        if not k.all():  # only counted values are evaluated
-            q, k = q[k > 0], k[k > 0]
-        if q.size:  # a class with no rows evaluates no cost
+    for target, weight, k in zip((True, False), (w.v1, w.v2), (m, n)):
+        x, k = (q, k) if k.all() else (q[k > 0], k[k > 0])  # only counted values are evaluated
+        if x.size:  # a class with no rows evaluates no cost
             with np.errstate(over="ignore"):  # a term or summand that overflows is +inf
-                terms = weight * rule._costs(q, target)
-                if (top := int(k.max())) > 1:  # else each term is counted once: x * 1.0 == x
+                terms = weight * rule._costs(x, target)
+                if (top := int(k.max())) > 1:  # else each term is counted once: t * 1.0 == t
                     bits = range(top.bit_length())
                     terms = np.concatenate([terms[(k >> i) & 1 == 1] * 2.0**i for i in bits])
             parts.append(memoryview(terms))

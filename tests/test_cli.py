@@ -3,11 +3,8 @@ import random
 import re
 import subprocess
 import sys
-import tracemalloc
 
-import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
 from pavcal import (
     CalibrationMap,
@@ -21,10 +18,11 @@ from pavcal import (
     pav_fit,
     pav_posteriors,
     pooled_value,
+    posterior_from_llr,
     weights_from_prior,
 )
 from pavcal import selfcheck
-from pavcal.cli import _distinct, main
+from pavcal.cli import main
 
 T = Label.TARGET
 N = Label.NONTARGET
@@ -689,30 +687,28 @@ def test_block_values_rounded_out_of_order_are_lifted(tmp_path, capsys):
     assert [line.split()[-1] for line in out.splitlines()] == ["ratio=1.0"] * 2
 
 
-@given(
-    values=st.lists(st.floats(0.0, 1.0), max_size=60)
-    | st.lists(st.sampled_from([-0.0, 0.0, 0.25, 1.0]), max_size=60)
-)
-def test_distinct_values_are_those_of_unique(values):
-    # With or without ties, _distinct is np.unique with counts; -0.0 and
-    # 0.0 tie.
-    got = _distinct(np.array(values))
-    want = np.unique(np.array(values), return_counts=True)
-    assert [a.dtype for a in got] == [a.dtype for a in want]
-    assert repr([a.tolist() for a in got]) == repr([a.tolist() for a in want])
+@pytest.mark.parametrize("prior", [-1.2, 0.0, 3.0])
+def test_llr_mode_prices_each_llr_as_posterior_mode_prices_its_posterior(tmp_path, capsys, prior):
+    # evaluate --mode llr pools the LLRs and prices each distinct one: it
+    # must print what posterior mode prints for the column of each row's
+    # posterior, with ties, infinite LLRs and -0.0 beside 0.0, in any row order.
+    rng = random.Random(29)
+    llrs = [-math.inf, math.inf, -0.0, 0.0, 1e-17, -1e-17, 40.0, 40.000000000000014]
+    llrs += [rng.choice([-2.5, 0.75, 1.25, rng.uniform(-6.0, 6.0)]) for _ in range(200)]
+    rows = [(rng.gauss(0.0, 2.0), rng.choice(["target", "nontarget"]), w) for w in llrs]
+    rules = ["--rule", "log", "--rule", "brier", "--rule", "cost@0.3", "--rule", "mix(0.5@0.2,0.5@0.7)"]
 
+    def evaluate(name, cells, *mode):
+        lines = [f"{s!r},{label},{cell}\n" for (s, label, _), cell in zip(rows, cells)]
+        path = write(tmp_path / name, "score,label,calibrated\n" + "".join(lines))
+        code, out, err = run(capsys, "evaluate", path, "--prior-logodds", repr(prior),
+                             "--calibrated", *rules, *mode)
+        assert (code, err) == (0, "")
+        return out
 
-def test_distinct_values_are_counted_without_int64_heads():
-    # With no tie the sorted values are returned as they are, with unit
-    # counts: 9 B a value, where int64 heads and their differences took 32.
-    size = 1_000_000
-    values = np.random.default_rng(13).random(size)
-    _distinct(values[:1000].copy())  # warm
-    tracemalloc.start()
-    try:
-        distinct, counts = _distinct(values)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert distinct.size == size and counts.sum() == size
-    assert peak <= 12 * size, peak / size
+    out = evaluate("llr.csv", [repr(w) for w in llrs], "--mode", "llr")
+    posteriors = [repr(posterior_from_llr(w, prior)) for w in llrs]
+    assert out == evaluate("posterior.csv", posteriors)
+    assert len(out.splitlines()) == 4 and "nan" not in out
+    rng.shuffle(rows)
+    assert evaluate("shuffled.csv", [repr(w) for _, _, w in rows], "--mode", "llr") == out

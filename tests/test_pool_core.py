@@ -36,7 +36,7 @@ from pavcal import (
 )
 from pavcal import pooled_value
 from pavcal.calmap import _apply, _fit, _map
-from pavcal.pav import _pool_counts, _price, _prune
+from pavcal.pav import _items, _pool_counts, _price, _prune
 from pavcal.rules import _total_cost
 from pavcal.selfcheck import STANDARD_RULES
 
@@ -261,7 +261,7 @@ def test_block_sums_equal_the_objective_on_the_rows(trials, weights, mode):
     assert np.isin(firsts, cmap._knots[0]).all()
     rows = q[np.searchsorted(firsts, scores, side="right") - 1]
     for rule in (*STANDARD_RULES, PARABOLIC_DENSITY):
-        got = _total_cost(rule, w, (q, m), (q, n))
+        got = _total_cost(rule, w, q, m, n)
         assert repr(got) == repr(objective(rule, flags, w, rows)), rule
 
 
@@ -310,6 +310,80 @@ def test_a_tie_free_fit_holds_no_per_item_counts():
         tracemalloc.stop()
     assert fit[0].size == size
     assert peak < 30 * size, peak / size
+
+
+@given(
+    values=st.one_of(
+        st.lists(st.floats(allow_nan=False), max_size=60),
+        st.lists(st.sampled_from([-0.0, 0.0, -math.inf, 0.25, 1.0]), max_size=60),
+    ),
+    flags=st.lists(st.booleans(), min_size=60, max_size=60),
+    one_class=st.sampled_from([None, True, False]),
+)
+@example(values=[], flags=[True] * 60, one_class=None)
+@example(values=[0.5], flags=[False] * 60, one_class=None)
+@example(values=[-0.0, 0.0, 0.0], flags=[True, False] * 30, one_class=None)
+def test_items_are_each_class_distinct_values_counted(values, flags, one_class):
+    # The reference is np.unique of each class's values, placed among the
+    # distinct values of both; -0.0 and 0.0 tie, as 0.0.  The inputs, which
+    # may be a caller's own arrays, are left as they are.
+    values = np.array(values, float)
+    flags = np.array(flags[: values.size] if one_class is None else [one_class] * values.size, bool)
+    given_values = repr(values.tolist())
+    xs, m, n = _items(values, flags)
+    assert repr(values.tolist()) == given_values
+    want = np.unique(values) + 0.0
+    counts = []
+    for side in (flags, ~flags):
+        u, c = np.unique(values[side], return_counts=True)
+        counts.append(np.zeros(want.size, np.int64))
+        counts[-1][np.searchsorted(want, u)] = c
+    assert repr(xs.tolist()) == repr(want.tolist())
+    assert [m.tolist(), n.tolist()] == [c.tolist() for c in counts]
+    tie_free = want.size == values.size
+    assert [m.dtype, n.dtype] == [np.dtype(bool) if tie_free else np.dtype(np.int64)] * 2
+
+
+@pytest.mark.parametrize("decimals", [None, 2])
+def test_items_hold_no_int64_copy_of_the_order_or_the_flags(decimals):
+    # The sort order is freed before the values are sorted, and tied items
+    # count their targets from the targets' positions: 11 B a value at the
+    # peak, distinct or rounded to 2 decimals, where a gather of the values
+    # beside the order took 17, and int64 heads and counts for distinct
+    # values, or the flags cast to int64 for ties, add 8 or more.  The
+    # inputs are not counted.
+    size = 1_000_000
+    rng = np.random.default_rng(13)
+    values, flags = rng.normal(0.0, 3.0, size), rng.random(size) < 0.1
+    if decimals is not None:
+        values = np.round(values, decimals)
+    _items(values[:1000], flags[:1000])  # warm
+    tracemalloc.start()
+    try:
+        xs, m, n = _items(values, flags)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert m.dtype == n.dtype == (bool if decimals is None else np.int64)
+    assert xs.size == (size if decimals is None else np.unique(values).size)
+    assert peak <= 12 * size, peak / size
+
+
+@given(
+    q=st.lists(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)), max_size=12),
+    flags=st.lists(st.booleans(), min_size=12, max_size=12),
+    weights=st.one_of(weight_pairs, st.sampled_from([(1.7e308, 1.7e308), (1e-300, 1e300)])),
+)
+@example(q=[0.0, 1.0, 0.5], flags=[True, False, True] * 4, weights=(1.7e308, 1.7e308))
+@example(q=[0.0, 1.0], flags=[False, True] * 6, weights=(1.0, 1.0))
+def test_bool_flags_are_counts_of_0_and_1(q, flags, weights):
+    # A tie-free column's items carry bool flags, and _total_cost reads them
+    # as the int64 counts 0 and 1, infinite costs and overflow included.
+    q, w = np.array(q, float), WeightPair(*weights)
+    m = np.array(flags[: q.size], bool)
+    for rule in (*STANDARD_RULES, PARABOLIC_DENSITY):
+        got = _total_cost(rule, w, q, m, ~m)
+        assert repr(got) == repr(_total_cost(rule, w, q, m.astype(np.int64), (~m).astype(np.int64)))
 
 
 def test_prune_passes_stop_at_few_segments_an_idle_pass_or_the_visit_budget(monkeypatch):

@@ -267,18 +267,18 @@ class TestObjective:
         # Counted: the value 0.0 of a block with no targets has an infinite
         # target cost, which counts only when a target holds it.
         q, w = np.array([0.0, 0.5]), WeightPair(1.0, 1.0)
-        got = _total_cost(Logarithmic(), w, (q, np.array([0, 2])), (q, np.array([3, 1])))
+        got = _total_cost(Logarithmic(), w, q, np.array([0, 2]), np.array([3, 1]))
         assert got == objective(Logarithmic(), [T, T, N, N, N, N], w, [0.5, 0.5, 0, 0, 0, 0.5])
         assert math.isfinite(got)
-        assert _total_cost(Logarithmic(), w, (q, np.array([1, 2])), (q, np.array([3, 1]))) == math.inf
+        assert _total_cost(Logarithmic(), w, q, np.array([1, 2]), np.array([3, 1])) == math.inf
 
     def test_overflowing_total_saturates_at_infinity(self):
         # Each term is finite; only their sum overflows.
         assert objective(Logarithmic(), [T, N], (1.7e308, 1.7e308), [0.5, 0.5]) == math.inf
         # Counted: 2 + 3 rows overflow, 1 row does not.
         q, w = np.array([0.5]), WeightPair(1.7e308, 1.7e308)
-        assert _total_cost(Brier(), w, (q, np.array([2])), (q, np.array([3]))) == math.inf
-        assert _total_cost(Brier(), w, (q, np.array([1])), (q, np.array([0]))) == 1.7e308 * 0.75
+        assert _total_cost(Brier(), w, q, np.array([2]), np.array([3])) == math.inf
+        assert _total_cost(Brier(), w, q, np.array([1]), np.array([0])) == 1.7e308 * 0.75
 
     @pytest.mark.parametrize(
         "term,count,total",
@@ -297,7 +297,7 @@ class TestObjective:
                 return np.ones(q.shape)
 
         w, q = WeightPair(term, 1.0), np.array([0.5])
-        got = _total_cost(Unit(), w, (q, np.array([count])), (q, np.array([0])))
+        got = _total_cost(Unit(), w, q, np.array([count]), np.array([0]))
         try:  # the expanded rows, one term each
             want = math.fsum([term * 1.0] * count)
         except OverflowError:
@@ -355,9 +355,9 @@ class TestObjective:
         # and a value counted 0 times is not evaluated either.
         w = WeightPair(2.0, 1.0)
         q = np.array([0.25, 0.5])
-        assert _total_cost(rule, w, (q, np.array([3, 0])), (q, np.array([0, 0]))) == 6.0
+        assert _total_cost(rule, w, q, np.array([3, 0]), np.array([0, 0])) == 6.0
         assert rule.calls[1:] == [(True, [0.25])]
-        assert _total_cost(unnormalized, w, (q, np.array([0, 0])), (q, np.array([0, 0]))) == 0.0
+        assert _total_cost(unnormalized, w, q, np.array([0, 0]), np.array([0, 0])) == 0.0
 
 
 def _reference_cost(rule, label, q):
