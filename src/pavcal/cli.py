@@ -339,7 +339,9 @@ def _write_columns(out: TextIO, texts: list[str], w: np.ndarray, prior: float | 
     if prior is not None:
         columns.append(_posteriors(distinct, prior))
     tails = ["".join([f",{v!r}" for v in row]) + "\n" for row in zip(*(c.tolist() for c in columns))]
-    out.write("".join(map(str.__add__, texts, np.array(tails, object)[which].tolist())))
+    lines = [""] * (2 * len(texts))
+    lines[::2], lines[1::2] = texts, np.array(tails, object)[which].tolist()
+    out.write("".join(lines))
 
 
 def _text_cells(texts: np.ndarray, scores: np.ndarray) -> list[str]:

@@ -36,7 +36,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .pav import Labels, _items, _target_flags
+from .pav import _CHUNK, Labels, _items, _target_flags
 from .types import Label, WeightPair, as_weights
 
 _INF = math.inf
@@ -301,19 +301,22 @@ def _total_cost(rule: ScoringRule, w: WeightPair, q: np.ndarray, m: np.ndarray, 
     """The weighted total cost of items q[i] given to m[i] targets and n[i]
     non-targets, as counts or bool flags (0 and 1): a fit's blocks or a column's
     distinct values.  One exactly rounded fsum of each term t counted k times,
-    as t * 2**i per set bit i of k, so items sharing a value sum as one would."""
-    parts = []
-    for target, weight, k in zip((True, False), (w.v1, w.v2), (m, n)):
-        x, k = (q, k) if k.all() else (q[k > 0], k[k > 0])  # only counted values are evaluated
-        if x.size:  # a class with no rows evaluates no cost
-            with np.errstate(over="ignore"):  # a term or summand that overflows is +inf
-                terms = weight * rule._costs(x, target)
-                if (top := int(k.max())) > 1:  # else each term is counted once: t * 1.0 == t
-                    bits = range(top.bit_length())
-                    terms = np.concatenate([terms[(k >> i) & 1 == 1] * 2.0**i for i in bits])
-            parts.append(memoryview(terms))
+    as t * 2**i per set bit i of k, so items sharing a value sum as one would.
+    Items are priced _CHUNK at a time as fsum reads them: no array of all terms."""
+    def terms():
+        for target, weight, k in zip((True, False), (w.v1, w.v2), (m, n)):
+            for at in range(0, q.size, _CHUNK):
+                x, c = q[at:at + _CHUNK], k[at:at + _CHUNK]
+                x, c = (x, c) if c.all() else (x[c > 0], c[c > 0])  # only counted values are evaluated
+                if x.size:  # a class with no rows here evaluates no cost
+                    t = weight * rule._costs(x, target)
+                    if (top := int(c.max())) > 1:  # else each term is counted once: t * 1.0 == t
+                        t = np.concatenate([t[(c >> i) & 1 == 1] * 2.0**i for i in range(top.bit_length())])
+                    yield memoryview(t)
+
     try:
-        return math.fsum(itertools.chain(*parts))
+        with np.errstate(over="ignore"):  # a term or summand that overflows is +inf
+            return math.fsum(itertools.chain.from_iterable(terms()))
     except OverflowError:
         return _INF
 

@@ -1,19 +1,26 @@
-"""The lazy package namespace and the command's OpenBLAS default, each
-checked in a fresh interpreter, since both depend on what it has loaded."""
+"""The lazy package namespace and the command's entry point (its OpenBLAS
+default, its frozen heap at exit, its exit codes), each checked in a fresh
+interpreter, since they depend on what it has loaded."""
 
 import os
 import subprocess
 import sys
 import textwrap
 
+import pytest
+
+from pavcal import cli
+
+
+def _python(*args: str, **env: str) -> subprocess.CompletedProcess:
+    environ = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"} | env
+    return subprocess.run([sys.executable, *args], capture_output=True, env=environ)
+
 
 def _run(code: str, **env: str) -> str:
-    environ = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"} | env
-    result = subprocess.run(
-        [sys.executable, "-c", textwrap.dedent(code)], capture_output=True, text=True, env=environ
-    )
-    assert result.returncode == 0, result.stderr
-    return result.stdout
+    result = _python("-c", textwrap.dedent(code), **env)
+    assert result.returncode == 0, result.stderr.decode()
+    return result.stdout.decode()
 
 
 def test_import_loads_no_numpy():
@@ -84,3 +91,55 @@ def test_the_command_keeps_a_thread_count_the_user_set():
 
 def test_importing_the_cli_sets_no_thread_count():
     _run("import os, pavcal.cli; assert 'OPENBLAS_NUM_THREADS' not in os.environ")
+
+
+TINY = "score,label\n-1.5,nontarget\n-0.2,target\n0.4,nontarget\n1.1,target\n2.3,target\n"
+
+
+@pytest.fixture
+def tiny(tmp_path):
+    path = tmp_path / "tiny.csv"
+    path.write_text(TINY)
+    return path
+
+
+def _fit(tiny) -> list[str]:
+    return ["fit", str(tiny), "--out", str(tiny.with_suffix(".map"))]
+
+
+def test_the_command_freezes_the_heap_once_it_has_returned(tiny):
+    for argv in (["-h"], _fit(tiny)):
+        lines = _run(f"""
+            import gc, runpy, sys
+
+            sys.argv = ["pavcal", *{argv!r}]
+            try:
+                runpy.run_module("pavcal", run_name="__main__")
+            except SystemExit as exc:
+                assert exc.code == 0, exc.code
+            print(gc.get_freeze_count(), gc.isenabled())
+        """).splitlines()
+        count, enabled = lines[-1].split()
+        assert int(count) > 0 and enabled == "True", (argv, lines[-1])
+
+
+def test_the_cli_called_in_process_freezes_nothing(tiny):
+    _run(f"""
+        import gc, pavcal.cli
+
+        assert pavcal.cli.main({_fit(tiny)!r}) == 0
+        assert gc.get_freeze_count() == 0, gc.get_freeze_count()
+    """)
+
+
+def test_the_command_exits_with_the_clis_codes_and_output(tiny, capsys):
+    missing = _python("-m", "pavcal", "fit", str(tiny.with_name("missing.csv")), "--out",
+                      str(tiny.with_suffix(".map")))
+    assert missing.returncode == 1 and missing.stderr.startswith(b"error: cannot read "), missing
+    usage = _python("-m", "pavcal", "fit", str(tiny))
+    assert usage.returncode == 2 and b"--out" in usage.stderr, usage
+    argv = [*_fit(tiny), "--rule", "log", "--rule", "brier"]
+    command = _python("-m", "pavcal", *argv)
+    assert command.returncode == 0 and command.stderr == b"", command
+    assert cli.main(argv) == 0
+    assert command.stdout == capsys.readouterr().out.encode()

@@ -1,6 +1,7 @@
 import math
 import random
 import re
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -358,6 +359,31 @@ class TestObjective:
         assert _total_cost(rule, w, q, np.array([3, 0]), np.array([0, 0])) == 6.0
         assert rule.calls[1:] == [(True, [0.25])]
         assert _total_cost(unnormalized, w, q, np.array([0, 0]), np.array([0, 0])) == 0.0
+
+    @pytest.mark.parametrize("rule", [Logarithmic(), Brier()], ids=str)
+    def test_items_are_priced_a_slice_at_a_time(self, rule):
+        # 1e6 distinct items, a tenth of them targets: each class's terms are
+        # made a slice of items at a time as fsum reads them, so no array of
+        # all terms is held, and the total is the fsum of all terms at once.
+        rng = np.random.default_rng(11)
+        q = np.sort(rng.random(10**6))
+        m = rng.random(q.size) < 0.1
+        n = ~m
+        w = WeightPair(0.3, 7.0)
+        tracemalloc.start()
+        try:
+            got = _total_cost(rule, w, q, m, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        want = math.fsum(np.concatenate([0.3 * rule._costs(q[m], True), 7.0 * rule._costs(q[n], False)]))
+        assert repr(got) == repr(want)
+        assert peak <= 4 * q.size, f"{peak / q.size:.2f} B an item"
+        # Counts of 0 to 5 across the slices sum as the rows they count.
+        k1, k2 = rng.integers(0, 6, q.size), rng.integers(0, 6, q.size)
+        want = math.fsum(np.concatenate([np.repeat(0.3 * rule._costs(q, True), k1),
+                                         np.repeat(7.0 * rule._costs(q, False), k2)]))
+        assert repr(_total_cost(rule, w, q, k1, k2)) == repr(want)
 
 
 def _reference_cost(rule, label, q):
