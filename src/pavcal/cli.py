@@ -17,7 +17,6 @@ import os
 import re
 import shutil
 import sys
-from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence, TextIO
 
 import numpy as np
@@ -51,8 +50,18 @@ def _parse_weight_pair(text: str) -> WeightPair:
 def _finite_float(text: str) -> float:
     value = float(text)
     if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+        raise ValueError(f"must be finite, got {text!r}")
     return value
+
+
+def _flag_value(parse: Callable) -> Callable:
+    """parse, its ValueError raised as the ArgumentTypeError whose message argparse shows."""
+    def parsed(text: str):
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc))
+    return parsed
 
 
 def _is_number(text: str) -> bool:
@@ -63,21 +72,9 @@ def _is_number(text: str) -> bool:
         return False
 
 
-@dataclass(frozen=True)
-class _Rows:
-    """A CSV file's data rows by column; target flags and values only if asked for."""
-
-    scores: np.ndarray
-    flags: np.ndarray | None
-    values: np.ndarray | None
-
-    def __len__(self) -> int:
-        return self.scores.size
-
-
-def _read_csv(path: str, labeled=False, calibrated: str | None = None,
-              llrs=False) -> tuple[dict[str, int] | None, _Rows]:
-    """The header (see _columns) and the data rows of a CSV file.  The
+def _read_csv(path: str, labeled=False, calibrated: str | None = None, llrs=False) -> tuple:
+    """The header of a CSV file (see _columns), then its data rows' scores,
+    target flags and calibrated values, None for a column not asked for.  The
     calibrated column holds probabilities in [0, 1], or with llrs any LLR but
     NaN.  Each chunk (see _chunks) is checked as read: DataError names a fault
     in the file's layout, else the first fault of the first kind (see _numbers)
@@ -105,7 +102,7 @@ def _read_csv(path: str, labeled=False, calibrated: str | None = None,
     if faults:
         raise faults[min(faults)]
     columns = [np.frombuffer(buf, dtype) for buf, dtype in zip(bufs, (float, bool, float))]
-    return header, _Rows(*columns, *[None] * (3 - len(columns)))
+    return header, *columns, *[None] * (3 - len(columns))
 
 
 def _columns(fields: list[str], names: list[str], lineno: int) -> tuple[dict | None, list[int]]:
@@ -382,9 +379,10 @@ def _read_labeled(args: argparse.Namespace, calibrated: str | None = None) -> tu
     target and non-target counts.  llr mode turns down --weights, before the file is read."""
     if args.mode == "llr" and args.weights is not None:
         raise UsageError("--weights has no effect in llr mode")
-    _, rows = _read_csv(args.input, labeled=True, calibrated=calibrated, llrs=args.mode == "llr")
-    t1 = np.count_nonzero(rows.flags)
-    return rows.scores, rows.flags, rows.values, t1, len(rows) - t1
+    _, scores, flags, values = _read_csv(args.input, labeled=True, calibrated=calibrated,
+                                         llrs=args.mode == "llr")
+    t1 = np.count_nonzero(flags)
+    return scores, flags, values, t1, scores.size - t1
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
@@ -476,10 +474,10 @@ def build_parser() -> argparse.ArgumentParser:
     labeled.add_argument("input", help="CSV with columns score,label")
     labeled.add_argument("--mode", choices=MODES, default="posterior")
     wgroup = labeled.add_mutually_exclusive_group()
-    wgroup.add_argument("--weights", type=_parse_weight_pair, metavar="V1,V2")
-    wgroup.add_argument("--prior-logodds", type=_finite_float, metavar="PI")
+    wgroup.add_argument("--weights", type=_flag_value(_parse_weight_pair), metavar="V1,V2")
+    wgroup.add_argument("--prior-logodds", type=_flag_value(_finite_float), metavar="PI")
     labeled.add_argument(
-        "--rule", action="append", type=parse_rule, metavar="RULE",
+        "--rule", action="append", type=_flag_value(parse_rule), metavar="RULE",
         help="objective to report: log, brier, cost@T, mix(A@T,...); repeatable",
     )
 
@@ -492,7 +490,7 @@ def build_parser() -> argparse.ArgumentParser:
     apply_p.add_argument("map", help="map file written by fit")
     apply_p.add_argument("input", help="CSV with a score column")
     apply_p.add_argument("--out", help="output CSV (default stdout)")
-    apply_p.add_argument("--prior-logodds", type=_finite_float, metavar="PI",
+    apply_p.add_argument("--prior-logodds", type=_flag_value(_finite_float), metavar="PI",
                          help="llr maps: also emit posteriors under this prior")
     apply_p.add_argument("--clamp-llr", type=float, metavar="L",
                          help="llr maps: clip calibrated values to [-L, L]")
@@ -507,7 +505,7 @@ def build_parser() -> argparse.ArgumentParser:
     sc = sub.add_parser("selfcheck", help="run the built-in verification suites")
     sc.add_argument("--max-len", type=int, default=10,
                     help="exhaustive oracle check up to this length")
-    sc.add_argument("--weights", type=_parse_weight_pair, metavar="V1,V2",
+    sc.add_argument("--weights", type=_flag_value(_parse_weight_pair), metavar="V1,V2",
                     help="restrict the oracle check to one weight pair")
     sc.add_argument("--instances", type=int, default=25)
     sc.add_argument("--candidates", type=int, default=100)

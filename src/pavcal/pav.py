@@ -25,10 +25,10 @@ from .types import Label, WeightPair, as_weights, pooled_value
 Labels = Iterable[Label] | np.ndarray  # or a 1-D bool array of target flags
 
 _HANDOVER = 4096  # segments few enough to leave to the stack pass
-_CHUNK = 2**16  # labels per object array: about 1 MB of transient memory
-# An object array's bytes are its elements' addresses, and two objects alive at
-# once never share one, on any interpreter: an element is a member exactly when
-# its address is the member's.  This array keeps both members alive.
+_CHUNK = 2**16  # labels per object array: about 0.5 MB of transient memory
+# An object array's buffer, read in place, holds its elements' addresses, and two
+# objects alive at once never share one, on any interpreter: an element is a
+# member exactly when its address is the member's.  This array keeps both alive.
 _MEMBERS = np.array([Label.TARGET, Label.NONTARGET], object)
 
 
@@ -148,14 +148,14 @@ def _target_flags(labels: Labels) -> np.ndarray:
             raise TypeError(f"labels must be a 1-D array, got shape {labels.shape}")
         if labels.dtype == bool:
             return labels
-    target, nontarget = np.frombuffer(_MEMBERS.tobytes(), np.uintp)
+    target, nontarget = np.frombuffer(_MEMBERS, np.uintp)
     it, flags = iter(labels), [np.zeros(0, bool)]
     if type(labels) in (list, tuple, np.ndarray):
         chunks = (np.fromiter(it, object, min(_CHUNK, left)) for left in range(len(labels), 0, -_CHUNK))
     else:
         chunks = (np.fromiter(itertools.islice(it, _CHUNK), object) for _ in itertools.count())
     for items in itertools.takewhile(len, chunks):  # an iterator's chunks end at an empty one
-        at = np.frombuffer(items.tobytes(), np.uintp)
+        at = np.frombuffer(items, np.uintp)  # a view, which keeps items alive
         flags.append(at == target)
         for k in np.flatnonzero(~flags[-1] & (at != nontarget)).tolist():
             if items[k] != Label.NONTARGET:

@@ -110,6 +110,29 @@ def test_usage_errors_exit_2(tmp_path, capsys, train_csv):
             )
 
 
+# A bad flag value, and the message the parser shows for it: its parse's own.
+BAD_FLAG_VALUES = {
+    "rule": (["--rule", "nope"],
+             "argument --rule: unknown rule 'nope'; expected log, brier, cost@T, or mix(A@T,...)"),
+    "weights syntax": (["--weights", "1;2"], "argument --weights: expected 'v1,v2', got '1;2'"),
+    "weights value": (["--weights", "1,-2"],
+                      "argument --weights: v2 must be finite and > 0, got -2.0"),
+    "prior": (["--prior-logodds", "abc"],
+              "argument --prior-logodds: could not convert string to float: 'abc'"),
+}
+
+
+@pytest.mark.parametrize("command", ["fit", "evaluate"])
+@pytest.mark.parametrize("case", BAD_FLAG_VALUES.values(), ids=BAD_FLAG_VALUES)
+def test_a_bad_flag_value_prints_the_parsers_message_and_exits_2(tmp_path, capsys, train_csv,
+                                                                command, case):
+    flags, message = case
+    argv = [command, train_csv] + (["--out", str(tmp_path / "m.map")] if command == "fit" else [])
+    code, out, err = run(capsys, *argv, *flags)
+    assert (code, out) == (2, "")
+    assert err.endswith(f"\npavcal {command}: error: {message}\n")
+
+
 @pytest.mark.parametrize("command", ["fit", "evaluate"])
 def test_help_describes_the_shared_flags(capsys, command):
     code, out, _ = run(capsys, command, "-h")
