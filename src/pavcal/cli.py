@@ -163,10 +163,8 @@ def _target_column(labels: np.ndarray, field: Callable, spellings: dict[str, boo
 
 
 # The fields of loadtxt's row, in the order of _chunks's names, then the score's
-# text.  loadtxt cuts a longer text to its field, so a label or a score text that
-# fills it may be cut; none that repr (24 characters) or %.18e (26) writes does.
-_TEXT_CHARS = 27
-_FIELDS = [("score", "f8"), ("label", "U10"), ("calibrated", "f8"), ("text", f"U{_TEXT_CHARS}")]
+# text, whole as an object; loadtxt cuts a label longer than its field.
+_FIELDS = [("score", "f8"), ("label", "U10"), ("calibrated", "f8"), ("text", "O")]
 
 
 def _chunks(path: str, names: list[str], texts: bool = False) -> Iterator:
@@ -344,17 +342,16 @@ def _write_columns(out: TextIO, texts: list[str], w: np.ndarray, prior: float | 
 def _text_cells(texts: np.ndarray, scores: np.ndarray) -> list[str]:
     """The score cells apply writes: each text without the blanks float
     ignores (those strip removes from a number's text) if it is plain, else
-    its score as repr writes it.  A text is plain if it is ASCII, holds no
-    "_" and, blanks included, is shorter than _TEXT_CHARS: a decimal number
-    to any CSV reader, and not cut by loadtxt."""
+    its score as repr writes it.  A text is plain if it is ASCII and holds no
+    "_": a decimal number to any CSV reader."""
     texts = texts.tolist()
     cells = list(map(str.strip, texts))
     # One check of a chunk's joined texts: a check per row measured 1 MB
     # more peak RSS on the benchmark's apply-llr-100k.
     joined = "".join(texts)
-    if not joined.isascii() or "_" in joined or max(map(len, texts)) >= _TEXT_CHARS:
+    if not joined.isascii() or "_" in joined:
         for i, text in enumerate(texts):
-            if not text.isascii() or "_" in text or len(text) >= _TEXT_CHARS:
+            if not text.isascii() or "_" in text:
                 cells[i] = repr(scores[i].item())
     return cells
 

@@ -558,24 +558,49 @@ def test_quoted_scores_are_echoed_from_the_line_reader(tmp_path, capsys):
     _echoes(capsys, map_path, path, ["1.5", " 2.5 ", "-3"], ["1.5", "2.5", "-3"])
 
 
+# 0.1's double written out exactly: a plain decimal text of 57 bytes.
+LONG_DECIMAL = "0.1000000000000000055511151231257827021181583404541015625"
+
+
 @pytest.mark.parametrize("bulk", [True, False], ids=["bulk", "by-lines"])
 def test_long_score_texts_stay_on_the_bulk_path(tmp_path, capsys, monkeypatch, bulk):
     # np.savetxt's default %.18e spells a negative score in 25 bytes, or 26
-    # with a 3-digit exponent: echoed.  A text of 27 bytes or more, blanks
-    # included, may have been cut by the bulk reader: written by repr.
+    # with a 3-digit exponent.  Both splitters hand each text over whole, so
+    # a plain text is echoed, stripped, at any length, and one that is not
+    # ASCII or holds a "_" is written by repr, however long.
     map_path = _fitted_map(tmp_path, "--mode", "llr", "--policy", "linear")
-    scores = [-0.5, 0.25, -1e-100 / 3, 1e300, -math.pi / 7e10, -1e-100 / 3, 0.1, 2.5]
-    texts = ["%.18e" % s for s in scores[:4]] + ["%.20g" % s for s in scores[4:7]] + [" " * 30 + "2.5"]
-    assert [len(text) for text in texts] == [25, 24, 26, 25, 25, 27, 22, 33]
-    cells = [text.strip() if len(text) < 27 else repr(s) for text, s in zip(texts, scores)]
-    assert cells[5::2] == [repr(-1e-100 / 3), "2.5"]
+    scores = [-0.5, 0.25, -1e-100 / 3, 1e300, -math.pi / 7e10, -1e-100 / 3, 0.1, 2.5, 0.1]
+    texts = (["%.18e" % s for s in scores[:4]] + ["%.20g" % s for s in scores[4:7]]
+             + [" " * 30 + "2.5", LONG_DECIMAL, "\u00a0" * 30 + "2.50"])
+    assert [len(text) for text in texts] == [25, 24, 26, 25, 25, 27, 22, 33, 57, 34]
+    cells = [text.strip() for text in texts[:-1]] + ["2.5"]
+    assert cells[5:9] == ["%.20g" % (-1e-100 / 3), "%.20g" % 0.1, "2.5", LONG_DECIMAL]
     path = _write(tmp_path, "".join(text + "\n" for text in texts))
     assert _in_bulk(path, ["score"], True)
     if bulk:
         monkeypatch.setattr(cli, "_split_records", _no_line_reader)
-    else:
+    else:  # and texts np.loadtxt turns down
+        texts += ["1_000.000_000_000_000_000_000_000_000_5", "\u0661" * 30]
+        cells += ["1000.0", repr(float("1" * 30))]
+        path = _write(tmp_path, "".join(text + "\n" for text in texts))
         monkeypatch.setattr(cli, "_plain", lambda lines: False)
     _echoes(capsys, map_path, path, texts, cells)
+
+
+def test_both_splitters_hand_over_each_score_text_whole(tmp_path, monkeypatch):
+    texts = [" 1.5 ", "%.18e" % -0.5, "%.20g" % 0.1, LONG_DECIMAL, " " * 30 + "2.5"]
+    path = _write(tmp_path, "score\n" + "".join(text + "\n" for text in texts))
+    assert _in_bulk(path, ["score"], True)
+
+    def split():
+        return [columns[1] for columns, _ in list(cli._chunks(path, ["score"], True))[1:]]
+
+    bulk = split()
+    monkeypatch.setattr(cli, "_plain", lambda lines: False)
+    for columns in (bulk, split()):
+        assert [column.dtype for column in columns] == [np.dtype(object)]
+        assert all(type(text) is str for text in columns[0].tolist())
+        assert columns[0].tolist() == texts
 
 
 def test_a_savetxt_file_of_negative_scores_is_read_in_bulk(tmp_path, monkeypatch):
