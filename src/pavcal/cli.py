@@ -29,11 +29,7 @@ from .types import Label, WeightPair
 
 
 class DataError(Exception):
-    """Input file problems: exit code 1.  kind ranks the faults of one column."""
-
-    def __init__(self, message: str, kind: int = 0):
-        super().__init__(message)
-        self.kind = kind
+    """Input file problems: exit code 1.  The message names the first fault met."""
 
 
 class UsageError(Exception):
@@ -74,33 +70,17 @@ def _is_number(text: str) -> bool:
 
 def _read_csv(path: str, labeled=False, calibrated: str | None = None, llrs=False) -> tuple:
     """The header of a CSV file (see _columns), then its data rows' scores,
-    target flags and calibrated values, None for a column not asked for.  The
-    calibrated column holds probabilities in [0, 1], or with llrs any LLR but
-    NaN.  Each chunk (see _chunks) is checked as read: DataError names a fault
-    in the file's layout, else the first fault of the first kind (see _numbers)
-    in the first faulty column.  Each column grows in one bytearray, by realloc
+    target flags and calibrated values, None for a column not asked for, as
+    _checked reads them.  Each column grows in one bytearray, by realloc
     (unwritten capacity is not resident), so the read holds it once."""
     names = ["score", "label"] if labeled else ["score"]
     names += [] if calibrated is None else [calibrated.lower()]
-    chunks = _chunks(path, names)
+    chunks = _checked(path, names, llrs=llrs)
     header = next(chunks)
-    bufs, faults, spellings = [bytearray() for _ in names], {}, {}
-    for columns, field in chunks:
-        checks = [lambda: _numbers(columns[0], 0, field, "score"),
-                  lambda: _target_column(columns[1], field, spellings),
-                  lambda: _numbers(columns[2], 2, field, "calibrated value", llrs, not llrs)]
-        for k in range(len(names)):  # up to the first column with a fault
-            if faults and min(faults)[0] < k:
-                break
-            try:
-                columns[k] = checks[k]()
-            except DataError as exc:
-                faults.setdefault((k, exc.kind), exc)
-        if not faults:
-            for buf, column in zip(bufs, columns):
-                buf += column.data  # every column is contiguous
-    if faults:
-        raise faults[min(faults)]
+    bufs = [bytearray() for _ in names]
+    for columns in chunks:
+        for buf, column in zip(bufs, columns):
+            buf += column.data  # every column is contiguous
     columns = [np.frombuffer(buf, dtype) for buf, dtype in zip(bufs, (float, bool, float))]
     return header, *columns, *[None] * (3 - len(columns))
 
@@ -121,45 +101,67 @@ def _columns(fields: list[str], names: list[str], lineno: int) -> tuple[dict | N
     return header, [header.get(n, -1) for n in names]
 
 
-def _numbers(values: np.ndarray, k: int, field: Callable, what: str, infinite_ok=False,
-             unit=False) -> np.ndarray:
-    """Column k's values (NaN for a field that is not a number), if every
-    field is a number, none NaN, none infinite unless infinite_ok and, if
-    unit, all in [0, 1].  Else DataError for the first that is not (kind 0),
-    or failing that for the first value outside [0, 1] (kind 1)."""
-    kinds = [np.isnan(values) if infinite_ok else ~np.isfinite(values),
-             ((values < 0.0) | (values > 1.0)) & unit]
-    for kind, bad in enumerate(kinds):
-        i = int(np.argmax(bad))  # the first bad value, if any
-        if not bad[i]:
-            continue
-        lineno, text = field(i, k)
-        value = values[i].item()
-        if kind:
-            message = f"{value!r} outside [0, 1]"
-        elif not _is_number(text):  # shown without the blanks float ignores: strip's, not \x1c-\x1f
-            message = repr(re.sub(r"\A[^\S\x1c-\x1f]+|[^\S\x1c-\x1f]+\Z", "", text)) + " is not a number"
-        else:
-            message = "must not be NaN" if math.isnan(value) else f"must be finite, got {text.strip()!r}"
-        raise DataError(f"line {lineno}: {what} {message}", kind)
-    return values
+def _checked(path: str, names: list[str], texts=False, llrs=False) -> Iterator:
+    """The header of a CSV file, then the columns of each chunk _chunks
+    splits, checked, with the labels as target flags: the one reader of
+    every command.  A score is a finite number, a label one Label.parse
+    reads, and a calibrated value a probability in [0, 1] or, with llrs, any
+    LLR but NaN.  DataError names a fault in the layout as _chunks meets it,
+    else the first row of a chunk with a bad value, and in that row the
+    leftmost bad column.  The reader is closed before a DataError leaves."""
+    chunks, spellings = _chunks(path, names, texts), {}
+    with contextlib.closing(chunks):
+        yield next(chunks)
+        for columns, field in chunks:
+            bad = [_first_bad(columns, k, llrs, spellings) for k in range(len(names))]
+            if min(bad) < columns[0].size:
+                k = bad.index(min(bad))
+                raise _fault(k, *field(bad[k], k), columns[k][bad[k]].item())
+            yield columns
+            del columns, field  # a chunk is held by its reader alone
 
 
-def _target_column(labels: np.ndarray, field: Callable, spellings: dict[str, bool]) -> np.ndarray:
-    """The target flags of a column of label texts.  spellings holds the flag
-    of each spelling parsed so far, so each that is not exact is parsed once."""
-    flags = labels == "target"
-    rows = np.flatnonzero(~flags & (labels != "nontarget"))
-    texts, first, which = np.unique(labels[rows], return_index=True, return_inverse=True)
-    texts = texts.tolist()
-    for i in np.argsort(first).tolist():  # in file order
-        if texts[i] not in spellings:
-            try:
-                spellings[texts[i]] = Label.parse(texts[i].strip()).value == "target"
-            except ValueError as exc:
-                raise DataError(f"line {field(int(rows[first[i]]), 1)[0]}: {exc}")
-    flags[rows] = np.array([spellings[text] for text in texts], bool)[which]
-    return flags
+def _first_bad(columns: list, k: int, llrs: bool, spellings: dict[str, bool]) -> int:
+    """The row of the first bad value in column k of a chunk (see _checked),
+    else its size; a field that is not a number reads NaN.  Labels become
+    target flags, and spellings holds the flag of each spelling parsed so
+    far, so each that is not exact is parsed once."""
+    values = columns[k]
+    if k == 1:
+        flags = columns[1] = values == "target"
+        rows = np.flatnonzero(~flags & (values != "nontarget"))
+        texts, first, which = np.unique(values[rows], return_index=True, return_inverse=True)
+        texts = texts.tolist()
+        for i in np.argsort(first).tolist():  # in file order
+            if texts[i] not in spellings:
+                try:
+                    spellings[texts[i]] = Label.parse(texts[i].strip()).value == "target"
+                except ValueError:
+                    return int(rows[first[i]])
+        flags[rows] = np.array([spellings[text] for text in texts], bool)[which]
+        return values.size
+    bad = np.isnan(values) if k and llrs else ~np.isfinite(values)
+    if k and not llrs:  # probabilities
+        bad |= (values < 0.0) | (values > 1.0)
+    i = int(np.argmax(bad))
+    return i if bad[i] else values.size
+
+
+def _fault(k: int, lineno: int, text: str, value) -> DataError:
+    """The DataError for a bad field of column k (score, label, calibrated
+    value) on line lineno: its text, read as value."""
+    if k == 1:
+        try:
+            Label.parse(text.strip())
+        except ValueError as exc:  # as it did in _first_bad
+            return DataError(f"line {lineno}: {exc}")
+    if not _is_number(text):  # shown without the blanks float ignores: strip's, not \x1c-\x1f
+        message = repr(re.sub(r"\A[^\S\x1c-\x1f]+|[^\S\x1c-\x1f]+\Z", "", text)) + " is not a number"
+    elif not math.isfinite(value):
+        message = "must not be NaN" if math.isnan(value) else f"must be finite, got {text.strip()!r}"
+    else:
+        message = f"{value!r} outside [0, 1]"
+    return DataError(f"line {lineno}: {'calibrated value' if k else 'score'} {message}")
 
 
 # The fields of loadtxt's row, in the order of _chunks's names, then the score's
@@ -176,8 +178,9 @@ def _chunks(path: str, names: list[str], texts: bool = False) -> Iterator:
     lines (see _plain) are split by np.loadtxt, or by the csv module if
     loadtxt turns one down or may have cut a label; the rest of the file from
     the first chunk that is not plain, by one csv reader.  DataError names a
-    fault in the layout, a byte that is not UTF-8 or a csv error as met, else
-    a missing column or the first short row once all is read; or no rows."""
+    fault in the layout as it is met: a byte that is not UTF-8, a csv error,
+    a missing column once the first data row is read, or the first short row
+    of a chunk as it is split; or no rows.  Values are not checked here."""
     n, count, lineno = len(names), 0, 0
     try:
         with open(path, "r", encoding="utf-8-sig", newline="") as fh:
@@ -207,16 +210,11 @@ def _chunks(path: str, names: list[str], texts: bool = False) -> Iterator:
                 yield header
                 if header is None and head:
                     records = itertools.chain([head], records)
-            try:
-                if -1 in cols and next(records, None):
-                    raise DataError(f"{path}: missing column {names[cols.index(-1)]!r}")
-                while part := list(itertools.islice(records, _WRITE_ROWS)):
-                    count += len(part)
-                    yield _split_records(part, cols, n, texts)
-            except DataError:  # a fault that the csv module meets further on comes first
-                for _ in records:
-                    pass
-                raise
+            if -1 in cols and next(records, None):
+                raise DataError(f"{path}: missing column {names[cols.index(-1)]!r}")
+            while part := list(itertools.islice(records, _WRITE_ROWS)):
+                count += len(part)
+                yield _split_records(part, cols, n, texts)
             if not count:
                 raise DataError(f"{path}: no data rows")
     except OSError as exc:
@@ -410,17 +408,16 @@ def cmd_apply(args: argparse.Namespace) -> int:
             raise UsageError("--clamp-llr only applies to llr maps")
     if args.clamp_llr is not None and not args.clamp_llr > 0.0:
         raise UsageError("--clamp-llr must be positive")
-    chunks = _chunks(args.input, ["score"], texts=True)
+    chunks = _checked(args.input, ["score"], texts=True)
     next(chunks)  # the header
     prior, clamp = args.prior_logodds, args.clamp_llr
     head = "score,calibrated\n" if prior is None else "score,calibrated,posterior\n"
     with _open_out(args.out) as out:
-        for (scores, texts), field in chunks:  # each checked, mapped and written as it is read
-            _numbers(scores, 0, field, "score")
+        for scores, texts in chunks:  # each checked, mapped and written as it is read
             out.write(head)
             head = ""
             _write_columns(out, _text_cells(texts, scores), _apply(cmap, scores), prior, clamp)
-            del scores, texts, field  # before the next chunk is read
+            del scores, texts  # before the next chunk is read
     return 0
 
 

@@ -10,6 +10,7 @@ as a per-row f-string writes it.
 """
 
 import contextlib
+import gc
 import io
 import math
 import subprocess
@@ -260,6 +261,9 @@ FAULTS = {
                                      "line 2: score '\\x1f0.5' is not a number"),
     "bad label that fills its field": ("fit", "score,label\n0,target\n1, nontargetx\n",
                                        "line 3: unknown label 'nontargetx'"),
+    # A chunk is split, and so its layout checked, before any of its values.
+    "short row after a nan score": ("fit", 'score,label\n"0",target\nnan,target\n2\n',
+                                    "line 4: expected at least 2 fields"),
 }
 
 
@@ -299,6 +303,8 @@ def test_a_column_named_twice_is_a_fault_of_the_header_line(tmp_path, capsys, mo
 
 # Faulty files the bulk splitter splits, so the checks name the line
 # without the csv splitter.
+TWO_FAULTS = ("score,label,calibrated\n0,target,0.5\n1,maybe,0.5\n2,target,0.5\n"
+              "3,nontarget,0.5\nnan,target,0.5\n")
 FAULTS_IN_BULK = {
     "infinite score": ("fit", "score,label\n0,target\n-inf,nontarget\n",
                        "line 3: score must be finite, got '-inf'"),
@@ -317,6 +323,17 @@ FAULTS_IN_BULK = {
                                                "line 2: unknown label 'zebra'"),
     "byte order mark and no header": ("fit", "\ufeff inf ,target\n0,nontarget\n",
                                       "line 1: score must be finite, got 'inf'"),
+    # Every command names the first row with a bad value, and in it the
+    # leftmost bad column, whatever faults follow.
+    "bad label before a nan score, fit": ("fit", TWO_FAULTS, "line 3: unknown label 'maybe'"),
+    "bad label before a nan score, evaluate": ("evaluate", TWO_FAULTS,
+                                               "line 3: unknown label 'maybe'"),
+    "calibrated value 1.5 before an infinite one": (
+        "evaluate", "score,label,calibrated\n0,target,1.5\n1,nontarget,0.5\n2,target,inf\n",
+        "line 2: calibrated value 1.5 outside [0, 1]",
+    ),
+    "nan score and bad label in one row": ("fit", "score,label\n0,target\nnan,maybe\n",
+                                           "line 3: score must not be NaN"),
 }
 
 
@@ -350,6 +367,39 @@ def test_a_middle_fault_is_named_without_the_line_reader(tmp_path, capsys, monke
     monkeypatch.setattr(cli, "_split_records", _no_line_reader)
     assert main(["evaluate", path, "--calibrated"]) == 1
     assert capsys.readouterr().err.startswith(f"error: {message}")
+
+
+@pytest.mark.parametrize("command", ["fit", "evaluate"])
+def test_a_fault_stops_the_read_at_its_chunk_and_closes_the_file(tmp_path, capsys, monkeypatch,
+                                                                  command):
+    rows = [f"{k / 7!r},{'target' if k % 3 else 'nontarget'},{k / 1e5!r}\n" for k in range(100_000)]
+    rows[0] = "0.5,maybe,0.5\n"
+    path = _write(tmp_path, "score,label,calibrated\n" + "".join(rows))
+    split, splits, opened = cli._split, [], []
+
+    def split_spy(*args):
+        splits.append(args[1])
+        return split(*args)
+
+    def open_spy(*args, **kwargs):
+        opened.append(open(*args, **kwargs))
+        return opened[-1]
+
+    monkeypatch.setattr(cli, "_split", split_spy)
+    monkeypatch.setattr(cli, "open", open_spy, raising=False)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ResourceWarning)
+        with pytest.raises(cli.DataError) as info:
+            cli._read_csv(path, **READS[command])
+        # The traceback still holds the reader's frames, and no file is open.
+        assert opened and all(fh.closed for fh in opened)
+        assert str(info.value).startswith("line 2: unknown label 'maybe'")
+        del info
+        assert main(_argv(tmp_path, command, path)) == 1
+        gc.collect()
+    assert capsys.readouterr().err.startswith("error: line 2: unknown label 'maybe'")
+    assert splits == [1, 1]  # one chunk, from line 2, in each read
+    assert all(fh.closed for fh in opened)
 
 
 def test_capitalised_labels_are_read_without_the_line_reader(tmp_path, capsys, monkeypatch):
