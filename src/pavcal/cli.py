@@ -29,7 +29,7 @@ from .types import Label, WeightPair
 
 
 class DataError(Exception):
-    """Input file problems: exit code 1.  The message names the first fault met."""
+    """File problems: exit code 1.  A read stops at the first fault, which the message names."""
 
 
 class UsageError(Exception):
@@ -68,61 +68,37 @@ def _is_number(text: str) -> bool:
         return False
 
 
-def _read_csv(path: str, labeled=False, calibrated: str | None = None, llrs=False) -> tuple:
-    """The header of a CSV file (see _columns), then its data rows' scores,
-    target flags and calibrated values, None for a column not asked for, as
-    _checked reads them.  Each column grows in one bytearray, by realloc
-    (unwritten capacity is not resident), so the read holds it once."""
-    names = ["score", "label"] if labeled else ["score"]
-    names += [] if calibrated is None else [calibrated.lower()]
-    chunks = _checked(path, names, llrs=llrs)
-    header = next(chunks)
+def _read_csv(path: str, calibrated: str | None = None, llrs=False) -> tuple:
+    """A labeled CSV file's data rows as scores, target flags and calibrated
+    values, None unless calibrated names their column, as _chunks reads and
+    checks them.  Each column grows in one bytearray, by realloc (unwritten
+    capacity is not resident), so the read holds it once."""
+    names = ["score", "label"] + ([] if calibrated is None else [calibrated.lower()])
     bufs = [bytearray() for _ in names]
-    for columns in chunks:
+    for columns in _chunks(path, names, llrs=llrs):
         for buf, column in zip(bufs, columns):
             buf += column.data  # every column is contiguous
     columns = [np.frombuffer(buf, dtype) for buf, dtype in zip(bufs, (float, bool, float))]
-    return header, *columns, *[None] * (3 - len(columns))
+    return *columns, *[None] * (3 - len(columns))
 
 
-def _columns(fields: list[str], names: list[str], lineno: int) -> tuple[dict | None, list[int]]:
-    """The header and the index of each named column, given the fields of a
-    file's first non-blank row, on line lineno.  The row is a header when its
-    first field is not numeric, and names match it case-insensitively;
-    without one the columns are score, label, calibrated.  A name the header
-    lacks is -1, and one it holds twice is a DataError."""
+def _columns(fields: list[str], names: list[str], lineno: int) -> tuple[bool, list[int]]:
+    """Whether a file's first non-blank row, of these fields on line lineno,
+    is a header, and the index of each named column.  It is a header when
+    its first field is not numeric, and names match it case-insensitively;
+    without one the columns are score, label, calibrated.  A name the
+    header lacks is -1, and one it holds twice is a DataError."""
     if _is_number(fields[0].strip()):
-        return None, list(range(len(names)))
+        return False, list(range(len(names)))
     keys = [name.strip().lower() for name in fields]
     for name in names:
         if keys.count(name) > 1:
             raise DataError(f"line {lineno}: the header names column {name!r} more than once")
-    header = {key: i for i, key in enumerate(keys)}
-    return header, [header.get(n, -1) for n in names]
-
-
-def _checked(path: str, names: list[str], texts=False, llrs=False) -> Iterator:
-    """The header of a CSV file, then the columns of each chunk _chunks
-    splits, checked, with the labels as target flags: the one reader of
-    every command.  A score is a finite number, a label one Label.parse
-    reads, and a calibrated value a probability in [0, 1] or, with llrs, any
-    LLR but NaN.  DataError names a fault in the layout as _chunks meets it,
-    else the first row of a chunk with a bad value, and in that row the
-    leftmost bad column.  The reader is closed before a DataError leaves."""
-    chunks, spellings = _chunks(path, names, texts), {}
-    with contextlib.closing(chunks):
-        yield next(chunks)
-        for columns, field in chunks:
-            bad = [_first_bad(columns, k, llrs, spellings) for k in range(len(names))]
-            if min(bad) < columns[0].size:
-                k = bad.index(min(bad))
-                raise _fault(k, *field(bad[k], k), columns[k][bad[k]].item())
-            yield columns
-            del columns, field  # a chunk is held by its reader alone
+    return True, [keys.index(name) if name in keys else -1 for name in names]
 
 
 def _first_bad(columns: list, k: int, llrs: bool, spellings: dict[str, bool]) -> int:
-    """The row of the first bad value in column k of a chunk (see _checked),
+    """The row of the first bad value in column k of a chunk (see _chunks),
     else its size; a field that is not a number reads NaN.  Labels become
     target flags, and spellings holds the flag of each spelling parsed so
     far, so each that is not exact is parsed once."""
@@ -169,52 +145,57 @@ def _fault(k: int, lineno: int, text: str, value) -> DataError:
 _FIELDS = [("score", "f8"), ("label", "U10"), ("calibrated", "f8"), ("text", "O")]
 
 
-def _chunks(path: str, names: list[str], texts: bool = False) -> Iterator:
-    """The header of a CSV file (see _columns), then its data rows in chunks
-    of up to _WRITE_ROWS lines or records, each as (columns, field): the
-    named columns, then with texts the score texts, numbers as float64 (NaN
-    for a field that is not one) and texts as arrays of str; and field(i, k),
-    the line and the text of row i's field in column k.  Plain chunks of
-    lines (see _plain) are split by np.loadtxt, or by the csv module if
-    loadtxt turns one down or may have cut a label; the rest of the file from
-    the first chunk that is not plain, by one csv reader.  DataError names a
-    fault in the layout as it is met: a byte that is not UTF-8, a csv error,
-    a missing column once the first data row is read, or the first short row
-    of a chunk as it is split; or no rows.  Values are not checked here."""
-    n, count, lineno = len(names), 0, 0
+def _chunks(path: str, names: list[str], texts: bool = False, llrs: bool = False) -> Iterator[list]:
+    """The data rows of a CSV file in chunks of up to _WRITE_ROWS lines or records,
+    each checked as it is split: the one reader of every command.  A chunk lists the
+    named columns, as float64 with labels as target flags, then with texts the score
+    texts.  Plain chunks of lines (see _plain) are split by np.loadtxt, or by the
+    csv module if loadtxt turns one down or may cut a label; the rest of the file,
+    from the first chunk that is not plain, by one csv reader.  A score is a finite
+    number, a label one Label.parse reads, and a calibrated value a probability in
+    [0, 1] or, with llrs, any LLR but NaN.  DataError, raised once the file is
+    closed, names the first fault: a byte that is not UTF-8, a csv error, a missing
+    column once the first data row is read, a chunk's first short row, else its
+    first row with a bad value and in it the leftmost bad column; or no rows."""
+    count, lineno, spellings = 0, 0, {}
+
+    def checked(columns: list, field: Callable) -> list:
+        bad = [_first_bad(columns, k, llrs, spellings) for k in range(len(names))]
+        if min(bad) < columns[0].size:
+            k = bad.index(min(bad))
+            raise _fault(k, *field(bad[k], k), columns[k][bad[k]].item())
+        return columns
+
     try:
         with open(path, "r", encoding="utf-8-sig", newline="") as fh:
             lines = list(itertools.islice(fh, _WRITE_ROWS))
             header, cols = (_columns(lines[0].rstrip("\r\n").split(","), names, 1)
-                            if lines and _plain(lines) else (None, [-1]))
+                            if lines and _plain(lines) else (False, [-1]))
             plain = -1 not in cols  # else the csv module reads the header
             source = itertools.chain(lines, fh)
             if plain:
-                yield header
-                lineno = int(header is not None)
+                lineno = int(header)
                 source = itertools.islice(source, lineno, None)
                 while (lines := list(itertools.islice(source, _WRITE_ROWS))) and _plain(lines):
                     if any(map(str.strip, lines)):  # else no data rows, and loadtxt would warn
-                        columns, field = _split(lines, lineno, cols, n, texts)
+                        columns, field = _split(lines, lineno, cols, texts)
                         if columns[0].size:
                             count += columns[0].size
-                            yield columns, field
+                            yield checked(columns, field)
                         del columns, field  # a chunk is held by its reader alone
                     lineno += len(lines)
                 source = itertools.chain(lines, source)  # from the first chunk that is not plain
             reader = csv.reader(source)
             records = _records(reader, lineno)
-            if not plain:
-                head = next(records, None)
-                header, cols = _columns(head[0], names, head[1]) if head else (None, [])
-                yield header
-                if header is None and head:
+            if not plain and (head := next(records, None)):
+                header, cols = _columns(head[0], names, head[1])
+                if not header:
                     records = itertools.chain([head], records)
             if -1 in cols and next(records, None):
                 raise DataError(f"{path}: missing column {names[cols.index(-1)]!r}")
             while part := list(itertools.islice(records, _WRITE_ROWS)):
                 count += len(part)
-                yield _split_records(part, cols, n, texts)
+                yield checked(*_split_records(part, cols, texts))
             if not count:
                 raise DataError(f"{path}: no data rows")
     except OSError as exc:
@@ -240,18 +221,18 @@ def _plain(lines: list[str]) -> bool:
                 or len(text) > limit and max(map(len, lines)) > limit)
 
 
-def _split(lines: list[str], lineno: int, cols: list[int], n: int, texts: bool) -> tuple:
-    """_chunks's chunk of a plain file's lines, from line lineno + 1, split by
-    np.loadtxt, or by the csv module if loadtxt turns them down or may cut a label."""
-    fields = _FIELDS[:n] + _FIELDS[3:] if texts else _FIELDS[:n]
+def _split(lines: list[str], lineno: int, cols: list[int], texts: bool) -> tuple:
+    """_chunks's chunk of a plain file's lines from line lineno + 1, as _split_records gives
+    it, split by np.loadtxt, or by the csv module if loadtxt turns them down or may cut a label."""
+    fields = _FIELDS[:len(cols)] + _FIELDS[3:] if texts else _FIELDS[:len(cols)]
     try:
         table = np.loadtxt(lines, np.dtype(fields), comments=None, delimiter=",",
                            usecols=cols + cols[:1] if texts else cols, ndmin=1, quotechar=None)
-        labels = table["label"] if n > 1 else np.array([], "U10")
+        labels = table["label"] if len(cols) > 1 else np.array([], "U10")
         if labels[(labels != "target") & (labels != "nontarget")].view(np.uint32)[9::10].any():
             raise ValueError("a label that is not spelled exactly fills its field, maybe cut")
     except ValueError:
-        return _split_records(list(_records(csv.reader(lines), lineno)), cols, n, texts)
+        return _split_records(list(_records(csv.reader(lines), lineno)), cols, texts)
 
     def field(i: int, k: int) -> tuple[int, str]:  # loadtxt skips empty lines, and no others
         rows = ((m, line) for m, line in enumerate(lines, lineno + 1) if line.strip("\r\n"))
@@ -266,17 +247,19 @@ def _records(reader, lineno: int = 0) -> Iterator[tuple[list[str], int]]:
     return ((row, lineno + reader.line_num) for row in reader if any(map(str.strip, row)))
 
 
-def _split_records(records: list, cols: list[int], n: int, texts: bool) -> tuple:
-    """_chunks's chunk of csv records, each a row and its line.  DataError
-    names the line of the first row short of a named field."""
+def _split_records(records: list, cols: list[int], texts: bool) -> tuple:
+    """_chunks's chunk of csv records, each a row and its line: the named
+    columns, then with texts the score texts (a number NaN if its field is
+    not one), and field(i, k), the line and text of row i's field in column
+    k.  DataError names the line of the first row short of a named field."""
     need = max(cols)
     short = [lineno for row, lineno in records if len(row) <= need]
     if short:
-        what = f"expected at least {need + 1} fields" if n > 1 else "missing score field"
+        what = f"expected at least {need + 1} fields" if len(cols) > 1 else "missing score field"
         raise DataError(f"line {short[0]}: {what}")
     fields = [[row[col] for row, _ in records] for col in cols]
     split = [_floats, lambda texts: np.array(texts, object), _floats]
-    columns = [split[k](fields[k]) for k in range(n)] + [np.array(fields[0], object)] * texts
+    columns = [parse(f) for parse, f in zip(split, fields)] + [np.array(fields[0], object)] * texts
     return columns, lambda i, k: (records[i][1], fields[k][i])
 
 
@@ -374,8 +357,7 @@ def _read_labeled(args: argparse.Namespace, calibrated: str | None = None) -> tu
     target and non-target counts.  llr mode turns down --weights, before the file is read."""
     if args.mode == "llr" and args.weights is not None:
         raise UsageError("--weights has no effect in llr mode")
-    _, scores, flags, values = _read_csv(args.input, labeled=True, calibrated=calibrated,
-                                         llrs=args.mode == "llr")
+    scores, flags, values = _read_csv(args.input, calibrated, args.mode == "llr")
     t1 = np.count_nonzero(flags)
     return scores, flags, values, t1, scores.size - t1
 
@@ -408,12 +390,10 @@ def cmd_apply(args: argparse.Namespace) -> int:
             raise UsageError("--clamp-llr only applies to llr maps")
     if args.clamp_llr is not None and not args.clamp_llr > 0.0:
         raise UsageError("--clamp-llr must be positive")
-    chunks = _checked(args.input, ["score"], texts=True)
-    next(chunks)  # the header
     prior, clamp = args.prior_logodds, args.clamp_llr
     head = "score,calibrated\n" if prior is None else "score,calibrated,posterior\n"
     with _open_out(args.out) as out:
-        for scores, texts in chunks:  # each checked, mapped and written as it is read
+        for scores, texts in _chunks(args.input, ["score"], texts=True):
             out.write(head)
             head = ""
             _write_columns(out, _text_cells(texts, scores), _apply(cmap, scores), prior, clamp)

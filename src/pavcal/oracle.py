@@ -24,7 +24,7 @@ import numpy as np
 
 from .pav import Labels, _target_flags
 from .rules import ScoringRule
-from .types import WeightPair, as_weights
+from .types import WeightPair, _check_weight, as_weights
 
 _AGREE_TOL = 1e-12
 
@@ -33,8 +33,8 @@ def maxmin_oracle(labels: Labels, weights: WeightPair | tuple[float, float]) -> 
     """Closed-form monotone solution, one value per trial.
 
     Raises TypeError on a label that is not a Label, ValueError on an
-    empty sequence, or if the max-min and min-max nestings disagree
-    beyond 1e-12 (which would indicate a broken build).
+    empty sequence or weights that overflow (as pav_fit), or if the two
+    nestings disagree beyond 1e-12 (which would indicate a broken build).
     """
     w = as_weights(weights)
     flags = _target_flags(labels)
@@ -45,6 +45,7 @@ def maxmin_oracle(labels: Labels, weights: WeightPair | tuple[float, float]) -> 
     M = np.concatenate(([0], np.cumsum(flags, dtype=np.int64)))
     N = np.concatenate(([0], np.cumsum(~flags, dtype=np.int64)))
     v1, v2 = w.v1, w.v2
+    _check_weight(int(M[-1]), int(N[-1]), v1, v2)  # which bounds every r(i, j)'s sums
 
     p = np.full(T, -np.inf)
     for i in range(1, T + 1):

@@ -13,14 +13,13 @@ weights only price them, in _price.
 from __future__ import annotations
 
 import itertools
-import math
 import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .types import Label, WeightPair, as_weights, pooled_value
+from .types import Label, WeightPair, _check_weight, as_weights, pooled_value
 
 Labels = Iterable[Label] | np.ndarray  # or a 1-D bool array of target flags
 
@@ -127,10 +126,8 @@ def _price(m: np.ndarray, n: np.ndarray, v1: float, v2: float) -> np.ndarray:
     largest value on its left where rounding far from unit weights put it
     an ulp or so below (at unit weights one correctly rounded m / (m + n)
     cannot).  The one place block values are computed.  ValueError if the
-    weight of all trials overflows; as rounding is monotone, it bounds
-    every block's."""
-    if not math.isfinite(int(m.sum()) * v1 + int(n.sum()) * v2):
-        raise ValueError(f"weights {v1!r},{v2!r} overflow the weight of {m.sum() + n.sum()} trials")
+    weight of all trials overflows (see _check_weight)."""
+    _check_weight(int(m.sum()), int(n.sum()), v1, v2)
     return np.maximum.accumulate(pooled_value(m, n, v1, v2))
 
 

@@ -112,7 +112,8 @@ class CostAt(ScoringRule):
             raise ValueError(f"threshold must lie strictly inside (0, 1), got {t!r}")
 
     def _costs(self, q: np.ndarray, target: bool) -> np.ndarray:
-        return DiracMixture(((1.0, self.threshold),))._costs(q, target)  # a single spike
+        t = self.threshold
+        return np.where(q < t, 1.0 / t, 0.0) if target else np.where(q >= t, 1.0 / (1.0 - t), 0.0)
 
     def __str__(self) -> str:
         return f"cost@{self.threshold!r}"

@@ -61,3 +61,9 @@ def pooled_value(m: int, n: int, v1: float, v2: float) -> float:
     """
     a = m * v1
     return a / (a + n * v2)
+
+
+def _check_weight(t1: int, t2: int, v1: float, v2: float) -> None:
+    """ValueError if the weights of t1 targets and t2 non-targets overflow; else no pool's does."""
+    if not math.isfinite(t1 * v1 + t2 * v2):
+        raise ValueError(f"weights {v1!r},{v2!r} overflow the weight of {t1 + t2} trials")

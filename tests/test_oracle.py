@@ -32,6 +32,16 @@ def test_oracle_rejects_empty():
         maxmin_oracle([], (1.0, 1.0))
 
 
+@pytest.mark.filterwarnings("error")
+def test_oracle_names_weights_whose_total_overflows_as_pav_fit_does():
+    # Not a disagreement of the two forms, after numpy's overflow warnings.
+    message = r"^weights 1e\+308,1e\+308 overflow the weight of 3 trials$"
+    with pytest.raises(ValueError, match=message):
+        maxmin_oracle([T, N, T], (1e308, 1e308))
+    # A total weight just below the largest double is accepted.
+    assert maxmin_oracle([T, N], (1e308, 7e307)) == [1e308 / (1e308 + 7e307)] * 2
+
+
 def test_oracle_rejects_string_labels():
     # A string is not Label.TARGET, but it is not a non-target either.
     with pytest.raises(TypeError, match="'target'"):

@@ -28,16 +28,16 @@ from pavcal import cli
 from pavcal.cli import main
 from test_cli_fuzz import csv_files
 
-# _read_csv's arguments for the columns each command reads (apply's score texts
-# are read through cli._chunks), and the names _read_csv gives the splitters for them.
+# _read_csv's arguments for the columns each command reads (apply's scores and
+# their texts are read through cli._chunks), and the names the reader takes for them.
 NAMES = {
     "apply": ["score"], "fit": ["score", "label"], "evaluate": ["score", "label", "calibrated"],
 }
 READS = {
-    "fit": {"labeled": True},
+    "fit": {},
     "apply": {"texts": True},
-    "evaluate": {"labeled": True, "calibrated": "calibrated"},
-    "evaluate-llr": {"labeled": True, "calibrated": "calibrated", "llrs": True},
+    "evaluate": {"calibrated": "calibrated"},
+    "evaluate-llr": {"calibrated": "calibrated", "llrs": True},
 }
 
 
@@ -46,20 +46,21 @@ def _bits(values):
 
 
 def _outcome(path, read):
-    """_read_csv's result, with floats as bits and, with texts, the score
-    texts of cli._chunks as the cells apply writes; or its DataError's text."""
+    """_read_csv's result, or with texts the scores of cli._chunks and their
+    texts as the cells apply writes, with floats as bits; or the reader's
+    DataError's text."""
     read = dict(read)
-    texts = read.pop("texts", False)
+    flags = values = cells = None
     try:
-        header, scores, flags, values = cli._read_csv(path, **read)
+        if read.pop("texts", False):
+            scores, texts = map(np.concatenate, zip(*cli._chunks(path, ["score"], True)))
+            cells = cli._text_cells(texts, scores)
+        else:
+            scores, flags, values = cli._read_csv(path, **read)
+            flags = (flags.dtype.str, flags.tolist())
     except cli.DataError as exc:
         return str(exc)
-    flags = None if flags is None else (flags.dtype.str, flags.tolist())
-    cells = None
-    if texts:
-        chunks = list(cli._chunks(path, ["score"], True))[1:]
-        cells = cli._text_cells(np.concatenate([columns[1] for columns, _ in chunks]), scores)
-    return header, _bits(scores), flags, _bits(values), cells, scores.size
+    return _bits(scores), flags, _bits(values), cells, scores.size
 
 
 def _by_lines(path, read):
@@ -107,7 +108,7 @@ def _declines_or_matches(tmp_path_factory, file, command, plain):
         text = "\n".join(line for line in lines if line.strip(" ,\r") or line in ("", "\r"))
     read = READS[command]
     if "calibrated" not in columns:
-        read = {key: value for key, value in read.items() if key == "labeled"}
+        read = {key: value for key, value in read.items() if key == "texts"}
     path = tmp_path_factory.mktemp("reader") / "in.csv"
     path.write_bytes(text.encode("utf-8"))
     with warnings.catch_warnings():
@@ -130,7 +131,7 @@ def test_a_plain_file_takes_the_bulk_read(tmp_path):
         assert _in_bulk(path, ["score", "label", "calibrated"])
         read = READS["evaluate"]
         assert _outcome(path, read) == _by_lines(path, read)
-        assert cli._read_csv(path, **read)[1].size == 50
+        assert cli._read_csv(path, **read)[0].size == 50
 
 
 @pytest.mark.parametrize("command", ["fit", "evaluate"])
@@ -156,7 +157,7 @@ def test_a_read_holds_each_column_once(tmp_path, command):
             f"{x!r},{'target' if q < 0.3 else 'nontarget'},{q!r}\n" for x, q in draws))
         tracemalloc.start()
         try:
-            columns = cli._read_csv(path, **READS[command])[1:]
+            columns = cli._read_csv(path, **READS[command])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -169,7 +170,7 @@ def test_a_read_holds_each_column_once(tmp_path, command):
 
 def test_the_cut_label_check_loads_no_numpy_char(tmp_path):
     path = _write(tmp_path, "score,label\n0,Target\n1,nontarget\n")
-    code = (f"import sys; from pavcal import cli; cli._read_csv({path!r}, labeled=True)"
+    code = (f"import sys; from pavcal import cli; cli._read_csv({path!r})"
             "; assert 'numpy.char' not in sys.modules")
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
@@ -196,7 +197,7 @@ def test_unusual_valid_files_are_declined_and_read_line_by_line(tmp_path, case):
     text, scores = case
     path = _write(tmp_path, text)
     assert not _in_bulk(path, ["score", "label"])
-    _, got, flags, _ = cli._read_csv(path, labeled=True)
+    got, flags, _ = cli._read_csv(path)
     assert got.tolist() == scores
     assert flags.tolist() == [True, False]
 
@@ -216,7 +217,7 @@ def test_unusual_labels_are_read_in_bulk(tmp_path, monkeypatch, text):
     want = _by_lines(path, READS["fit"])
     monkeypatch.setattr(cli, "_split_records", _no_line_reader)
     assert _outcome(path, READS["fit"]) == want
-    assert want[2] == ("|b1", [True, False])
+    assert want[1] == ("|b1", [True, False])
 
 
 def _no_line_reader(*args):
@@ -402,6 +403,27 @@ def test_a_fault_stops_the_read_at_its_chunk_and_closes_the_file(tmp_path, capsy
     assert all(fh.closed for fh in opened)
 
 
+def test_the_chunk_reader_checks_each_chunk_and_closes_the_file_at_a_fault(tmp_path, monkeypatch):
+    # A NaN score on line 4098, the first line of the second of three chunks.
+    rows = [f"{k / 7!r}\n" for k in range(3 * cli._WRITE_ROWS)]
+    rows[cli._WRITE_ROWS] = "nan\n"
+    path = _write(tmp_path, "score\n" + "".join(rows))
+    opened = []
+
+    def open_spy(*args, **kwargs):
+        opened.append(open(*args, **kwargs))
+        return opened[-1]
+
+    monkeypatch.setattr(cli, "open", open_spy, raising=False)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ResourceWarning)
+        message = f"^line {cli._WRITE_ROWS + 2}: score must not be NaN$"
+        with pytest.raises(cli.DataError, match=message):
+            list(cli._chunks(path, ["score"], True))
+        assert len(opened) == 1 and opened[0].closed
+        gc.collect()
+
+
 def test_capitalised_labels_are_read_without_the_line_reader(tmp_path, capsys, monkeypatch):
     rows = "".join(f"{k / 7!r},{'Target' if k % 3 else 'NonTarget'}\n" for k in range(10_000))
     lower = tmp_path / "lower.csv"
@@ -427,7 +449,7 @@ def test_capitalised_labels_are_read_without_the_line_reader(tmp_path, capsys, m
 def test_infinite_llrs_are_read_in_bulk(tmp_path, monkeypatch):
     path = _write(tmp_path, "score,label,calibrated\n0,target,-inf\n1,nontarget,inf\n")
     monkeypatch.setattr(cli, "_split_records", _no_line_reader)
-    values = cli._read_csv(path, **READS["evaluate-llr"])[3]
+    values = cli._read_csv(path, **READS["evaluate-llr"])[2]
     assert values.tolist() == [-math.inf, math.inf]
     with pytest.raises(cli.DataError, match="^line 2: calibrated value must be finite, got '-inf'"):
         cli._read_csv(path, **READS["evaluate"])
@@ -643,7 +665,7 @@ def test_both_splitters_hand_over_each_score_text_whole(tmp_path, monkeypatch):
     assert _in_bulk(path, ["score"], True)
 
     def split():
-        return [columns[1] for columns, _ in list(cli._chunks(path, ["score"], True))[1:]]
+        return [columns[1] for columns in cli._chunks(path, ["score"], True)]
 
     bulk = split()
     monkeypatch.setattr(cli, "_plain", lambda lines: False)
@@ -672,9 +694,9 @@ def test_a_savetxt_file_of_negative_scores_is_read_in_bulk(tmp_path, monkeypatch
 def test_only_apply_reads_the_score_texts(tmp_path, monkeypatch, command):
     asked, chunks = [], cli._chunks
 
-    def spy(path, names, texts=False):
+    def spy(path, names, texts=False, **read):
         asked.append(texts)
-        return chunks(path, names, texts)
+        return chunks(path, names, texts, **read)
 
     path = _write(tmp_path, "score,label,calibrated\n0,target,0.5\n1,nontarget,0.25\n")
     argv = _argv(tmp_path, command, path)

@@ -21,6 +21,7 @@ from pavcal import (
     objective,
     parse_rule,
 )
+from pavcal import rules
 from pavcal.rules import _total_cost
 
 T = Label.TARGET
@@ -60,6 +61,21 @@ class TestClosedForms:
         # A point mass sitting exactly at q charges the non-target side.
         assert rule.cost(T, 0.5) == 0.0
         assert rule.cost(N, 0.5) == 2.0
+
+    def test_cost_at_prices_as_its_one_spike_mixture_without_building_one(self, monkeypatch):
+        # Bit for bit, at q == t and its neighbours too, for either class.
+        for t in (1e-300, 0.1, 0.37, 0.5, 2 / 3, 1 - 2**-53):
+            q = np.array([0.0, np.nextafter(t, 0.0), t, np.nextafter(t, 1.0), 0.5, 1.0, math.nan])
+            spike = DiracMixture(((1.0, t),))
+            for target in (True, False):
+                assert CostAt(t)._costs(q, target).tobytes() == spike._costs(q, target).tobytes()
+
+        def no_mixture(components):
+            raise AssertionError("CostAt built a DiracMixture")
+
+        want = objective(CostAt(0.37), [T, N, T], (1.0, 2.0), [0.2, 0.37, 0.9])
+        monkeypatch.setattr(rules, "DiracMixture", no_mixture)
+        assert objective(CostAt(0.37), [T, N, T], (1.0, 2.0), [0.2, 0.37, 0.9]) == want > 0.0
 
     def test_cost_at_threshold_must_be_interior(self):
         for bad in (0.0, 1.0, -0.2, 1.5, math.nan):

@@ -50,7 +50,7 @@ def _golden_rows():
             Path(path).write_bytes(data)
             for calibrated in ("calibrated", None):
                 try:
-                    _, scores, flags, values = _read_csv(path, True, calibrated, llrs=True)
+                    scores, flags, values = _read_csv(path, calibrated, llrs=True)
                 except DataError:
                     continue
                 rows.append((scores.tolist(), flags.tolist(),
