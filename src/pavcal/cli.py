@@ -24,7 +24,7 @@ import numpy as np
 from .calmap import MODES, POLICIES, CalibrationMap, _apply, _fit, _map
 from .llr import _class_log_odds, _posteriors, weights_from_prior
 from .pav import _items, _price
-from .rules import Logarithmic, ScoringRule, _total_cost, parse_rule
+from .rules import Logarithmic, _total_cost, parse_rule
 from .types import Label, WeightPair
 
 
@@ -70,10 +70,11 @@ def _is_number(text: str) -> bool:
 
 def _read_csv(path: str, calibrated: str | None = None, llrs=False) -> tuple:
     """A labeled CSV file's data rows as scores, target flags and calibrated
-    values, None unless calibrated names their column, as _chunks reads and
-    checks them.  Each column grows in one bytearray, by realloc (unwritten
+    values, None unless calibrated names their column (matched as a header
+    name is, without case or blanks around it), as _chunks reads and checks
+    them.  Each column grows in one bytearray, by realloc (unwritten
     capacity is not resident), so the read holds it once."""
-    names = ["score", "label"] + ([] if calibrated is None else [calibrated.lower()])
+    names = ["score", "label"] + ([] if calibrated is None else [calibrated.strip().lower()])
     bufs = [bytearray() for _ in names]
     for columns in _chunks(path, names, llrs=llrs):
         for buf, column in zip(bufs, columns):
@@ -337,44 +338,38 @@ def _text_cells(texts: np.ndarray, scores: np.ndarray) -> list[str]:
     return cells
 
 
-def _rules_of(args: argparse.Namespace) -> list[ScoringRule]:
-    return list(args.rule) if args.rule else [Logarithmic()]
-
-
-def _scoring_weights(args: argparse.Namespace, t1: int, t2: int) -> tuple[WeightPair, float | None]:
-    """The weights fit and evaluate score at, and the prior log-odds they come from:
-    --weights; else --prior-logodds; else in llr mode the class proportions'; else 1,1."""
-    pi = args.prior_logodds
-    if pi is None and args.mode == "llr":
-        pi = _class_log_odds(t1, t2)
-    if pi is None:
-        return args.weights or WeightPair(1.0, 1.0), None
-    return weights_from_prior(pi, t1, t2), pi
-
-
-def _read_labeled(args: argparse.Namespace, calibrated: str | None = None) -> tuple:
-    """The scores, target flags and values (or None) of a labeled input, and its
-    target and non-target counts.  llr mode turns down --weights, before the file is read."""
+def _reference(args: argparse.Namespace, calibrated: str | None = None) -> tuple:
+    """fit and evaluate's one reference: the fit of a labeled input, its target flags,
+    its calibrated values or None, the weights and prior log-odds (or None) it is scored
+    at, and each --rule (default log) with its objective on the fit's priced blocks.
+    The weights are --weights, else those of --prior-logodds, else in llr mode those of
+    the class proportions' prior, else 1,1.  llr mode turns down --weights before the read."""
     if args.mode == "llr" and args.weights is not None:
         raise UsageError("--weights has no effect in llr mode")
     scores, flags, values = _read_csv(args.input, calibrated, args.mode == "llr")
     t1 = np.count_nonzero(flags)
-    return scores, flags, values, t1, scores.size - t1
+    t2, pi = flags.size - t1, args.prior_logodds
+    if pi is None and args.mode == "llr":
+        pi = _class_log_odds(t1, t2)
+    weights = (args.weights or WeightPair(1.0, 1.0)) if pi is None else weights_from_prior(pi, t1, t2)
+    fit = _fit(scores, flags)
+    del scores  # freed before the map or the calibrated items are built
+    m, n = fit[2:]
+    q = _price(m, n, weights.v1, weights.v2)  # each block's posterior at the weights
+    costs = [(rule, _total_cost(rule, weights, q, m, n)) for rule in args.rule or [Logarithmic()]]
+    return fit, flags, values, weights, pi, costs
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
-    scores, flags, _, t1, t2 = _read_labeled(args)
-    weights = _scoring_weights(args, t1, t2)[0]
-    fit = _fit(scores, flags)
+    fit, flags, _, weights, _, costs = _reference(args)
     try:
         _map(fit, weights, args.mode, args.policy).save(args.out)
     except OSError as exc:
         raise DataError(f"cannot write {args.out}: {exc}")
-    m, n = fit[2:]
-    print(f"T={scores.size} T1={t1} T2={t2} blocks={m.size}")
-    q = _price(m, n, weights.v1, weights.v2)  # each block's posterior at the weights
-    for rule in _rules_of(args):
-        print(f"objective[{rule}]={_total_cost(rule, weights, q, m, n)!r}")
+    t1 = np.count_nonzero(flags)
+    print(f"T={flags.size} T1={t1} T2={flags.size - t1} blocks={fit[2].size}")
+    for rule, cost in costs:
+        print(f"objective[{rule}]={cost!r}")
     return 0
 
 
@@ -402,20 +397,15 @@ def cmd_apply(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    if args.calibrated == "":
+    if args.calibrated is not None and not args.calibrated.strip():
         raise UsageError("--calibrated needs a column name")
-    scores, flags, values, t1, t2 = _read_labeled(args, args.calibrated)
-    weights, pi = _scoring_weights(args, t1, t2)
-    m, n = _fit(scores, flags)[2:]
-    del scores  # freed before the calibrated column is sorted
-    q = _price(m, n, weights.v1, weights.v2)
+    flags, values, weights, pi, costs = _reference(args, args.calibrated)[1:]  # the fit is freed
     if values is not None:  # checked by the reader; _posteriors gives values in [0, 1]
         cal, cm, cn = _items(values, flags)
         del values, flags
         if args.mode == "llr":  # each distinct LLR is priced once
             cal = _posteriors(cal, pi)
-    for rule in _rules_of(args):
-        ref_obj = _total_cost(rule, weights, q, m, n)
+    for rule, ref_obj in costs:
         line = f"rule={rule} reference={ref_obj!r}"
         if args.calibrated is not None:
             cal_obj = _total_cost(rule, weights, cal, cm, cn)

@@ -229,3 +229,23 @@ def test_an_empty_calibrated_column_name_is_a_usage_error(tmp_path, capsys):
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err == "error: --calibrated needs a column name\n"
+
+
+def test_a_blank_calibrated_column_name_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "in.csv"
+    path.write_text("score,label,calibrated\n0,target,0.5\n1,nontarget,0.25\n", encoding="utf-8")
+    assert main(["evaluate", str(path), "--calibrated", " "]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "error: --calibrated needs a column name\n"
+
+
+def test_a_calibrated_column_name_is_matched_without_its_blanks(tmp_path, capsys):
+    path = tmp_path / "in.csv"
+    path.write_text("score, Calibrated ,label\n0,0.5,target\n1,0.25,nontarget\n", encoding="utf-8")
+    assert main(["evaluate", str(path), "--calibrated"]) == 0
+    want = capsys.readouterr()
+    assert main(["evaluate", str(path), "--calibrated", " Calibrated "]) == 0
+    out = capsys.readouterr()
+    assert (out.out, out.err) == (want.out, "")
+    assert "calibrated=" in out.out

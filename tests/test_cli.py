@@ -467,7 +467,7 @@ def test_fit_objectives_equal_the_library_path(tmp_path, capsys, flags):
     assert lines == want
 
 
-@pytest.mark.parametrize("flags", [[], ["--weights", "2.5,0.7"], ["--prior-logodds", "-1.2"]])
+@pytest.mark.parametrize("flags", SCORING_FLAGS)
 def test_evaluate_reference_equals_the_step_map_on_each_row(tmp_path, capsys, flags):
     rng = random.Random(8)
     pool = [-0.0, 0.0, -1.5, 1.5, 0.25, 2.0, -3.0, 1e-300]
